@@ -150,9 +150,9 @@ impl Ctx {
     /// sweep --cache` uses): completed reports are persisted keyed by
     /// (program bytes, canonical config, code version) and served on the
     /// next invocation instead of resimulating. Corrupt entries are
-    /// quarantined and recomputed. Sanitized, traced, and force-fail runs
-    /// bypass the cache — their side-band output is not part of the cached
-    /// payload. Figure text is byte-identical with and without the cache.
+    /// quarantined and recomputed. Sanitized and force-fail runs bypass
+    /// the cache — the sanitizer ledger is not part of the cached payload.
+    /// Figure text is byte-identical with and without the cache.
     pub fn with_result_cache(mut self, dir: &Path) -> Result<Self, String> {
         self.result_cache =
             Some(dvr_sim::sim_sweep::ResultCache::open(dir).map_err(|e| e.to_string())?);
@@ -251,11 +251,11 @@ impl Ctx {
     }
 
     /// The cell's content address, or `None` when it must not be cached:
-    /// no cache attached, sanitizer or DVR tracing on (their side-band
-    /// output is not in the payload), or a force-fail hook active.
+    /// no cache attached, sanitizer on (its ledger is not in the payload),
+    /// or a force-fail hook active.
     fn cell_cache_key(&self, cell: &Cell, wl: &Workload) -> Option<dvr_sim::sim_sweep::Digest128> {
         self.result_cache.as_ref()?;
-        if cell.cfg.core.sanitize || cell.cfg.trace_dvr || self.force_fail.is_some() {
+        if cell.cfg.core.sanitize || self.force_fail.is_some() {
             return None;
         }
         Some(dvr_sim::cache_key(wl, &cell.cfg, self.sample.as_ref()))
@@ -698,9 +698,6 @@ fn failed_report(cell: &Cell, workload_name: &str, err: SimError) -> SimReport {
         engine: EngineSummary::default(),
         outcome: RunOutcome::Failed(err),
         sanitizer: None,
-        dvr_trace: None,
-        taint_fills: None,
-        spec_extents: None,
     }
 }
 

@@ -19,7 +19,7 @@
 //! keeps committing while the subthread prefetches — the two properties the
 //! paper's Figure 8 attributes most of the speedup to.
 
-use sim_isa::{exec_lane, lane_taint_step, FxHashMap, Instr, NUM_REGS};
+use sim_isa::{exec_lane, FxHashMap, Instr, NUM_REGS};
 use sim_mem::{AccessClass, PrefetchSource};
 use sim_ooo::{DynInst, EngineCtx, RunaheadEngine};
 
@@ -157,11 +157,6 @@ impl DvrEngine {
         self.trace.as_mut().map(|t| std::mem::take(&mut **t))
     }
 
-    /// The recorded trace so far, when tracing is enabled.
-    pub fn trace(&self) -> Option<&DvrTrace> {
-        self.trace.as_deref()
-    }
-
     fn emit(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(t) = self.trace.as_mut() {
             t.events.push(ev());
@@ -279,11 +274,9 @@ impl DvrEngine {
             return ctx.cycle;
         };
         let mut t = ctx.cycle;
-        // Secret-taint shadow for the leak-audit oracle (observer; active
-        // only while the hierarchy's taint log is armed).
-        let taint_on = ctx.hier.taint_log_enabled();
-        // Bounds-audit extents (observer; armed the same way).
-        let bounds_on = ctx.hier.spec_extents_enabled();
+        // The scalar walk's secret-taint mask, reported with every step
+        // while the hierarchy observes (see `walk_vectorized`).
+        let observing = ctx.hier.observing();
         let mut st: u16 = 0;
 
         // --- NDM phase 1: scalar walk with the loop branch forced
@@ -316,24 +309,14 @@ impl DvrEngine {
                 continue;
             }
             let eff = exec_lane(prog, pc, &mut regs, mem);
-            if let Some((a, w)) = eff.load {
+            if let Some((a, _)) = eff.load {
                 let acc = ctx.hier.load(t, a, AccessClass::Prefetch(PrefetchSource::Dvr));
                 self.stats.lane_loads += 1;
                 // Scalar chain: the subthread waits for its own loads.
                 t = t.max(acc.complete_at);
-                if bounds_on {
-                    ctx.hier.note_spec_access(pc, a, w);
-                }
             }
-            if taint_on {
-                let a = eff.load.map(|(a, _)| a);
-                if lane_taint_step(prog, instr, &mut st, a) {
-                    ctx.hier.note_secret_fill(
-                        pc,
-                        a.expect("transmitters load"),
-                        PrefetchSource::Dvr,
-                    );
-                }
+            if observing {
+                ctx.hier.observe_lane_step(prog, pc, instr, &mut st, eff.load, PrefetchSource::Dvr);
             }
             if eff.halted {
                 break;
@@ -385,17 +368,18 @@ impl DvrEngine {
             let acc = ctx.hier.load(t, addr_j, AccessClass::Prefetch(PrefetchSource::Dvr));
             outer_done = outer_done.max(acc.complete_at);
             self.stats.lane_loads += 1;
-            if bounds_on {
-                ctx.hier.note_spec_access(outer_pc, addr_j, outer_w.bytes());
+            // A fresh mask: the outer lane inherits the scalar walk's taint
+            // plus whatever its own gathered element adds.
+            let mut lt = 0;
+            if observing {
+                let load = Some((addr_j, outer_w.bytes()));
+                let src = PrefetchSource::Dvr;
+                ctx.hier.observe_lane_step(prog, outer_pc, &outer_instr, &mut lt, load, src);
             }
             let mut lr = regs;
             lr[outer_rd.index()] = mem.read(addr_j, outer_w.bytes());
             fixup_address_regs(&outer_instr, &mut lr, addr_j);
-            let mut lt = st;
-            if taint_on && prog.is_secret_addr(addr_j) {
-                lt |= outer_rd.bit();
-            }
-            outer_ctxs.push((lr, lt));
+            outer_ctxs.push((lr, st | lt));
         }
         t = outer_done;
 
@@ -416,23 +400,14 @@ impl DvrEngine {
                     break;
                 }
                 let eff = exec_lane(prog, pc, &mut lr, mem);
-                if let Some((a, w)) = eff.load {
+                if let Some((a, _)) = eff.load {
                     let acc = ctx.hier.load(t, a, AccessClass::Prefetch(PrefetchSource::Dvr));
                     dep_done = dep_done.max(acc.complete_at);
                     self.stats.lane_loads += 1;
-                    if bounds_on {
-                        ctx.hier.note_spec_access(pc, a, w);
-                    }
                 }
-                if taint_on {
-                    let a = eff.load.map(|(a, _)| a);
-                    if lane_taint_step(prog, instr, &mut lt, a) {
-                        ctx.hier.note_secret_fill(
-                            pc,
-                            a.expect("transmitters load"),
-                            PrefetchSource::Dvr,
-                        );
-                    }
+                if observing {
+                    let src = PrefetchSource::Dvr;
+                    ctx.hier.observe_lane_step(prog, pc, instr, &mut lt, eff.load, src);
                 }
                 if eff.halted {
                     break;

@@ -10,7 +10,7 @@
 //! decides which instructions are vectorized (16 vector uops) versus scalar
 //! (1 uop) for Vector-Issue-Register timing.
 
-use sim_isa::{exec_lane, lane_taint_step, Instr, Program, SparseMemory, NUM_REGS};
+use sim_isa::{exec_lane, Instr, Program, SparseMemory, NUM_REGS};
 use sim_mem::{AccessClass, MemoryHierarchy, PrefetchSource};
 
 /// Lanes per invocation in the paper's configuration (Section 4.2:
@@ -198,10 +198,12 @@ pub fn walk_vectorized(
         Instr::Load { rd, width, .. } => (rd, width),
         _ => return out,
     };
-    // Bounds-audit shadow: while the hierarchy's spec-extent map is armed,
-    // every lane-issued access is reported with its static pc. Same gated
-    // observer discipline as the taint shadow below — never feeds timing.
-    let bounds_on = hier.spec_extents_enabled();
+    // Observation for the audits: while the hierarchy observes, every lane
+    // step is reported with its static pc, and each lane carries a
+    // secret-taint mask seeded by its own striding load. The plain path
+    // allocates and computes nothing, and no mask bit ever feeds timing.
+    let observing = hier.observing();
+    let mut taint: Vec<u16> = if observing { vec![0u16; n] } else { Vec::new() };
     let uops = n.div_ceil(VECTOR_WIDTH) as u64;
     let span = uops.div_ceil(policy.issue_rate as u64);
     let mut done_at = issue_cursor + span;
@@ -210,8 +212,9 @@ pub fn walk_vectorized(
         let acc = hier.load(t_issue, seed.stride_addr, AccessClass::Prefetch(policy.source));
         done_at = done_at.max(acc.complete_at);
         out.lane_loads += 1;
-        if bounds_on {
-            hier.note_spec_access(term.stride_pc, seed.stride_addr, width.bytes());
+        if observing {
+            let (pc, load) = (term.stride_pc, Some((seed.stride_addr, width.bytes())));
+            hier.observe_lane_step(prog, pc, &stride_instr, &mut taint[i], load, policy.source);
         }
         // Functional effect: load the value and fix up the address registers
         // so dependent instructions compute lane-correct values.
@@ -224,21 +227,6 @@ pub fn walk_vectorized(
     out.end_cycle = done_at;
     vtt |= rd.bit();
     out.instructions += 1;
-
-    // Secret-taint shadow for the leak-audit oracle: one register taint
-    // mask per lane, seeded when a lane's striding load reads declared
-    // secret memory. Maintained only while the hierarchy's taint log is
-    // armed — the common path allocates and computes nothing — and purely
-    // an observer: no taint bit ever feeds a timing decision.
-    let taint_on = hier.taint_log_enabled();
-    let mut secret_taint: Vec<u16> = if taint_on { vec![0u16; n] } else { Vec::new() };
-    if taint_on {
-        for (i, seed) in seeds[..n].iter().enumerate() {
-            if prog.is_secret_addr(seed.stride_addr) {
-                secret_taint[i] = rd.bit();
-            }
-        }
-    }
 
     // --- Lockstep walk of the dependent chain. --------------------------
     let mut current = Group { pc: term.stride_pc + 1, lanes: (0..n).collect() };
@@ -297,22 +285,14 @@ pub fn walk_vectorized(
         let mut load_done = start + issue_span;
         for (k, &lane) in current.lanes.iter().enumerate() {
             let eff = exec_lane(prog, pc, &mut lanes[lane], mem);
-            if let Some((addr, w)) = eff.load {
+            if let Some((addr, _)) = eff.load {
                 let t_issue = start + (k / VECTOR_WIDTH) as u64 / policy.issue_rate as u64;
                 let acc = hier.load(t_issue, addr, AccessClass::Prefetch(policy.source));
                 load_done = load_done.max(acc.complete_at);
                 out.lane_loads += 1;
-                if bounds_on {
-                    hier.note_spec_access(pc, addr, w);
-                }
             }
-            if taint_on {
-                let addr = eff.load.map(|(a, _)| a);
-                if lane_taint_step(prog, &instr, &mut secret_taint[lane], addr) {
-                    // This lane gathered through a secret-derived address:
-                    // the fill it triggers is the speculative leak.
-                    hier.note_secret_fill(pc, addr.expect("transmitters load"), policy.source);
-                }
+            if observing {
+                hier.observe_lane_step(prog, pc, &instr, &mut taint[lane], eff.load, policy.source);
             }
             next_pcs.push((lane, eff.next_pc));
         }
@@ -574,7 +554,7 @@ mod tests {
         let run = |armed: bool| {
             let mut hier = MemoryHierarchy::new(HierarchyConfig::default());
             if armed {
-                hier.enable_taint_log();
+                hier.observe();
             }
             let seeds = seeds_for(&prog, stride_pc, 32);
             let out = walk_vectorized(
@@ -592,7 +572,7 @@ mod tests {
         let (plain, _) = run(false);
         assert_eq!(armed.end_cycle, plain.end_cycle, "shadow must not change timing");
         assert_eq!(armed.lane_loads, plain.lane_loads);
-        let log = hier.take_taint_log().expect("armed log");
+        let log = hier.take_observations().expect("armed observer").taint_fills;
         // Every lane's B[v] gather (and conditional D[w]) has a
         // secret-derived address: at least the 32 dependent loads transmit.
         assert!(log.len() >= 32, "fills {}", log.len());
@@ -601,7 +581,7 @@ mod tests {
         // Without the secret declaration nothing transmits.
         let (prog2, stride2, _) = chain_program();
         let mut hier2 = MemoryHierarchy::new(HierarchyConfig::default());
-        hier2.enable_taint_log();
+        hier2.observe();
         let seeds = seeds_for(&prog2, stride2, 32);
         walk_vectorized(
             &prog2,
@@ -612,7 +592,7 @@ mod tests {
             Termination { flr_pc: None, stride_pc: stride2 },
             &WalkPolicy::dvr(),
         );
-        assert_eq!(hier2.take_taint_log().unwrap(), vec![]);
+        assert_eq!(hier2.take_observations().unwrap().taint_fills, vec![]);
     }
 
     #[test]

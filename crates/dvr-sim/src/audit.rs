@@ -19,11 +19,12 @@ use sim_lint::{
 };
 use workloads::{Benchmark, SizeClass};
 
+use crate::audit_core::{Divergence, Divergences};
 use crate::config::{SimConfig, Technique};
-use crate::runner::simulate;
+use crate::runner::simulate_observed;
 
 /// The four ways static prediction and dynamic observation can disagree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum DivergenceKind {
     /// Static predicted a spawn; the engine never vectorized that load.
     MissedStride,
@@ -100,19 +101,6 @@ impl std::fmt::Display for Justification {
     }
 }
 
-/// One static/dynamic disagreement, with its (attempted) explanation.
-#[derive(Clone, Debug)]
-pub struct Divergence {
-    /// What kind of disagreement.
-    pub kind: DivergenceKind,
-    /// The static load / dynamic trigger pc it concerns.
-    pub pc: usize,
-    /// Human-readable specifics (strides, depths, counts).
-    pub detail: String,
-    /// The typed explanation, or `None` = unexplained (a bug).
-    pub justification: Option<Justification>,
-}
-
 /// The audit result for one benchmark.
 #[derive(Clone, Debug)]
 pub struct AuditReport {
@@ -128,21 +116,11 @@ pub struct AuditReport {
     pub chains: Vec<PredictedChain>,
     /// Dynamic per-trigger-pc summaries, pc-sorted.
     pub dynamic: Vec<(usize, PcSummary)>,
-    /// Every disagreement found.
-    pub divergences: Vec<Divergence>,
+    /// Every disagreement found, keyed by static load / trigger pc.
+    pub divergences: Divergences<DivergenceKind, Justification>,
 }
 
 impl AuditReport {
-    /// Divergences with no typed justification.
-    pub fn unexplained(&self) -> usize {
-        self.divergences.iter().filter(|d| d.justification.is_none()).count()
-    }
-
-    /// Whether every divergence is explained.
-    pub fn is_clean(&self) -> bool {
-        self.unexplained() == 0
-    }
-
     /// Deterministic multi-line report (the golden-pinned format).
     pub fn render(&self) -> String {
         use std::fmt::Write;
@@ -203,32 +181,19 @@ impl AuditReport {
                 deps
             );
         }
-        let _ = writeln!(
-            s,
-            "divergences: {} total, {} unexplained",
-            self.divergences.len(),
-            self.unexplained()
-        );
-        for d in &self.divergences {
-            let j =
-                d.justification.map(|j| j.to_string()).unwrap_or_else(|| "UNEXPLAINED".to_string());
-            let _ = writeln!(s, "  [{}] pc={} {} :: {}", d.kind, d.pc, d.detail, j);
-        }
-        let _ = writeln!(s, "{}", if self.is_clean() { "PASS" } else { "FAIL" });
+        self.divergences.render_tail(&mut s, "");
         s
     }
 
     /// Flat JSON object for `dvrsim audit --json` (hand-rolled, like
     /// [`SimReport::to_json`](crate::SimReport::to_json)).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
         let expected = self.chains.iter().filter(|c| c.expect_spawn).count();
         let spawned_pcs = self.dynamic.iter().filter(|(_, d)| d.spawns > 0).count();
         let mut s = format!(
             concat!(
                 "{{\"bench\":\"{}\",\"seed\":{},\"instrs\":{},\"loops\":{},",
-                "\"static_roots\":{},\"expected_spawns\":{},\"dynamic_spawn_pcs\":{},",
-                "\"divergences\":["
+                "\"static_roots\":{},\"expected_spawns\":{},\"dynamic_spawn_pcs\":{},"
             ),
             self.bench,
             self.seed,
@@ -238,22 +203,7 @@ impl AuditReport {
             expected,
             spawned_pcs,
         );
-        for (i, d) in self.divergences.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let j =
-                d.justification.map(|j| format!("\"{j}\"")).unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                s,
-                "{{\"kind\":\"{}\",\"pc\":{},\"justification\":{},\"detail\":\"{}\"}}",
-                d.kind,
-                d.pc,
-                j,
-                d.detail.replace('\\', "\\\\").replace('"', "\\\""),
-            );
-        }
-        let _ = write!(s, "],\"unexplained\":{}}}", self.unexplained());
+        self.divergences.json_tail(&mut s);
         s
     }
 }
@@ -276,9 +226,8 @@ pub fn audit_benchmark(bench: Benchmark, size: SizeClass, seed: u64, instrs: u64
     let prediction = predict_coverage(&cfg, &program, &loops, &addr, &deps);
 
     // Dynamic side.
-    let sim_cfg = SimConfig::new(Technique::Dvr).with_max_instructions(instrs).with_dvr_trace(true);
-    let report = simulate(&wl, &sim_cfg);
-    let summary = report.dvr_trace.as_ref().map(|t| t.summarize()).unwrap_or_default();
+    let sim_cfg = SimConfig::new(Technique::Dvr).with_max_instructions(instrs);
+    let summary = simulate_observed(&wl, &sim_cfg).1.dvr_trace.summarize();
     let mut dynamic: Vec<(usize, PcSummary)> =
         summary.iter().map(|(&pc, s)| (pc, s.clone())).collect();
     dynamic.sort_by_key(|&(pc, _)| pc);
@@ -301,7 +250,7 @@ fn diff(
     prediction: &CoveragePrediction,
     addr: &sim_lint::AddrAnalysis,
     dynamic: &FxHashMap<usize, PcSummary>,
-) -> Vec<Divergence> {
+) -> Divergences<DivergenceKind, Justification> {
     let mut out = Vec::new();
 
     for c in &prediction.chains {
@@ -417,6 +366,5 @@ fn diff(
         });
     }
 
-    out.sort_by_key(|d| (d.pc, d.kind as usize));
-    out
+    Divergences::new(out)
 }

@@ -247,6 +247,15 @@ fn parse_bench(s: &str) -> Option<Benchmark> {
     Benchmark::ALL.iter().copied().find(|b| b.name().eq_ignore_ascii_case(s))
 }
 
+fn parse_size(s: &str) -> Option<SizeClass> {
+    match s {
+        "test" => Some(SizeClass::Test),
+        "small" => Some(SizeClass::Small),
+        "paper" => Some(SizeClass::Paper),
+        _ => None,
+    }
+}
+
 fn parse_input(s: &str) -> Option<GraphInput> {
     GraphInput::ALL.iter().copied().find(|g| g.name().eq_ignore_ascii_case(s))
 }
@@ -297,12 +306,8 @@ fn parse_args() -> Result<Options, String> {
                 o.techniques = parse_technique(&v).ok_or(format!("unknown technique '{v}'"))?;
             }
             "--size" => {
-                o.size = match value(&mut i)?.as_str() {
-                    "test" => SizeClass::Test,
-                    "small" => SizeClass::Small,
-                    "paper" => SizeClass::Paper,
-                    v => return Err(format!("unknown size '{v}'")),
-                };
+                let v = value(&mut i)?;
+                o.size = parse_size(&v).ok_or_else(|| format!("unknown size '{v}'"))?;
             }
             "--instrs" => o.instrs = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => o.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
@@ -403,17 +408,13 @@ fn lint_main(args: &[String]) -> ExitCode {
                         }
                     },
                     "--asm" => asm = Some(v),
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
+                    "--size" => match parse_size(&v) {
+                        Some(s) => size = s,
+                        None => {
+                            eprintln!("error: unknown size '{v}'");
+                            return ExitCode::from(2);
+                        }
+                    },
                     _ => match v.parse() {
                         Ok(n) => seed = n,
                         Err(e) => {
@@ -540,215 +541,180 @@ fn lint_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `dvrsim bounds-audit`: the static-vs-dynamic bounds audit — verify the
-/// program's accesses against its declared regions statically, replay with
-/// the architectural extent tracker, run the speculative-extent oracle
-/// under OoO/VR/DVR, and diff the views.
-fn bounds_audit_main(args: &[String]) -> ExitCode {
-    let mut all = false;
-    let mut attack = false;
-    let mut oob = false;
-    let mut bench: Option<Benchmark> = None;
-    let mut size = SizeClass::Test;
-    let mut seed = 42u64;
-    let mut instrs = 60_000u64;
-    let mut json = false;
+/// The selectors and knobs the three audit subcommands share.
+struct AuditArgs {
+    all: bool,
+    attack: bool,
+    oob: bool,
+    bench: Option<Benchmark>,
+    size: SizeClass,
+    seed: u64,
+    instrs: u64,
+    json: bool,
+}
+
+/// The one argument loop of `audit`, `leak-audit` and `bounds-audit`.
+/// `kernels` lists the bundled-kernel selectors `cmd` accepts (`--attack`,
+/// `--oob`); every other flag outside the shared set is rejected with the
+/// subcommand's name. `Err` is the exit code: 0 after `--help`, 2 on a
+/// usage error (already reported on stderr).
+fn parse_audit_args(cmd: &str, args: &[String], kernels: &[&str]) -> Result<AuditArgs, ExitCode> {
+    let usage_error = |msg: String| {
+        eprintln!("error: {msg}");
+        ExitCode::from(2)
+    };
+    let mut a = AuditArgs {
+        all: false,
+        attack: false,
+        oob: false,
+        bench: None,
+        size: SizeClass::Test,
+        seed: 42,
+        instrs: 60_000,
+        json: false,
+    };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--all" => all = true,
-            "--attack" => attack = true,
-            "--oob" => oob = true,
-            "--json" => json = true,
-            "--bench" | "--size" | "--seed" | "--instrs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
+            "--all" => a.all = true,
+            "--json" => a.json = true,
+            "--attack" if kernels.contains(&"--attack") => a.attack = true,
+            "--oob" if kernels.contains(&"--oob") => a.oob = true,
+            flag @ ("--bench" | "--size" | "--seed" | "--instrs") => {
+                let Some(v) = args.get(i + 1) else {
+                    return Err(usage_error(format!("{flag} needs a value")));
                 };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--seed" => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => instrs = n,
-                        Err(e) => {
-                            eprintln!("error: --instrs: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
+                let set = match flag {
+                    "--bench" => parse_bench(v)
+                        .map(|b| a.bench = Some(b))
+                        .ok_or_else(|| format!("unknown benchmark '{v}'")),
+                    "--size" => parse_size(v)
+                        .map(|s| a.size = s)
+                        .ok_or_else(|| format!("unknown size '{v}'")),
+                    "--seed" => v.parse().map(|n| a.seed = n).map_err(|e| format!("--seed: {e}")),
+                    _ => v.parse().map(|n| a.instrs = n).map_err(|e| format!("--instrs: {e}")),
+                };
+                set.map_err(usage_error)?;
                 i += 1;
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
-                return ExitCode::SUCCESS;
+                return Err(ExitCode::SUCCESS);
             }
-            other => return unknown_flag("bounds-audit", other),
+            other => return Err(unknown_flag(cmd, other)),
         }
         i += 1;
     }
-    if !all && !attack && !oob && bench.is_none() {
-        eprintln!("error: bounds-audit needs --all, --bench NAME, --attack, or --oob\n\n{USAGE}");
-        return ExitCode::from(2);
+    if !a.all && !a.attack && !a.oob && a.bench.is_none() {
+        let mut selectors = vec!["--all", "--bench NAME"];
+        selectors.extend(kernels);
+        let needs = match selectors.split_last() {
+            Some((last, [first])) => format!("{first} or {last}"),
+            Some((last, rest)) => format!("{}, or {last}", rest.join(", ")),
+            None => unreachable!("two shared selectors"),
+        };
+        eprintln!("error: {cmd} needs {needs}\n\n{USAGE}");
+        return Err(ExitCode::from(2));
     }
+    Ok(a)
+}
 
-    let mut reports = Vec::new();
-    let benches: Vec<Benchmark> =
-        if all { Benchmark::ALL.to_vec() } else { bench.into_iter().collect() };
-    for b in &benches {
-        reports.push(dvr_sim::bounds_audit_benchmark(*b, size, seed, instrs));
-    }
-    if attack || all {
-        reports.push(dvr_sim::bounds_audit_attack(size, seed, instrs));
-    }
-    if oob {
-        reports.push(dvr_sim::bounds_audit_oob(size, seed, instrs));
-    }
+/// One audited workload as the audit subcommands print it.
+struct Audited {
+    /// The text report, or its one-line JSON object under `--json`.
+    out: String,
+    divergences: usize,
+    unexplained: usize,
+}
 
-    let mut unexplained = 0usize;
-    let mut total = 0usize;
-    let mut static_errors = 0usize;
-    let mut confirmed = 0usize;
-    for r in &reports {
-        if json {
-            println!("{}", r.to_json());
-        } else {
-            print!("{}", r.render());
-        }
-        total += r.divergences.len();
-        unexplained += r.unexplained();
-        static_errors += r.static_errors();
-        confirmed += r.confirmed_oob();
-    }
-    if !json {
-        println!(
-            "bounds-audit: {} workload{} checked, {total} divergences, {unexplained} unexplained, \
-             {static_errors} static errors ({confirmed} dynamically confirmed)",
-            reports.len(),
-            if reports.len() == 1 { "" } else { "s" }
-        );
-    }
-    if unexplained > 0 || static_errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+impl Audited {
+    fn new<K, J>(json: bool, text: String, js: String, d: &dvr_sim::Divergences<K, J>) -> Self {
+        let out = if json { js + "\n" } else { text };
+        Audited { out, divergences: d.len(), unexplained: d.unexplained() }
     }
 }
 
-/// `dvrsim audit`: static-vs-dynamic Discovery audit — predict DVR's
-/// coverage statically, trace what the engine actually did, and diff.
-fn audit_main(args: &[String]) -> ExitCode {
-    let mut all = false;
-    let mut bench: Option<Benchmark> = None;
-    let mut size = SizeClass::Test;
-    let mut seed = 42u64;
-    let mut instrs = 60_000u64;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--all" => all = true,
-            "--json" => json = true,
-            "--bench" | "--size" | "--seed" | "--instrs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--seed" => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => instrs = n,
-                        Err(e) => {
-                            eprintln!("error: --instrs: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("audit", other),
-        }
-        i += 1;
-    }
-    let benches: Vec<Benchmark> = if all {
-        Benchmark::ALL.to_vec()
-    } else if let Some(b) = bench {
-        vec![b]
-    } else {
-        eprintln!("error: audit needs --all or --bench NAME\n\n{USAGE}");
-        return ExitCode::from(2);
+/// `dvrsim audit` / `leak-audit` / `bounds-audit`: the static-vs-dynamic
+/// audits — Discovery coverage, secret-dependent gathers, and
+/// out-of-bounds lanes. Each audited workload prints its report; the text
+/// form ends with one summary line. Exits 1 on any unexplained divergence
+/// (bounds-audit also on any static bounds error).
+fn audits_main(cmd: &str, args: &[String]) -> ExitCode {
+    let kernels: &[&str] = match cmd {
+        "audit" => &[],
+        "leak-audit" => &["--attack"],
+        _ => &["--attack", "--oob"],
     };
-
-    let mut unexplained = 0usize;
-    let mut total = 0usize;
-    for b in &benches {
-        let r = dvr_sim::audit_benchmark(*b, size, seed, instrs);
-        if json {
-            println!("{}", r.to_json());
-        } else {
-            print!("{}", r.render());
+    let a = match parse_audit_args(cmd, args, kernels) {
+        Ok(a) => a,
+        Err(code) => return code,
+    };
+    let (size, seed, instrs, json) = (a.size, a.seed, a.instrs, a.json);
+    let benches: Vec<Benchmark> =
+        if a.all { Benchmark::ALL.to_vec() } else { a.bench.into_iter().collect() };
+    let with_attack = a.attack || a.all;
+    // (reports, the noun they count, the summary's tail, a non-divergence failure)
+    let (audited, noun, tail, failed): (Vec<Audited>, _, _, _) = match cmd {
+        "audit" => {
+            let audited = benches
+                .iter()
+                .map(|&b| {
+                    let r = dvr_sim::audit_benchmark(b, size, seed, instrs);
+                    Audited::new(json, r.render(), r.to_json(), &r.divergences)
+                })
+                .collect();
+            (audited, "benchmark", String::new(), false)
         }
-        total += r.divergences.len();
-        unexplained += r.unexplained();
+        "leak-audit" => {
+            let mut reports: Vec<_> = benches
+                .iter()
+                .map(|&b| dvr_sim::leak_audit_benchmark(b, size, seed, instrs))
+                .collect();
+            if with_attack {
+                reports.push(dvr_sim::leak_audit_attack(size, seed, instrs));
+            }
+            let confirmed: usize = reports.iter().map(|r| r.confirmed_gadgets()).sum();
+            let audited = reports
+                .iter()
+                .map(|r| Audited::new(json, r.render(), r.to_json(), &r.divergences))
+                .collect();
+            (audited, "workload", format!(", {confirmed} gadgets dynamically confirmed"), false)
+        }
+        _ => {
+            let mut reports: Vec<_> = benches
+                .iter()
+                .map(|&b| dvr_sim::bounds_audit_benchmark(b, size, seed, instrs))
+                .collect();
+            if with_attack {
+                reports.push(dvr_sim::bounds_audit_attack(size, seed, instrs));
+            }
+            if a.oob {
+                reports.push(dvr_sim::bounds_audit_oob(size, seed, instrs));
+            }
+            let static_errors: usize = reports.iter().map(|r| r.static_errors()).sum();
+            let confirmed: usize = reports.iter().map(|r| r.confirmed_oob()).sum();
+            let audited = reports
+                .iter()
+                .map(|r| Audited::new(json, r.render(), r.to_json(), &r.divergences))
+                .collect();
+            let tail =
+                format!(", {static_errors} static errors ({confirmed} dynamically confirmed)");
+            (audited, "workload", tail, static_errors > 0)
+        }
+    };
+    let total: usize = audited.iter().map(|r| r.divergences).sum();
+    let unexplained: usize = audited.iter().map(|r| r.unexplained).sum();
+    for r in &audited {
+        print!("{}", r.out);
     }
     if !json {
         println!(
-            "audit: {} benchmark{} checked, {total} divergences, {unexplained} unexplained",
-            benches.len(),
-            if benches.len() == 1 { "" } else { "s" }
+            "{cmd}: {} {noun}{} checked, {total} divergences, {unexplained} unexplained{tail}",
+            audited.len(),
+            if audited.len() == 1 { "" } else { "s" }
         );
     }
-    if unexplained > 0 {
+    if unexplained > 0 || failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -786,17 +752,13 @@ fn lint_taint_main(args: &[String]) -> ExitCode {
                         }
                     },
                     "--asm" => asm = Some(v),
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
+                    "--size" => match parse_size(&v) {
+                        Some(s) => size = s,
+                        None => {
+                            eprintln!("error: unknown size '{v}'");
+                            return ExitCode::from(2);
+                        }
+                    },
                     _ => match v.parse() {
                         Ok(n) => seed = n,
                         Err(e) => {
@@ -886,115 +848,6 @@ fn lint_taint_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `dvrsim leak-audit`: the static-vs-dynamic secret-leakage audit — lint
-/// the program for speculative leaks, run the dynamic taint oracle under
-/// OoO/VR/DVR plus an architectural replay, and diff the views.
-fn leak_audit_main(args: &[String]) -> ExitCode {
-    let mut all = false;
-    let mut attack = false;
-    let mut bench: Option<Benchmark> = None;
-    let mut size = SizeClass::Test;
-    let mut seed = 42u64;
-    let mut instrs = 60_000u64;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--all" => all = true,
-            "--attack" => attack = true,
-            "--json" => json = true,
-            "--bench" | "--size" | "--seed" | "--instrs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--seed" => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => instrs = n,
-                        Err(e) => {
-                            eprintln!("error: --instrs: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("leak-audit", other),
-        }
-        i += 1;
-    }
-    if !all && !attack && bench.is_none() {
-        eprintln!("error: leak-audit needs --all, --bench NAME, or --attack\n\n{USAGE}");
-        return ExitCode::from(2);
-    }
-
-    let mut reports = Vec::new();
-    let benches: Vec<Benchmark> =
-        if all { Benchmark::ALL.to_vec() } else { bench.into_iter().collect() };
-    for b in &benches {
-        reports.push(dvr_sim::leak_audit_benchmark(*b, size, seed, instrs));
-    }
-    if attack || all {
-        reports.push(dvr_sim::leak_audit_attack(size, seed, instrs));
-    }
-
-    let mut unexplained = 0usize;
-    let mut total = 0usize;
-    let mut confirmed = 0usize;
-    for r in &reports {
-        if json {
-            println!("{}", r.to_json());
-        } else {
-            print!("{}", r.render());
-        }
-        total += r.divergences.len();
-        unexplained += r.unexplained();
-        confirmed += r.confirmed_gadgets();
-    }
-    if !json {
-        println!(
-            "leak-audit: {} workload{} checked, {total} divergences, {unexplained} unexplained, \
-             {confirmed} gadgets dynamically confirmed",
-            reports.len(),
-            if reports.len() == 1 { "" } else { "s" }
-        );
-    }
-    if unexplained > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// `dvrsim sample`: checkpointed sampled simulation — functional
 /// fast-forward with warming between seeded detailed intervals, reported
 /// with a 95% confidence interval and (by default) validated against an
@@ -1053,17 +906,13 @@ fn sample_main(args: &[String]) -> ExitCode {
                             return ExitCode::from(2);
                         }
                     },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
+                    "--size" => match parse_size(&v) {
+                        Some(s) => size = s,
+                        None => {
+                            eprintln!("error: unknown size '{v}'");
+                            return ExitCode::from(2);
+                        }
+                    },
                     "--placement" => {
                         scfg.placement = match v.as_str() {
                             "systematic" => Placement::Systematic,
@@ -1260,17 +1109,13 @@ fn mix_main(args: &[String]) -> ExitCode {
                             return ExitCode::from(2);
                         }
                     },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
+                    "--size" => match parse_size(&v) {
+                        Some(s) => size = s,
+                        None => {
+                            eprintln!("error: unknown size '{v}'");
+                            return ExitCode::from(2);
+                        }
+                    },
                     flag => {
                         let n: u64 = match v.parse() {
                             Ok(n) => n,
@@ -1509,17 +1354,13 @@ fn sample_worker_main(args: &[String]) -> ExitCode {
                             return ExitCode::from(2);
                         }
                     },
-                    "--size" => {
-                        size = match v.as_str() {
-                            "test" => SizeClass::Test,
-                            "small" => SizeClass::Small,
-                            "paper" => SizeClass::Paper,
-                            _ => {
-                                eprintln!("error: unknown size '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
+                    "--size" => match parse_size(&v) {
+                        Some(s) => size = s,
+                        None => {
+                            eprintln!("error: unknown size '{v}'");
+                            return ExitCode::from(2);
+                        }
+                    },
                     "--placement" => {
                         scfg.placement = match v.as_str() {
                             "systematic" => Placement::Systematic,
@@ -1600,17 +1441,12 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("lint") {
         return lint_main(&argv[1..]);
     }
-    if argv.first().map(String::as_str) == Some("audit") {
-        return audit_main(&argv[1..]);
-    }
     if argv.first().map(String::as_str) == Some("lint-taint") {
         return lint_taint_main(&argv[1..]);
     }
-    if argv.first().map(String::as_str) == Some("leak-audit") {
-        return leak_audit_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("bounds-audit") {
-        return bounds_audit_main(&argv[1..]);
+    if let Some(cmd @ ("audit" | "leak-audit" | "bounds-audit")) = argv.first().map(String::as_str)
+    {
+        return audits_main(cmd, &argv[1..]);
     }
     if argv.first().map(String::as_str) == Some("sample") {
         return sample_main(&argv[1..]);

@@ -2,9 +2,9 @@
 //!
 //! Closes the loop between `sim-lint`'s interval bounds verifier and two
 //! dynamic observers: run [`check_bounds`] over a workload's program, run
-//! the simulator under Baseline/VR/DVR with the hierarchy's
-//! speculative-extent map armed, replay the program functionally with the
-//! architectural [`sim_isa::BoundsTracker`], and diff the three views.
+//! observed simulations under Baseline/VR/DVR (which fold every lane
+//! access into per-pc extents), replay the program functionally with the
+//! architectural [`BoundsTracker`], and diff the three views.
 //!
 //! The architectural side is a *soundness oracle*: every concrete address
 //! an architectural access touches must lie inside the statically inferred
@@ -21,15 +21,15 @@
 //! static errors). FAIL means the static verifier and the dynamics
 //! disagree.
 
-use sim_isa::Cpu;
+use sim_isa::BoundsTracker;
 use sim_lint::{check_bounds, BoundsReport, BoundsVerdict};
 use workloads::{gather_attack, oob_gather, Benchmark, SizeClass, Workload};
 
-use crate::config::{SimConfig, Technique};
-use crate::runner::simulate;
+use crate::audit_core::{observed_runs, replay, Divergence, Divergences};
+use crate::config::Technique;
 
 /// The ways static bounds claims and dynamic observation can disagree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum BoundsDivergenceKind {
     /// An architectural access escaped the static address interval for its
     /// pc (or executed a pc the analysis called unreachable) — a soundness
@@ -61,7 +61,7 @@ impl std::fmt::Display for BoundsDivergenceKind {
     }
 }
 
-/// A typed explanation for a [`BoundsDivergence`]: a known, documented gap
+/// A typed explanation for a bounds [`Divergence`]: a known, documented gap
 /// between the static model and the dynamics. Anything the audit cannot
 /// justify counts as *unexplained*.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,20 +109,6 @@ impl std::fmt::Display for BoundsJustification {
     }
 }
 
-/// One static/dynamic disagreement about bounds, with its (attempted)
-/// explanation.
-#[derive(Clone, Debug)]
-pub struct BoundsDivergence {
-    /// What kind of disagreement.
-    pub kind: BoundsDivergenceKind,
-    /// The memory-op pc it concerns.
-    pub pc: usize,
-    /// Human-readable specifics (extents, techniques).
-    pub detail: String,
-    /// The typed explanation, or `None` = unexplained (a bug).
-    pub justification: Option<BoundsJustification>,
-}
-
 /// Per-pc access extents `(pc, min addr, max inclusive end)`, pc-sorted.
 pub type PcExtents = Vec<(usize, u64, u64)>;
 
@@ -144,12 +130,39 @@ pub struct BoundsAuditReport {
     pub arch: Option<Vec<(usize, u64, u64)>>,
     /// Speculative extents per technique; `None` = skipped.
     pub spec: Option<[(Technique, PcExtents); 3]>,
-    /// Every disagreement found.
-    pub divergences: Vec<BoundsDivergence>,
+    /// Every disagreement found, keyed by memory-op pc.
+    pub divergences: Divergences<BoundsDivergenceKind, BoundsJustification>,
 }
 
 fn in_one_region(regions: &[(String, u64, u64)], lo: u64, hi: u64) -> bool {
     regions.iter().any(|&(_, base, len)| lo >= base && hi >= lo && hi - base < len)
+}
+
+/// Statically flagged (error-severity) pcs, ascending.
+fn error_pcs(stat: &BoundsReport) -> Vec<usize> {
+    let mut v: Vec<usize> = stat
+        .diags
+        .iter()
+        .filter(|d| d.severity == sim_lint::Severity::Error)
+        .map(|d| d.pc)
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Whether an observed extent at `pc` (architectural or speculative)
+/// escapes every declared region.
+fn escapes(
+    regions: &[(String, u64, u64)],
+    pc: usize,
+    arch: &[(usize, u64, u64)],
+    spec: &[(Technique, PcExtents)],
+) -> bool {
+    let esc = |e: &[(usize, u64, u64)]| {
+        e.iter().any(|&(p, lo, hi)| p == pc && !in_one_region(regions, lo, hi))
+    };
+    esc(arch) || spec.iter().any(|(_, e)| esc(e))
 }
 
 fn render_extents(e: &[(usize, u64, u64)]) -> String {
@@ -163,16 +176,6 @@ fn render_extents(e: &[(usize, u64, u64)]) -> String {
 }
 
 impl BoundsAuditReport {
-    /// Divergences with no typed justification.
-    pub fn unexplained(&self) -> usize {
-        self.divergences.iter().filter(|d| d.justification.is_none()).count()
-    }
-
-    /// Whether every divergence is explained.
-    pub fn is_clean(&self) -> bool {
-        self.unexplained() == 0
-    }
-
     /// Error-severity static findings (drive the CLI exit status).
     pub fn static_errors(&self) -> usize {
         self.stat.errors()
@@ -181,28 +184,12 @@ impl BoundsAuditReport {
     /// Statically flagged (error-severity) pcs whose escape of the
     /// declared footprint at least one dynamic side observed.
     pub fn confirmed_oob(&self) -> usize {
-        self.error_pcs().iter().filter(|&&pc| self.observed_escape(pc)).count()
-    }
-
-    fn error_pcs(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .stat
-            .diags
-            .iter()
-            .filter(|d| d.severity == sim_lint::Severity::Error)
-            .map(|d| d.pc)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    fn observed_escape(&self, pc: usize) -> bool {
-        let escaped = |e: &[(usize, u64, u64)]| {
-            e.iter().any(|&(p, lo, hi)| p == pc && !in_one_region(&self.regions, lo, hi))
-        };
-        self.arch.as_deref().is_some_and(escaped)
-            || self.spec.as_ref().is_some_and(|s| s.iter().any(|(_, e)| escaped(e)))
+        let arch = self.arch.as_deref().unwrap_or_default();
+        let spec = self.spec.as_ref().map_or(&[][..], |s| &s[..]);
+        error_pcs(&self.stat)
+            .into_iter()
+            .filter(|&pc| escapes(&self.regions, pc, arch, spec))
+            .count()
     }
 
     /// Deterministic multi-line report (the golden-pinned format).
@@ -256,24 +243,12 @@ impl BoundsAuditReport {
                 }
             }
         }
-        let _ = writeln!(
-            s,
-            "divergences: {} total, {} unexplained",
-            self.divergences.len(),
-            self.unexplained()
-        );
-        for d in &self.divergences {
-            let j =
-                d.justification.map(|j| j.to_string()).unwrap_or_else(|| "UNEXPLAINED".to_string());
-            let _ = writeln!(s, "  [{}] pc={} {} :: {}", d.kind, d.pc, d.detail, j);
-        }
-        let _ = writeln!(
-            s,
-            "confirmed-oob: {} of {} static errors",
+        let footer = format!(
+            "confirmed-oob: {} of {} static errors\n",
             self.confirmed_oob(),
             self.static_errors()
         );
-        let _ = writeln!(s, "{}", if self.is_clean() { "PASS" } else { "FAIL" });
+        self.divergences.render_tail(&mut s, &footer);
         s
     }
 
@@ -325,30 +300,15 @@ impl BoundsAuditReport {
                 s.push('}');
             }
         }
-        s.push_str(",\"divergences\":[");
-        for (i, d) in self.divergences.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let j =
-                d.justification.map(|j| format!("\"{j}\"")).unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                s,
-                "{{\"kind\":\"{}\",\"pc\":{},\"justification\":{},\"detail\":\"{}\"}}",
-                d.kind,
-                d.pc,
-                j,
-                d.detail.replace('\\', "\\\\").replace('"', "\\\""),
-            );
-        }
-        let _ = write!(s, "],\"unexplained\":{}}}", self.unexplained());
+        s.push(',');
+        self.divergences.json_tail(&mut s);
         s
     }
 }
 
 /// Runs the full bounds audit for one workload: static verifier,
-/// oracle-armed simulations under Baseline/VR/DVR, architectural replay
-/// with the bounds tracker, and the diff.
+/// observed simulations under Baseline/VR/DVR, architectural replay with
+/// the bounds tracker, and the diff.
 pub fn bounds_audit_workload(wl: &Workload, seed: u64, instrs: u64) -> BoundsAuditReport {
     let stat = check_bounds(&wl.prog, Some(&wl.mem));
     let regions: Vec<(String, u64, u64)> = wl.prog.regions().to_vec();
@@ -364,27 +324,17 @@ pub fn bounds_audit_workload(wl: &Workload, seed: u64, instrs: u64) -> BoundsAud
             stat,
             arch: None,
             spec: None,
-            divergences: Vec::new(),
+            divergences: Divergences::new(Vec::new()),
         };
     }
 
-    // Dynamic side: oracle-armed runs.
-    let run = |t: Technique| {
-        let cfg = SimConfig::new(t).with_max_instructions(instrs).with_bounds_oracle(true);
-        simulate(wl, &cfg)
-    };
-    let spec = [
-        (Technique::Baseline, run(Technique::Baseline).spec_extents.unwrap_or_default()),
-        (Technique::Vr, run(Technique::Vr).spec_extents.unwrap_or_default()),
-        (Technique::Dvr, run(Technique::Dvr).spec_extents.unwrap_or_default()),
-    ];
+    // Dynamic side: the observed runs' lane extents.
+    let spec = observed_runs(wl, instrs).map(|(t, o)| (t, o.lanes.extents.extents()));
 
     // Architectural ground truth: functional replay with the same budget.
-    let mut cpu = Cpu::new();
-    cpu.enable_bounds_tracker();
-    let mut mem = wl.mem.clone();
-    cpu.run(&wl.prog, &mut mem, instrs).expect("functional replay executes");
-    let arch = cpu.take_bounds_tracker().map(|t| t.extents()).unwrap_or_default();
+    let mut tracker = BoundsTracker::default();
+    replay(wl, instrs, |step| tracker.observe(step));
+    let arch = tracker.extents();
 
     let divergences = diff(&stat, &regions, &arch, &spec);
     BoundsAuditReport {
@@ -427,7 +377,7 @@ fn diff(
     regions: &[(String, u64, u64)],
     arch: &[(usize, u64, u64)],
     spec: &[(Technique, PcExtents); 3],
-) -> Vec<BoundsDivergence> {
+) -> Divergences<BoundsDivergenceKind, BoundsJustification> {
     let mut out = Vec::new();
 
     // Interval containment of an observed [lo, hi] extent: the static
@@ -440,7 +390,7 @@ fn diff(
     // inferred interval, and a proven op inside its proven region.
     for &(pc, lo, hi) in arch {
         match within_interval(pc, lo, hi) {
-            None => out.push(BoundsDivergence {
+            None => out.push(Divergence {
                 kind: BoundsDivergenceKind::ArchEscapedInterval,
                 pc,
                 detail: format!(
@@ -451,7 +401,7 @@ fn diff(
             }),
             Some(false) => {
                 let o = stat.op_at(pc).expect("checked above");
-                out.push(BoundsDivergence {
+                out.push(Divergence {
                     kind: BoundsDivergenceKind::ArchEscapedInterval,
                     pc,
                     detail: format!(
@@ -468,7 +418,7 @@ fn diff(
                         .iter()
                         .any(|(n, base, len)| n == region && lo >= *base && hi - base < *len);
                     if !inside {
-                        out.push(BoundsDivergence {
+                        out.push(Divergence {
                             kind: BoundsDivergenceKind::ArchEscapedRegion,
                             pc,
                             detail: format!(
@@ -487,7 +437,7 @@ fn diff(
     for (t, extents) in spec {
         for &(pc, lo, hi) in extents {
             if *t == Technique::Baseline {
-                out.push(BoundsDivergence {
+                out.push(Divergence {
                     kind: BoundsDivergenceKind::BaselineSpecAccess,
                     pc,
                     detail: format!("extent [{lo:#x}, {hi:#x}] under {}", t.name()),
@@ -497,7 +447,7 @@ fn diff(
             }
             match within_interval(pc, lo, hi) {
                 Some(true) => {} // agreement
-                None => out.push(BoundsDivergence {
+                None => out.push(Divergence {
                     kind: BoundsDivergenceKind::SpecEscapedInterval,
                     pc,
                     detail: format!(
@@ -525,7 +475,7 @@ fn diff(
                         BoundsVerdict::Unproven => Some(BoundsJustification::UnprovenStatically),
                         BoundsVerdict::OutOfBounds => Some(BoundsJustification::StaticallyFlagged),
                     };
-                    out.push(BoundsDivergence {
+                    out.push(Divergence {
                         kind: BoundsDivergenceKind::SpecEscapedInterval,
                         pc,
                         detail: format!(
@@ -543,22 +493,8 @@ fn diff(
     }
 
     // Static errors the dynamics never confirmed.
-    let mut error_pcs: Vec<usize> = stat
-        .diags
-        .iter()
-        .filter(|d| d.severity == sim_lint::Severity::Error)
-        .map(|d| d.pc)
-        .collect();
-    error_pcs.sort_unstable();
-    error_pcs.dedup();
-    let escaped_at = |pc: usize| {
-        let esc = |e: &[(usize, u64, u64)]| {
-            e.iter().any(|&(p, lo, hi)| p == pc && !in_one_region(regions, lo, hi))
-        };
-        esc(arch) || spec.iter().any(|(_, e)| esc(e))
-    };
-    for pc in error_pcs {
-        if escaped_at(pc) {
+    for pc in error_pcs(stat) {
+        if escapes(regions, pc, arch, spec) {
             continue;
         }
         let arch_ran = arch.iter().any(|&(p, _, _)| p == pc);
@@ -573,7 +509,7 @@ fn diff(
         } else {
             None
         };
-        out.push(BoundsDivergence {
+        out.push(Divergence {
             kind: BoundsDivergenceKind::OobNeverObserved,
             pc,
             detail: format!("arch-ran={arch_ran} spec-ran={spec_ran}"),
@@ -581,8 +517,7 @@ fn diff(
         });
     }
 
-    out.sort_by_key(|d| (d.pc, d.kind as usize));
-    out
+    Divergences::new(out)
 }
 
 #[cfg(test)]
@@ -595,7 +530,7 @@ mod tests {
         println!("{}", r.render());
         assert!(r.static_errors() >= 2, "gather escalation + epilogue: {:?}", r.stat.diags);
         assert!(r.confirmed_oob() >= 1, "dynamics must confirm an escape:\n{}", r.render());
-        assert!(r.is_clean(), "audit must explain itself:\n{}", r.render());
+        assert!(r.divergences.is_clean(), "audit must explain itself:\n{}", r.render());
     }
 
     #[test]
@@ -603,7 +538,7 @@ mod tests {
         let r = bounds_audit_benchmark(Benchmark::Camel, SizeClass::Test, 42, 60_000);
         println!("{}", r.render());
         assert_eq!(r.static_errors(), 0, "{:?}", r.stat.diags);
-        assert!(r.is_clean(), "{}", r.render());
+        assert!(r.divergences.is_clean(), "{}", r.render());
         assert!(r.arch.is_some() && r.spec.is_some());
         // The baseline leg never produces speculative extents.
         let spec = r.spec.as_ref().unwrap();
@@ -621,7 +556,7 @@ mod tests {
         };
         let r = bounds_audit_workload(&wl, 1, 1_000);
         assert!(r.arch.is_none() && r.spec.is_none());
-        assert!(r.divergences.is_empty() && r.is_clean());
+        assert!(r.divergences.is_empty() && r.divergences.is_clean());
         assert!(r.render().contains("skipped"));
     }
 }

@@ -96,20 +96,6 @@ pub struct SimConfig {
     pub dvr: DvrConfig,
     /// Instruction budget (the ROI length).
     pub max_instructions: u64,
-    /// Record a [`dvr_core::DvrTrace`] of Discovery/spawn events into
-    /// [`SimReport::dvr_trace`](crate::SimReport) (DVR techniques only).
-    /// Timing-neutral: the traced run's report serializes byte-identically.
-    pub trace_dvr: bool,
-    /// Arm the memory hierarchy's secret-taint fill log: runahead engines
-    /// record every line filled through a secret-derived address into
-    /// [`SimReport::taint_fills`](crate::SimReport). Timing-neutral, like
-    /// `trace_dvr`: the armed run's report serializes byte-identically.
-    pub taint_oracle: bool,
-    /// Arm the memory hierarchy's speculative-access extent map: runahead
-    /// engines record the [min, max] address span touched per static pc into
-    /// [`SimReport::spec_extents`](crate::SimReport). Timing-neutral, like
-    /// the taint oracle: the armed run's report serializes byte-identically.
-    pub bounds_oracle: bool,
 }
 
 impl SimConfig {
@@ -124,31 +110,7 @@ impl SimConfig {
             technique,
             dvr: DvrConfig::default(),
             max_instructions: 2_000_000,
-            trace_dvr: false,
-            taint_oracle: false,
-            bounds_oracle: false,
         }
-    }
-
-    /// Enables DVR event tracing for the static-vs-dynamic Discovery audit
-    /// (see [`SimReport::dvr_trace`](crate::SimReport)).
-    pub fn with_dvr_trace(mut self, on: bool) -> Self {
-        self.trace_dvr = on;
-        self
-    }
-
-    /// Arms the dynamic secret-taint oracle for the leak audit (see
-    /// [`SimReport::taint_fills`](crate::SimReport)).
-    pub fn with_taint_oracle(mut self, on: bool) -> Self {
-        self.taint_oracle = on;
-        self
-    }
-
-    /// Arms the dynamic speculative-extent oracle for the bounds audit (see
-    /// [`SimReport::spec_extents`](crate::SimReport)).
-    pub fn with_bounds_oracle(mut self, on: bool) -> Self {
-        self.bounds_oracle = on;
-        self
     }
 
     /// Overrides the ROB size (Figures 2 and 12).

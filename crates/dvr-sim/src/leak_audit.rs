@@ -2,29 +2,30 @@
 //!
 //! Closes the loop between `sim-lint`'s secret-taint pass and the dynamic
 //! taint oracle: run the static analyzer over a workload's program, run
-//! the simulator under Baseline/VR/DVR with the hierarchy's secret-taint
-//! fill log armed, replay the program functionally with the architectural
-//! taint tracker, and diff the three views. Every disagreement becomes a
-//! typed [`LeakDivergence`]; the audit then tries to *explain* each one
-//! from the known, documented gaps between the static model and the
-//! dynamics. A divergence with no justification is a bug in one of the
-//! sides — the audit suite pins all thirteen (secret-free) benchmarks plus
-//! the [`workloads::gather_attack`] kernel at zero unexplained.
+//! observed simulations under Baseline/VR/DVR (which record every
+//! secret-tainted lane fill), replay the program functionally with the
+//! architectural taint tracker, and diff the three views. Every
+//! disagreement becomes a typed [`Divergence`]; the audit then tries to
+//! *explain* each one from the known, documented gaps between the static
+//! model and the dynamics. A divergence with no justification is a bug in
+//! one of the sides — the audit suite pins all thirteen (secret-free)
+//! benchmarks plus the [`workloads::gather_attack`] kernel at zero
+//! unexplained.
 //!
 //! A PASS does **not** mean "no leak": for the attack workload both sides
 //! *agree* the speculative-gather gadget fires, and that agreement is what
 //! passes. FAIL means the static lint and the dynamic oracle disagree.
 
-use sim_isa::{Cpu, FxHashMap, SparseMemory};
+use sim_isa::{FxHashMap, SecretTaint};
 use sim_lint::{analyze_taint, LeakKind};
 use sim_mem::TaintFill;
 use workloads::{gather_attack, Benchmark, SizeClass, Workload};
 
-use crate::config::{SimConfig, Technique};
-use crate::runner::simulate;
+use crate::audit_core::{observed_runs, replay, Divergence, Divergences};
+use crate::config::Technique;
 
 /// The ways static leak prediction and dynamic observation can disagree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum LeakDivergenceKind {
     /// Static flagged a speculative-gather gadget, but neither VR nor DVR
     /// ever filled a line through it.
@@ -52,7 +53,7 @@ impl std::fmt::Display for LeakDivergenceKind {
     }
 }
 
-/// A typed explanation for a [`LeakDivergence`]: a known, documented gap
+/// A typed explanation for a leak [`Divergence`]: a known, documented gap
 /// between the static model, the runahead dynamics, and the architectural
 /// replay. Anything the audit cannot justify counts as *unexplained*.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -79,20 +80,6 @@ impl std::fmt::Display for LeakJustification {
             LeakJustification::DeadStaticPath => "dead-static-path",
         })
     }
-}
-
-/// One static/dynamic disagreement about leakage, with its (attempted)
-/// explanation.
-#[derive(Clone, Debug)]
-pub struct LeakDivergence {
-    /// What kind of disagreement.
-    pub kind: LeakDivergenceKind,
-    /// The transmitting pc it concerns.
-    pub pc: usize,
-    /// Human-readable specifics (fill counts, techniques).
-    pub detail: String,
-    /// The typed explanation, or `None` = unexplained (a bug).
-    pub justification: Option<LeakJustification>,
 }
 
 /// Aggregated secret-tainted fills for one technique: per transmitting pc,
@@ -135,19 +122,6 @@ impl FillSummary {
     }
 }
 
-/// Architectural ground truth from the functional taint replay.
-#[derive(Clone, Debug, Default)]
-pub struct ArchTaint {
-    /// Loads that read a declared secret range.
-    pub secret_reads: u64,
-    /// Memory accesses through a secret-tainted address.
-    pub tainted_addr_accesses: u64,
-    /// Conditional branches on a secret-tainted register.
-    pub tainted_branches: u64,
-    /// `(pc, count)` of transmitting accesses, pc-ascending.
-    pub transmit_pcs: Vec<(usize, u64)>,
-}
-
 /// The leak-audit result for one workload.
 #[derive(Clone, Debug)]
 pub struct LeakAuditReport {
@@ -164,27 +138,18 @@ pub struct LeakAuditReport {
     /// Static warning-severity findings (transmitters the coverage
     /// predictor does not expect to vectorize), pc-ascending.
     pub warned: Vec<usize>,
-    /// Architectural replay summary (`None` = skipped, no secrets).
-    pub arch: Option<ArchTaint>,
+    /// The architectural taint shadow after the functional replay (`None`
+    /// = skipped, no secrets).
+    pub arch: Option<SecretTaint>,
     /// Fill summaries per technique, `None` = dynamic side skipped
     /// because the program declares no secrets (the oracle is then
     /// structurally silent: taint seeds only from declared ranges).
     pub fills: Option<[(Technique, FillSummary); 3]>,
-    /// Every disagreement found.
-    pub divergences: Vec<LeakDivergence>,
+    /// Every disagreement found, keyed by transmitting pc.
+    pub divergences: Divergences<LeakDivergenceKind, LeakJustification>,
 }
 
 impl LeakAuditReport {
-    /// Divergences with no typed justification.
-    pub fn unexplained(&self) -> usize {
-        self.divergences.iter().filter(|d| d.justification.is_none()).count()
-    }
-
-    /// Whether every divergence is explained.
-    pub fn is_clean(&self) -> bool {
-        self.unexplained() == 0
-    }
-
     /// Whether the *dynamic oracle* confirmed at least one static gadget
     /// (a fill at a gadget pc under VR or DVR).
     pub fn confirmed_gadgets(&self) -> usize {
@@ -214,7 +179,10 @@ impl LeakAuditReport {
                     s,
                     "architectural: secret-reads={} tainted-addrs={} tainted-branches={} \
                      transmits={:?}",
-                    a.secret_reads, a.tainted_addr_accesses, a.tainted_branches, a.transmit_pcs
+                    a.secret_reads,
+                    a.tainted_addr_accesses,
+                    a.tainted_branches,
+                    a.transmit_pcs()
                 );
             }
         }
@@ -228,18 +196,7 @@ impl LeakAuditReport {
                 }
             }
         }
-        let _ = writeln!(
-            s,
-            "divergences: {} total, {} unexplained",
-            self.divergences.len(),
-            self.unexplained()
-        );
-        for d in &self.divergences {
-            let j =
-                d.justification.map(|j| j.to_string()).unwrap_or_else(|| "UNEXPLAINED".to_string());
-            let _ = writeln!(s, "  [{}] pc={} {} :: {}", d.kind, d.pc, d.detail, j);
-        }
-        let _ = writeln!(s, "{}", if self.is_clean() { "PASS" } else { "FAIL" });
+        self.divergences.render_tail(&mut s, "");
         s
     }
 
@@ -282,30 +239,15 @@ impl LeakAuditReport {
                 s.push('}');
             }
         }
-        s.push_str(",\"divergences\":[");
-        for (i, d) in self.divergences.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let j =
-                d.justification.map(|j| format!("\"{j}\"")).unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                s,
-                "{{\"kind\":\"{}\",\"pc\":{},\"justification\":{},\"detail\":\"{}\"}}",
-                d.kind,
-                d.pc,
-                j,
-                d.detail.replace('\\', "\\\\").replace('"', "\\\""),
-            );
-        }
-        let _ = write!(s, "],\"unexplained\":{}}}", self.unexplained());
+        s.push(',');
+        self.divergences.json_tail(&mut s);
         s
     }
 }
 
 /// Runs the full leak audit for one workload: static taint pass,
-/// oracle-armed simulations under Baseline/VR/DVR, architectural replay,
-/// and the diff.
+/// observed simulations under Baseline/VR/DVR, architectural replay, and
+/// the diff.
 pub fn leak_audit_workload(wl: &Workload, seed: u64, instrs: u64) -> LeakAuditReport {
     // Static side.
     let taint = analyze_taint(&wl.prog);
@@ -332,49 +274,21 @@ pub fn leak_audit_workload(wl: &Workload, seed: u64, instrs: u64) -> LeakAuditRe
             warned,
             arch: None,
             fills: None,
-            divergences: Vec::new(),
+            divergences: Divergences::new(Vec::new()),
         };
     }
 
-    // Dynamic side: oracle-armed runs. The DVR run also records the event
-    // trace so "never spawned" divergences can be justified from evidence.
-    let run = |t: Technique, trace: bool| {
-        let cfg = SimConfig::new(t)
-            .with_max_instructions(instrs)
-            .with_taint_oracle(true)
-            .with_dvr_trace(trace);
-        simulate(wl, &cfg)
-    };
-    let base = run(Technique::Baseline, false);
-    let vr = run(Technique::Vr, false);
-    let dvr = run(Technique::Dvr, true);
-    let summary =
-        |r: &crate::SimReport| FillSummary::from_log(r.taint_fills.as_deref().unwrap_or(&[]));
-    let fills = [
-        (Technique::Baseline, summary(&base)),
-        (Technique::Vr, summary(&vr)),
-        (Technique::Dvr, summary(&dvr)),
-    ];
-    let dvr_spawns: u64 = dvr
-        .dvr_trace
-        .as_ref()
-        .map(|t| t.summarize().values().map(|s| s.spawns + s.nested_spawns).sum())
-        .unwrap_or(0);
+    // Dynamic side: the observed runs' lane fills. The DVR run's event
+    // trace lets "never spawned" divergences be justified from evidence.
+    let runs = observed_runs(wl, instrs);
+    let fills = runs.each_ref().map(|(t, o)| (*t, FillSummary::from_log(&o.lanes.taint_fills)));
+    let [.., (_, dvr)] = &runs;
+    let dvr_spawns: u64 =
+        dvr.dvr_trace.summarize().values().map(|s| s.spawns + s.nested_spawns).sum();
 
     // Architectural ground truth: functional replay with the same budget.
-    let mut cpu = Cpu::new();
-    cpu.enable_secret_taint();
-    let mut mem: SparseMemory = wl.mem.clone();
-    cpu.run(&wl.prog, &mut mem, instrs).expect("functional replay executes");
-    let arch = cpu
-        .take_secret_taint()
-        .map(|t| ArchTaint {
-            secret_reads: t.secret_reads,
-            tainted_addr_accesses: t.tainted_addr_accesses,
-            tainted_branches: t.tainted_branches,
-            transmit_pcs: t.transmit_pcs(),
-        })
-        .unwrap_or_default();
+    let mut arch = SecretTaint::default();
+    replay(wl, instrs, |step| arch.observe(&wl.prog, step));
 
     let divergences = diff(&gadgets, &warned, &arch, &fills, dvr_spawns);
     LeakAuditReport {
@@ -412,10 +326,10 @@ pub fn leak_audit_attack(size: SizeClass, seed: u64, instrs: u64) -> LeakAuditRe
 fn diff(
     gadgets: &[usize],
     warned: &[usize],
-    arch: &ArchTaint,
+    arch: &SecretTaint,
     fills: &[(Technique, FillSummary); 3],
     dvr_spawns: u64,
-) -> Vec<LeakDivergence> {
+) -> Divergences<LeakDivergenceKind, LeakJustification> {
     let mut out = Vec::new();
     let fill_at = |t: Technique, pc: usize| {
         fills.iter().find(|&&(tt, _)| tt == t).map_or(0, |(_, s)| s.fills_at(pc))
@@ -424,9 +338,9 @@ fn diff(
     for &g in gadgets {
         let vr = fill_at(Technique::Vr, g);
         let dvr = fill_at(Technique::Dvr, g);
-        let arch_hits = arch.transmit_pcs.iter().find(|&&(p, _)| p == g).map_or(0, |&(_, n)| n);
+        let arch_hits = arch.transmit_pcs().iter().find(|&&(p, _)| p == g).map_or(0, |&(_, n)| n);
         if vr == 0 && dvr == 0 {
-            out.push(LeakDivergence {
+            out.push(Divergence {
                 kind: LeakDivergenceKind::GadgetNeverFired,
                 pc: g,
                 detail: format!("vr=0 dvr=0 dvr-spawns={dvr_spawns}"),
@@ -434,7 +348,7 @@ fn diff(
             });
         }
         if arch_hits == 0 {
-            out.push(LeakDivergence {
+            out.push(Divergence {
                 kind: LeakDivergenceKind::GadgetNotArchitectural,
                 pc: g,
                 detail: format!("vr={vr} dvr={dvr} arch=0"),
@@ -450,14 +364,14 @@ fn diff(
     for &(t, ref s) in fills {
         for &(pc, n, lines) in &s.per_pc {
             if t == Technique::Baseline {
-                out.push(LeakDivergence {
+                out.push(Divergence {
                     kind: LeakDivergenceKind::BaselineFill,
                     pc,
                     detail: format!("fills={n} lines={lines} under {}", t.name()),
                     justification: None,
                 });
             } else if !gadgets.contains(&pc) {
-                out.push(LeakDivergence {
+                out.push(Divergence {
                     kind: LeakDivergenceKind::UnpredictedFill,
                     pc,
                     detail: format!("fills={n} lines={lines} under {}", t.name()),
@@ -469,8 +383,7 @@ fn diff(
         }
     }
 
-    out.sort_by_key(|d| (d.pc, d.kind as usize));
-    out
+    Divergences::new(out)
 }
 
 #[cfg(test)]
@@ -493,7 +406,7 @@ mod tests {
             }
         }
         assert_eq!(r.confirmed_gadgets(), 1);
-        assert!(r.is_clean(), "audit must explain itself:\n{}", r.render());
+        assert!(r.divergences.is_clean(), "audit must explain itself:\n{}", r.render());
     }
 
     #[test]
@@ -501,7 +414,7 @@ mod tests {
         let r = leak_audit_benchmark(Benchmark::Camel, SizeClass::Test, 42, 60_000);
         assert!(r.fills.is_none() && r.arch.is_none());
         assert!(r.gadgets.is_empty() && r.divergences.is_empty());
-        assert!(r.is_clean());
+        assert!(r.divergences.is_clean());
         assert!(r.render().contains("dynamic: skipped"));
     }
 }

@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 mod audit;
+mod audit_core;
 mod bounds_audit;
 mod config;
 mod leak_audit;
@@ -32,23 +33,24 @@ mod runner;
 mod sample;
 pub mod sweep;
 
-pub use audit::{audit_benchmark, AuditReport, Divergence, DivergenceKind, Justification};
+pub use audit::{audit_benchmark, AuditReport, DivergenceKind, Justification};
+pub use audit_core::{Divergence, Divergences};
 pub use bounds_audit::{
     bounds_audit_attack, bounds_audit_benchmark, bounds_audit_oob, bounds_audit_workload,
-    BoundsAuditReport, BoundsDivergence, BoundsDivergenceKind, BoundsJustification, PcExtents,
+    BoundsAuditReport, BoundsDivergenceKind, BoundsJustification, PcExtents,
 };
 pub use config::{SimConfig, Technique};
 pub use leak_audit::{
-    leak_audit_attack, leak_audit_benchmark, leak_audit_workload, ArchTaint, FillSummary,
-    LeakAuditReport, LeakDivergence, LeakDivergenceKind, LeakJustification,
+    leak_audit_attack, leak_audit_benchmark, leak_audit_workload, FillSummary, LeakAuditReport,
+    LeakDivergenceKind, LeakJustification,
 };
 pub use multi::{
     evaluate_mix, simulate_mix, ConfigError, MixCore, MixEvaluation, MixReport, MixSpec,
 };
 pub use report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
 pub use runner::{
-    parallel_map, resolve_threads, simulate, simulate_all, simulate_all_parallel, try_parallel_map,
-    CellError,
+    parallel_map, resolve_threads, simulate, simulate_all, simulate_all_parallel,
+    simulate_observed, try_parallel_map, CellError, Observed,
 };
 pub use sample::{
     engine_factory, measure_emitted, measure_periods_via_workers, run_sampled_threads, sample_emit,
@@ -63,8 +65,8 @@ pub use sim_sweep;
 pub use dvr_core::{DvrConfig, DvrEngine, DvrTrace, OracleEngine, PreEngine, TraceEvent, VrEngine};
 pub use sim_lint;
 pub use sim_mem::{
-    FaultConfig, FaultEvent, FaultKind, HierarchyConfig, MemStats, MemoryHierarchy, PrefetchSource,
-    TimelinessBucket,
+    FaultConfig, FaultEvent, FaultKind, HierarchyConfig, LaneObservations, MemStats,
+    MemoryHierarchy, PrefetchSource, TaintFill, TimelinessBucket,
 };
 pub use sim_multi::{Component, ComponentId, Scheduler, SchedulerStats, Tick};
 pub use sim_ooo::SanitizeReport;

@@ -411,7 +411,7 @@ pub fn evaluate_mix(mix: &MixReport, solo: &[SimReport]) -> MixEvaluation {
 /// cycle; the shared-LLC sweeper ticks last).
 ///
 /// `base` supplies everything but the per-core technique: hierarchy
-/// geometry, instruction budget, sanitizer/oracle knobs. Per-core configs
+/// geometry, instruction budget, sanitizer knob. Per-core configs
 /// are `base` with the entry's technique applied (including the IMP
 /// prefetcher flag, as [`SimConfig::new`] would).
 ///
@@ -435,19 +435,8 @@ pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig
 
     let shared = SharedLlc::new_handle(base.hierarchy.l3, base.hierarchy.dram);
     let mut mems: Vec<SparseMemory> = workloads.iter().map(|w| w.mem.clone()).collect();
-    let mut hiers: Vec<MemoryHierarchy> = cfgs
-        .iter()
-        .map(|cfg| {
-            let mut h = MemoryHierarchy::attach_shared(cfg.hierarchy, &shared);
-            if cfg.taint_oracle {
-                h.enable_taint_log();
-            }
-            if cfg.bounds_oracle {
-                h.enable_spec_extents();
-            }
-            h
-        })
-        .collect();
+    let mut hiers: Vec<MemoryHierarchy> =
+        cfgs.iter().map(|cfg| MemoryHierarchy::attach_shared(cfg.hierarchy, &shared)).collect();
     let mut cores: Vec<OooCore> = cfgs.iter().map(|cfg| OooCore::new(cfg.core)).collect();
     let mut engines: Vec<AnyEngine> = cfgs.iter().map(AnyEngine::for_config).collect();
 
@@ -495,7 +484,7 @@ pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig
     let mut reports = Vec::with_capacity(n);
     for (i, outcome) in outcomes.into_iter().enumerate() {
         let core = &mut cores[i];
-        let hier = &mut hiers[i];
+        let hier = &hiers[i];
         let wl = &workloads[i];
         let cfg = &cfgs[i];
         let sanitizer = if cfg.core.sanitize {
@@ -520,9 +509,6 @@ pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig
             engine: engines[i].summary(),
             outcome,
             sanitizer,
-            dvr_trace: engines[i].take_trace(),
-            taint_fills: hier.take_taint_log(),
-            spec_extents: hier.take_spec_extents(),
         });
     }
 

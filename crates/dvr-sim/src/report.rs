@@ -123,28 +123,6 @@ pub struct SimReport {
     /// Deliberately **not** part of [`SimReport::to_json`]: sanitized and
     /// unsanitized runs must serialize byte-identically.
     pub sanitizer: Option<SanitizeReport>,
-    /// DVR Discovery/spawn event trace (`Some` only when the run was
-    /// configured with
-    /// [`SimConfig::with_dvr_trace`](crate::SimConfig::with_dvr_trace) and
-    /// the technique is a DVR variant). Like `sanitizer`, deliberately
-    /// **not** part of [`SimReport::to_json`]: traced and untraced runs
-    /// must serialize byte-identically.
-    pub dvr_trace: Option<dvr_core::DvrTrace>,
-    /// Line fills triggered by secret-derived addresses in runahead
-    /// subthreads (`Some` only when the run was configured with
-    /// [`SimConfig::with_taint_oracle`](crate::SimConfig::with_taint_oracle)).
-    /// Like `sanitizer` and `dvr_trace`, deliberately **not** part of
-    /// [`SimReport::to_json`]: armed and unarmed runs must serialize
-    /// byte-identically.
-    pub taint_fills: Option<Vec<sim_mem::TaintFill>>,
-    /// Per-pc [min, max] address spans touched by runahead subthreads
-    /// (`Some` only when the run was configured with
-    /// [`SimConfig::with_bounds_oracle`](crate::SimConfig::with_bounds_oracle)).
-    /// Sorted by pc; each entry is `(pc, min_addr, max_inclusive_end)`.
-    /// Like the other oracles, deliberately **not** part of
-    /// [`SimReport::to_json`]: armed and unarmed runs must serialize
-    /// byte-identically.
-    pub spec_extents: Option<Vec<(usize, u64, u64)>>,
 }
 
 impl SimReport {
@@ -334,9 +312,6 @@ mod tests {
             engine: EngineSummary::default(),
             outcome: RunOutcome::Complete,
             sanitizer: None,
-            dvr_trace: None,
-            taint_fills: None,
-            spec_extents: None,
         }
     }
 

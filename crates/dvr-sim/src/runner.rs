@@ -3,7 +3,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dvr_core::{DvrConfig, DvrEngine, DvrTrace, OracleEngine, PreEngine, VrEngine};
-use sim_mem::MemoryHierarchy;
+use sim_mem::{LaneObservations, MemoryHierarchy};
 use sim_multi::Scheduler;
 use sim_ooo::{DynInst, EngineCtx, NullEngine, OooCore, RunaheadEngine, SanitizeReport};
 use workloads::Workload;
@@ -27,8 +27,7 @@ pub(crate) enum AnyEngine {
 
 impl AnyEngine {
     /// Builds the engine for a configuration, applying the Figure 8
-    /// ablation overrides and the trace knob exactly as `simulate` always
-    /// has.
+    /// ablation overrides.
     pub(crate) fn for_config(cfg: &SimConfig) -> AnyEngine {
         match cfg.technique {
             Technique::Baseline | Technique::Imp => AnyEngine::Null(NullEngine),
@@ -42,21 +41,37 @@ impl AnyEngine {
                     Technique::DvrDiscovery => DvrConfig { nested: false, ..cfg.dvr },
                     _ => cfg.dvr,
                 };
-                let mut e = DvrEngine::new(dcfg);
-                if cfg.trace_dvr {
-                    e.enable_trace();
-                }
-                AnyEngine::Dvr(Box::new(e))
+                AnyEngine::Dvr(Box::new(DvrEngine::new(dcfg)))
             }
             Technique::Oracle => AnyEngine::Oracle(OracleEngine::new()),
         }
     }
 
-    /// Takes the Discovery/spawn event trace (DVR engines only).
-    pub(crate) fn take_trace(&mut self) -> Option<DvrTrace> {
+    /// The engine itself, boxed behind the hook trait (no enum dispatch
+    /// left in the way).
+    pub(crate) fn boxed(self) -> Box<dyn RunaheadEngine> {
         match self {
-            AnyEngine::Dvr(e) => e.take_trace(),
-            _ => None,
+            AnyEngine::Null(e) => Box::new(e),
+            AnyEngine::Pre(e) => Box::new(e),
+            AnyEngine::Vr(e) => Box::new(e),
+            AnyEngine::Dvr(e) => e,
+            AnyEngine::Oracle(e) => Box::new(e),
+        }
+    }
+
+    /// Starts recording the Discovery/spawn event trace (DVR engines only;
+    /// a no-op for the rest).
+    fn enable_trace(&mut self) {
+        if let AnyEngine::Dvr(e) = self {
+            e.enable_trace();
+        }
+    }
+
+    /// Takes the Discovery/spawn event trace (empty for non-DVR engines).
+    fn take_trace(&mut self) -> DvrTrace {
+        match self {
+            AnyEngine::Dvr(e) => e.take_trace().unwrap_or_default(),
+            _ => DvrTrace::default(),
         }
     }
 
@@ -205,6 +220,18 @@ pub(crate) fn digest_check(
     san
 }
 
+/// What an observed run ([`simulate_observed`]) saw besides its report:
+/// the dynamic side of the static-vs-dynamic audits.
+#[derive(Clone, Debug, Default)]
+pub struct Observed {
+    /// DVR Discovery/spawn events (empty unless the technique is a DVR
+    /// variant).
+    pub dvr_trace: DvrTrace,
+    /// What the runahead lanes touched: secret-tainted fills and per-pc
+    /// address extents (both empty for techniques without lanes).
+    pub lanes: LaneObservations,
+}
+
 /// Runs one workload under one configuration and returns the report.
 ///
 /// The workload is not consumed: its memory image is cloned, so the same
@@ -215,17 +242,28 @@ pub(crate) fn digest_check(
 /// report: counters reflect the state at the failure point and
 /// [`SimReport::outcome`] carries the typed error.
 pub fn simulate(workload: &Workload, cfg: &SimConfig) -> SimReport {
+    run(workload, cfg, false).0
+}
+
+/// [`simulate`] with observation on: the DVR engine records its event
+/// trace and the memory hierarchy records what the runahead lanes touch.
+/// Observation never feeds timing, so the report serializes
+/// byte-identically to a plain [`simulate`] of the same configuration.
+pub fn simulate_observed(workload: &Workload, cfg: &SimConfig) -> (SimReport, Observed) {
+    run(workload, cfg, true)
+}
+
+/// The one runner behind [`simulate`] and [`simulate_observed`].
+fn run(workload: &Workload, cfg: &SimConfig, observe: bool) -> (SimReport, Observed) {
     let t0 = std::time::Instant::now();
     let mut mem = workload.mem.clone();
     let mut hier = MemoryHierarchy::new(cfg.hierarchy);
-    if cfg.taint_oracle {
-        hier.enable_taint_log();
-    }
-    if cfg.bounds_oracle {
-        hier.enable_spec_extents();
-    }
     let mut core = OooCore::new(cfg.core);
     let mut engine = AnyEngine::for_config(cfg);
+    if observe {
+        hier.observe();
+        engine.enable_trace();
+    }
 
     // One core on the event scheduler: the single-core run is the n = 1
     // special case of the multi-core path (see `crate::multi`), and ticks
@@ -245,7 +283,10 @@ pub fn simulate(workload: &Workload, cfg: &SimConfig) -> SimReport {
         sched.run(&mut [&mut comp]);
         comp.take_outcome()
     };
-    let dvr_trace = engine.take_trace();
+    let observed = Observed {
+        dvr_trace: engine.take_trace(),
+        lanes: hier.take_observations().unwrap_or_default(),
+    };
     let engine_summary = engine.summary();
 
     let sanitizer = if cfg.core.sanitize {
@@ -256,12 +297,10 @@ pub fn simulate(workload: &Workload, cfg: &SimConfig) -> SimReport {
         None
     };
 
-    let taint_fills = hier.take_taint_log();
-    let spec_extents = hier.take_spec_extents();
     let core_stats = *core.stats();
     let mem_stats = hier.stats().clone();
     let cycles = core_stats.cycles.max(1);
-    SimReport {
+    let report = SimReport {
         technique: cfg.technique,
         workload: workload.name.clone(),
         ipc: core_stats.ipc(),
@@ -274,10 +313,8 @@ pub fn simulate(workload: &Workload, cfg: &SimConfig) -> SimReport {
         engine: engine_summary,
         outcome,
         sanitizer,
-        dvr_trace,
-        taint_fills,
-        spec_extents,
-    }
+    };
+    (report, observed)
 }
 
 /// Convenience: run one workload under several techniques, sharing the

@@ -26,33 +26,19 @@ use sim_sample::{
 };
 use workloads::Workload;
 
-use crate::config::{SimConfig, Technique};
+use crate::config::SimConfig;
 use crate::report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
-use crate::runner::try_parallel_map;
+use crate::runner::{try_parallel_map, AnyEngine};
 
-/// Builds a fresh runahead engine for one detailed interval, mirroring the
-/// technique dispatch of [`simulate`](crate::simulate) (including the
-/// Figure 8 ablation overrides).
+/// Builds a fresh runahead engine for one detailed interval — the same
+/// engine [`simulate`](crate::simulate) runs (including the Figure 8
+/// ablation overrides).
 ///
 /// The sampling driver constructs a new engine per detailed interval, so
 /// engine state — including DVR's runahead subthread — quiesces (is
 /// dropped) cleanly at every interval boundary.
 pub fn engine_factory(cfg: &SimConfig) -> Box<dyn RunaheadEngine> {
-    use dvr_core::{DvrConfig, DvrEngine, OracleEngine, PreEngine, VrEngine};
-    match cfg.technique {
-        Technique::Baseline | Technique::Imp => Box::new(sim_ooo::NullEngine),
-        Technique::Pre => Box::new(PreEngine::default()),
-        Technique::Vr => Box::new(VrEngine::default()),
-        Technique::Dvr | Technique::DvrOffload | Technique::DvrDiscovery => {
-            let dcfg = match cfg.technique {
-                Technique::DvrOffload => DvrConfig { discovery: false, nested: false, ..cfg.dvr },
-                Technique::DvrDiscovery => DvrConfig { nested: false, ..cfg.dvr },
-                _ => cfg.dvr,
-            };
-            Box::new(DvrEngine::new(dcfg))
-        }
-        Technique::Oracle => Box::new(OracleEngine::new()),
-    }
+    AnyEngine::for_config(cfg).boxed()
 }
 
 fn failed(e: SampleError) -> RunOutcome {
@@ -344,9 +330,6 @@ pub fn sampled_report_from(
         engine: EngineSummary::default(),
         outcome: RunOutcome::Complete,
         sanitizer: None,
-        dvr_trace: None,
-        taint_fills: None,
-        spec_extents: None,
     };
     match result {
         Ok(run) => {
@@ -428,6 +411,7 @@ pub fn simulate_sampled_threads(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Technique;
     use workloads::{Benchmark, SizeClass};
 
     fn scfg() -> SampleConfig {
@@ -503,11 +487,21 @@ mod tests {
 
     #[test]
     fn engine_factory_matches_technique() {
-        for t in [Technique::Baseline, Technique::Pre, Technique::Vr, Technique::Dvr] {
+        let want = [
+            (Technique::Baseline, "ooo"),
+            (Technique::Pre, "pre"),
+            (Technique::Imp, "ooo"),
+            (Technique::Vr, "vr"),
+            (Technique::Dvr, "dvr"),
+            (Technique::DvrOffload, "dvr"),
+            (Technique::DvrDiscovery, "dvr"),
+            (Technique::Oracle, "oracle"),
+        ];
+        for (t, name) in want {
             // Factories must be constructible repeatedly (one per interval).
             let cfg = SimConfig::new(t);
-            let _ = engine_factory(&cfg);
-            let _ = engine_factory(&cfg);
+            assert_eq!(engine_factory(&cfg).name(), name, "{}", t.name());
+            assert_eq!(engine_factory(&cfg).name(), name, "{}", t.name());
         }
     }
 

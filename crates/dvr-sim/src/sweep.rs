@@ -257,8 +257,8 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 /// in `core` and `mem` round-trips, floats travel as IEEE bits, and
 /// the sampling summary (if any) is preserved. `host_seconds` is
 /// deliberately encoded as zero — cached results must be byte-stable
-/// across hosts — and the side-band `sanitizer` / `dvr_trace` fields
-/// are dropped, exactly as `to_json` drops them.
+/// across hosts — and the side-band `sanitizer` field is dropped,
+/// exactly as `to_json` drops it.
 ///
 /// Fails on a failed outcome: failures are journaled as typed text,
 /// never content-addressed (a flaky host must not poison the cache).
@@ -421,9 +421,6 @@ pub fn decode_report(raw: &[u8]) -> Result<SimReport, String> {
         engine,
         outcome: RunOutcome::Complete,
         sanitizer: None,
-        dvr_trace: None,
-        taint_fills: None,
-        spec_extents: None,
     })
 }
 
@@ -581,8 +578,6 @@ mod tests {
             mem,
             ipc: 1.618_033,
             mlp: 7.25,
-            taint_fills: None,
-            spec_extents: None,
             simulated_instructions: 200_000,
             host_seconds: 3.25, // must NOT survive the codec
             sampling: Some(SamplingSummary {
@@ -609,7 +604,6 @@ mod tests {
             },
             outcome: RunOutcome::Complete,
             sanitizer: None,
-            dvr_trace: None,
         }
     }
 

@@ -73,9 +73,11 @@ impl Error for ExecError {}
 /// Tracks, per architectural register, whether the current value was
 /// (transitively) derived from memory declared secret via `.secret`
 /// directives, flowing taint through ALU ops, loads, and stores (store→load
-/// flow at exact-address granularity). Purely an **observer**: it changes no
-/// architectural value and no timing — it exists so the leak audit can
-/// confirm which static taint findings a program actually exercises.
+/// flow at exact-address granularity). Purely an **observer**, fed every
+/// step of a [`Cpu::step`] replay through [`SecretTaint::observe`]: it
+/// changes no architectural value and no timing — it exists so the leak
+/// audit can confirm which static taint findings a program actually
+/// exercises.
 #[derive(Clone, Debug, Default)]
 pub struct SecretTaint {
     regs: u16,
@@ -103,11 +105,6 @@ impl SecretTaint {
         }
     }
 
-    /// The current register taint mask (bit *i* = `r<i>` is secret-derived).
-    pub fn reg_mask(&self) -> u16 {
-        self.regs
-    }
-
     /// Transmitting PCs with their access counts, pc-sorted.
     pub fn transmit_pcs(&self) -> Vec<(usize, u64)> {
         let mut v: Vec<(usize, u64)> = self.transmit_pcs.iter().map(|(&p, &n)| (p, n)).collect();
@@ -115,7 +112,8 @@ impl SecretTaint {
         v
     }
 
-    fn observe(&mut self, prog: &Program, step: &Step) {
+    /// Folds one executed step into the shadow. `Halt` steps change nothing.
+    pub fn observe(&mut self, prog: &Program, step: &Step) {
         match step.instr {
             Instr::Imm { rd, .. } => self.set(rd, false),
             Instr::Alu { rd, ra, rb, .. } => {
@@ -170,10 +168,12 @@ impl SecretTaint {
 ///
 /// Records, per *static* memory instruction (pc), the minimum start address
 /// and maximum end address (inclusive) of every access it has issued.
-/// Purely an **observer**: it changes no architectural value and no timing
-/// — it exists so the bounds audit (`dvrsim bounds-audit`) can diff the
-/// static interval claims of the bounds verifier against the addresses a
-/// real execution actually touched.
+/// Purely an **observer**, fed either every step of a [`Cpu::step`] replay
+/// ([`BoundsTracker::observe`]) or raw speculative lane accesses
+/// ([`BoundsTracker::note_access`]): it changes no architectural value and
+/// no timing — it exists so the bounds audit (`dvrsim bounds-audit`) can
+/// diff the static interval claims of the bounds verifier against the
+/// addresses a real execution actually touched.
 #[derive(Clone, Debug, Default)]
 pub struct BoundsTracker {
     /// pc → (min start address, max inclusive end address).
@@ -183,13 +183,12 @@ pub struct BoundsTracker {
 }
 
 impl BoundsTracker {
-    fn observe(&mut self, step: &Step) {
-        let Some(m) = step.mem else { return };
-        self.accesses += 1;
-        let end = m.addr.saturating_add(m.width - 1);
-        let e = self.extents.entry(step.pc).or_insert((m.addr, end));
-        e.0 = e.0.min(m.addr);
-        e.1 = e.1.max(end);
+    /// Folds one executed step's memory access, if any, into its pc's
+    /// extent. Steps without an access (including `Halt`) change nothing.
+    pub fn observe(&mut self, step: &Step) {
+        if let Some(m) = step.mem {
+            self.note_access(step.pc, m.addr, m.width);
+        }
     }
 
     /// Observed extents as `(pc, min_start, max_end)`, pc-sorted.
@@ -200,25 +199,8 @@ impl BoundsTracker {
         v
     }
 
-    /// The extent observed for the memory instruction at `pc`, if any
-    /// access executed.
-    pub fn extent(&self, pc: usize) -> Option<(u64, u64)> {
-        self.extents.get(&pc).copied()
-    }
-
-    /// Folds another tracker's observations into this one (used to merge
-    /// per-lane speculative extents into the architectural tracker).
-    pub fn merge(&mut self, other: &BoundsTracker) {
-        self.accesses += other.accesses;
-        for (&pc, &(lo, hi)) in other.extents.iter() {
-            let e = self.extents.entry(pc).or_insert((lo, hi));
-            e.0 = e.0.min(lo);
-            e.1 = e.1.max(hi);
-        }
-    }
-
-    /// Records one raw access (used by the runahead walkers for
-    /// speculative lane loads that never retire architecturally).
+    /// Records one raw access (used by the memory hierarchy's lane observer
+    /// for speculative lane loads that never retire architecturally).
     pub fn note_access(&mut self, pc: usize, addr: u64, width: u64) {
         self.accesses += 1;
         let end = addr.saturating_add(width.max(1) - 1);
@@ -272,12 +254,6 @@ pub struct Cpu {
     pc: usize,
     halted: bool,
     retired: u64,
-    /// Gated secret-taint shadow; `None` (the default) costs nothing.
-    /// Not part of checkpoints — it is an observer, not architectural state.
-    taint: Option<Box<SecretTaint>>,
-    /// Gated bounds-observation shadow; same gating and checkpoint rules
-    /// as `taint`.
-    bounds: Option<Box<BoundsTracker>>,
 }
 
 impl Default for Cpu {
@@ -289,40 +265,7 @@ impl Default for Cpu {
 impl Cpu {
     /// Creates a CPU with all registers zero and `pc = 0`.
     pub fn new() -> Self {
-        Cpu { regs: [0; NUM_REGS], pc: 0, halted: false, retired: 0, taint: None, bounds: None }
-    }
-
-    /// Starts tracking per-static-instruction address extents (see
-    /// [`BoundsTracker`]).
-    pub fn enable_bounds_tracker(&mut self) {
-        self.bounds = Some(Box::default());
-    }
-
-    /// The bounds-observation shadow so far, when tracking is enabled.
-    pub fn bounds_tracker(&self) -> Option<&BoundsTracker> {
-        self.bounds.as_deref()
-    }
-
-    /// Takes the bounds-observation shadow, leaving tracking disabled.
-    /// `None` if tracking was never enabled.
-    pub fn take_bounds_tracker(&mut self) -> Option<BoundsTracker> {
-        self.bounds.take().map(|b| *b)
-    }
-
-    /// Starts tracking architectural secret taint (see [`SecretTaint`]).
-    pub fn enable_secret_taint(&mut self) {
-        self.taint = Some(Box::default());
-    }
-
-    /// The secret-taint shadow so far, when tracking is enabled.
-    pub fn secret_taint(&self) -> Option<&SecretTaint> {
-        self.taint.as_deref()
-    }
-
-    /// Takes the secret-taint shadow, leaving tracking disabled.
-    /// `None` if tracking was never enabled.
-    pub fn take_secret_taint(&mut self) -> Option<SecretTaint> {
-        self.taint.take().map(|b| *b)
+        Cpu { regs: [0; NUM_REGS], pc: 0, halted: false, retired: 0 }
     }
 
     /// Current program counter.
@@ -442,14 +385,7 @@ impl Cpu {
 
         self.pc = next_pc;
         self.retired += 1;
-        let step = Step { pc, instr, next_pc, mem: memacc, branch_taken, dst_value };
-        if let Some(t) = self.taint.as_mut() {
-            t.observe(prog, &step);
-        }
-        if let Some(b) = self.bounds.as_mut() {
-            b.observe(&step);
-        }
-        Ok(StepEvent::Executed(step))
+        Ok(StepEvent::Executed(Step { pc, instr, next_pc, mem: memacc, branch_taken, dst_value }))
     }
 
     /// Runs until halt or `max_steps`, returning the number of instructions
@@ -522,14 +458,7 @@ impl Cpu {
     /// Reconstructs a CPU from a checkpoint. Resuming from the restored CPU
     /// (against restored memory) is byte-identical to never having stopped.
     pub fn from_checkpoint(ck: &CpuCheckpoint) -> Self {
-        Cpu {
-            regs: ck.regs,
-            pc: ck.pc,
-            halted: ck.halted,
-            retired: ck.retired,
-            taint: None,
-            bounds: None,
-        }
+        Cpu { regs: ck.regs, pc: ck.pc, halted: ck.halted, retired: ck.retired }
     }
 }
 
@@ -912,6 +841,16 @@ mod tests {
         asm.finish().unwrap()
     }
 
+    /// Replays `prog` with [`Cpu::step`], feeding every step to a fresh
+    /// [`SecretTaint`] shadow.
+    fn taint_replay(cpu: &mut Cpu, prog: &Program, mem: &mut SparseMemory) -> SecretTaint {
+        let mut t = SecretTaint::default();
+        while let StepEvent::Executed(step) = cpu.step(prog, mem).unwrap() {
+            t.observe(prog, &step);
+        }
+        t
+    }
+
     #[test]
     fn secret_taint_tracks_sources_and_transmitters() {
         let prog = secret_gather_program();
@@ -920,9 +859,7 @@ mod tests {
             mem.write_u64(0x1000 + 8 * k, k % 4);
         }
         let mut cpu = Cpu::new();
-        cpu.enable_secret_taint();
-        cpu.run(&prog, &mut mem, 10_000).unwrap();
-        let t = cpu.secret_taint().unwrap();
+        let t = taint_replay(&mut cpu, &prog, &mut mem);
         assert_eq!(t.secret_reads, 8, "every S[i] read is a source");
         assert_eq!(t.tainted_addr_accesses, 8, "every B[v] is a transmitter");
         assert_eq!(t.transmit_pcs(), vec![(5, 8)]);
@@ -961,14 +898,10 @@ mod tests {
         let prog = asm.finish().unwrap();
         let mut mem = SparseMemory::new();
         mem.write_u64(0x1000, 1);
-        let mut cpu = Cpu::new();
-        cpu.enable_secret_taint();
-        cpu.run(&prog, &mut mem, 100).unwrap();
-        let t = cpu.take_secret_taint().unwrap();
+        let t = taint_replay(&mut Cpu::new(), &prog, &mut mem);
         assert_eq!(t.secret_reads, 1);
         assert_eq!(t.tainted_branches, 1, "only the first branch sees taint");
         assert_eq!(t.tainted_addr_accesses, 0, "all addresses are constants");
-        assert!(cpu.secret_taint().is_none(), "take disables tracking");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::cell::Ref;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sim_isa::FxHashMap;
+use sim_isa::{lane_taint_step, BoundsTracker, FxHashMap, Instr, Program};
 
 use crate::cache::{Cache, CacheConfig};
 use crate::dram::DramConfig;
@@ -65,13 +65,9 @@ impl PrefetchSource {
     }
 }
 
-/// One secret-tainted line fill observed by the taint oracle: a prefetch
-/// (or runahead lane load) whose address was derived from declared-secret
-/// data brought `line` into the hierarchy.
-///
-/// Recorded only while the gated taint log is enabled
-/// ([`MemoryHierarchy::enable_taint_log`]); the log is observer-only state
-/// and never feeds back into timing or [`MemStats`].
+/// One secret-tainted line fill: a runahead lane load whose address was
+/// derived from declared-secret data brought `line` into the hierarchy.
+/// Recorded in [`LaneObservations::taint_fills`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TaintFill {
     /// Static pc of the load whose address carried the taint.
@@ -80,6 +76,20 @@ pub struct TaintFill {
     pub line: u64,
     /// Which engine issued the fill.
     pub source: PrefetchSource,
+}
+
+/// What runahead lanes touched while the hierarchy was observing
+/// ([`MemoryHierarchy::observe`]). Observer-only state: it never feeds
+/// back into timing or [`MemStats`], so an observed run stays
+/// cycle-identical to a plain one. Only runahead code reports lane steps,
+/// so a baseline run structurally records nothing.
+#[derive(Clone, Debug, Default)]
+pub struct LaneObservations {
+    /// Lines filled through a secret-derived address, in issue order.
+    pub taint_fills: Vec<TaintFill>,
+    /// Per-pc [min, max] address extents of every lane-issued load,
+    /// aggregated rather than logged so long runs stay O(program size).
+    pub extents: BoundsTracker,
 }
 
 /// Who is asking for a line and why.
@@ -204,14 +214,9 @@ pub struct MemoryHierarchy {
     pending_prefetch: FxHashMap<u64, PrefetchSource>,
     /// Fault-injection state (None when injection is disabled).
     fault: Option<FaultState>,
-    /// Gated secret-taint fill log (None = oracle off, the default). Boxed
-    /// so the disabled case costs one pointer, mirroring `DvrTrace`.
-    taint_log: Option<Vec<TaintFill>>,
-    /// Gated speculative-access extent map (None = oracle off, the
-    /// default): static pc → (min start address, max inclusive end address)
-    /// over every runahead-issued access. Aggregated rather than logged
-    /// per-access so long runs stay O(program size).
-    spec_extents: Option<FxHashMap<usize, (u64, u64)>>,
+    /// Runahead-lane observer (None = not observing, the default). Boxed
+    /// so the plain case costs one pointer.
+    observer: Option<Box<LaneObservations>>,
     stats: MemStats,
 }
 
@@ -230,8 +235,7 @@ impl Clone for MemoryHierarchy {
             core_id: self.core_id,
             pending_prefetch: self.pending_prefetch.clone(),
             fault: self.fault.clone(),
-            taint_log: self.taint_log.clone(),
-            spec_extents: self.spec_extents.clone(),
+            observer: self.observer.clone(),
             stats: self.stats.clone(),
         }
     }
@@ -259,8 +263,7 @@ impl MemoryHierarchy {
             core_id,
             pending_prefetch: FxHashMap::default(),
             fault: cfg.fault.map(FaultState::new),
-            taint_log: None,
-            spec_extents: None,
+            observer: None,
             stats: MemStats::default(),
         }
     }
@@ -277,68 +280,46 @@ impl MemoryHierarchy {
         self.core_id
     }
 
-    /// Arms the secret-taint fill log. While enabled, runahead engines
-    /// report secret-addressed fills via
-    /// [`MemoryHierarchy::note_secret_fill`]; nothing else changes — the
-    /// log is pure observation and a logged run stays cycle-identical to an
-    /// unlogged one.
-    pub fn enable_taint_log(&mut self) {
-        self.taint_log = Some(Vec::new());
+    /// Starts observing what runahead lanes touch (see
+    /// [`LaneObservations`]). Pure observation: nothing else changes.
+    pub fn observe(&mut self) {
+        self.observer = Some(Box::default());
     }
 
-    /// Whether the taint log is armed. Engines check this before computing
-    /// per-lane taint so the disabled path does no extra work.
-    pub fn taint_log_enabled(&self) -> bool {
-        self.taint_log.is_some()
+    /// Whether lane observation is armed. Engines test this once per walk
+    /// so the plain path keeps no per-lane taint state at all.
+    pub fn observing(&self) -> bool {
+        self.observer.is_some()
     }
 
-    /// Takes the collected taint log, disarming the logger.
-    pub fn take_taint_log(&mut self) -> Option<Vec<TaintFill>> {
-        self.taint_log.take()
+    /// Takes what the lanes touched, disarming the observer. `None` if
+    /// observation was never armed.
+    pub fn take_observations(&mut self) -> Option<LaneObservations> {
+        self.observer.take().map(|o| *o)
     }
 
-    /// Records that the fill of `addr`'s line by `source` used a
-    /// secret-derived address (lane load at static `pc`). No-op while the
-    /// log is disarmed.
-    pub fn note_secret_fill(&mut self, pc: usize, addr: u64, source: PrefetchSource) {
-        if let Some(log) = &mut self.taint_log {
-            log.push(TaintFill { pc, line: line_of(addr), source });
+    /// Observes one runahead-lane step of `instr` at static `pc`: folds
+    /// the lane's load (`(addr, width)`, if any) into the pc's extent,
+    /// steps the lane's secret-taint mask (see [`lane_taint_step`]), and
+    /// logs the fill when the load's address was secret-derived — the
+    /// speculative leak. No-op while not observing.
+    pub fn observe_lane_step(
+        &mut self,
+        prog: &Program,
+        pc: usize,
+        instr: &Instr,
+        taint: &mut u16,
+        load: Option<(u64, u64)>,
+        source: PrefetchSource,
+    ) {
+        let Some(o) = self.observer.as_mut() else { return };
+        if let Some((addr, width)) = load {
+            o.extents.note_access(pc, addr, width);
         }
-    }
-
-    /// Arms the speculative-access extent map. While enabled, runahead
-    /// engines report every lane-issued access via
-    /// [`MemoryHierarchy::note_spec_access`]; pure observation — an armed
-    /// run stays cycle-identical to a plain one.
-    pub fn enable_spec_extents(&mut self) {
-        self.spec_extents = Some(FxHashMap::default());
-    }
-
-    /// Whether the extent map is armed. Engines check this before doing any
-    /// per-access bookkeeping so the disabled path does no extra work.
-    pub fn spec_extents_enabled(&self) -> bool {
-        self.spec_extents.is_some()
-    }
-
-    /// Takes the collected extents, disarming the map. Returned sorted by
-    /// pc so downstream serialization is host-independent.
-    pub fn take_spec_extents(&mut self) -> Option<Vec<(usize, u64, u64)>> {
-        self.spec_extents.take().map(|m| {
-            let mut v: Vec<(usize, u64, u64)> =
-                m.into_iter().map(|(pc, (lo, hi))| (pc, lo, hi)).collect();
-            v.sort_unstable();
-            v
-        })
-    }
-
-    /// Records a speculative access of `width` bytes at `addr` issued by the
-    /// runahead copy of static `pc`. No-op while the map is disarmed.
-    pub fn note_spec_access(&mut self, pc: usize, addr: u64, width: u64) {
-        if let Some(m) = &mut self.spec_extents {
-            let end = addr.saturating_add(width.max(1) - 1);
-            let e = m.entry(pc).or_insert((addr, end));
-            e.0 = e.0.min(addr);
-            e.1 = e.1.max(end);
+        let addr = load.map(|(a, _)| a);
+        if lane_taint_step(prog, instr, taint, addr) {
+            let addr = addr.expect("transmitters load");
+            o.taint_fills.push(TaintFill { pc, line: line_of(addr), source });
         }
     }
 

@@ -13,6 +13,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== perf-bench: the benchmark harness formats, lints clean and passes its tests =="
+# perf-bench/ is a workspace of its own, so none of the stages above compile
+# it, yet it drives the simulator's public API (engine_factory, Cpu::step,
+# OooCore::run, SimReport). `cargo fmt` takes no --offline (it never fetches).
+perf_bench=(--offline --manifest-path perf-bench/Cargo.toml)
+cargo fmt --check --manifest-path perf-bench/Cargo.toml
+cargo clippy "${perf_bench[@]}" --all-targets -- -D warnings
+cargo test -q "${perf_bench[@]}"
+
 echo "== fault smoke: dvr-sim fault/watchdog suite =="
 cargo test -q -p dvr-sim --test faults
 

@@ -1,111 +1,31 @@
-//! Bounds-audit tests: every benchmark's static-vs-dynamic bounds report
-//! (plus the gather-attack kernel's) is pinned by a golden file with zero
-//! unexplained divergences and zero static errors, the out-of-bounds
-//! gather kernel is flagged statically and both escapes are confirmed by
-//! the dynamic oracle, and the bounds oracle itself is timing-neutral —
-//! an armed run's `SimReport` serializes byte-identically to a plain one
-//! under every technique.
+//! Bounds observation test: recording the runahead lanes' per-pc address
+//! extents (the bounds oracle the bounds audit reads) is timing-neutral —
+//! an observed run's `SimReport` serializes byte-identically to a plain
+//! one under every technique. The bounds audit's golden-file and
+//! out-of-bounds tests live in `tests/audit.rs`.
 
-use dvr_sim::{
-    bounds_audit_attack, bounds_audit_benchmark, bounds_audit_oob, simulate, SimConfig, Technique,
-};
-use workloads::{gather_attack, oob_gather, Benchmark, SizeClass};
+mod common;
 
-/// The parameters the golden files were generated under (`dvrsim
-/// bounds-audit` defaults).
-const SIZE: SizeClass = SizeClass::Test;
-const SEED: u64 = 42;
-const INSTRS: u64 = 60_000;
-
-fn golden_dir() -> &'static str {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden")
-}
-
-fn check_golden(slug: &str, got: &str) {
-    let bless = std::env::var_os("BLESS").is_some();
-    let path = format!("{}/bounds_audit_{slug}.txt", golden_dir());
-    if bless {
-        std::fs::write(&path, got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{path}: {e} (BLESS=1 to generate)"));
-    assert_eq!(got, want, "{slug}: bounds-audit report drifted; BLESS=1 to re-bless after review");
-}
-
-#[test]
-fn bounds_audit_matches_golden_files_with_zero_unexplained() {
-    for b in Benchmark::ALL {
-        let r = bounds_audit_benchmark(b, SIZE, SEED, INSTRS);
-        assert_eq!(r.unexplained(), 0, "{}:\n{}", b.name(), r.render());
-        assert_eq!(r.static_errors(), 0, "{}:\n{}", b.name(), r.render());
-        assert!(r.is_clean());
-        // Every suite benchmark declares regions, so both dynamic sides
-        // run and the architectural replay must stay inside the intervals.
-        assert!(r.arch.is_some() && r.spec.is_some(), "{}: oracle skipped", b.name());
-        check_golden(&b.name().to_lowercase().replace('-', "_"), &r.render());
-    }
-    let attack = bounds_audit_attack(SIZE, SEED, INSTRS);
-    assert_eq!(attack.unexplained(), 0, "attack:\n{}", attack.render());
-    assert_eq!(attack.static_errors(), 0);
-    check_golden("gather_attack", &attack.render());
-}
-
-#[test]
-fn oob_kernel_is_flagged_statically_and_confirmed_dynamically() {
-    let r = bounds_audit_oob(SIZE, SEED, INSTRS);
-    // Static side: the unproven spawn-chain gather escalates to an error
-    // and the epilogue's one-past-the-end constant load is out-of-bounds.
-    assert!(r.static_errors() >= 2, "\n{}", r.render());
-    // Dynamic side: every static error is observed escaping at runtime.
-    assert_eq!(r.confirmed_oob(), r.static_errors(), "\n{}", r.render());
-    // The two sides *agree*, so the audit itself has nothing unexplained —
-    // the CLI still exits nonzero on the static errors.
-    assert_eq!(r.unexplained(), 0, "\n{}", r.render());
-    check_golden("oob_gather", &r.render());
-}
+use common::observe_neutrally;
+use dvr_sim::Technique;
+use workloads::{gather_attack, oob_gather, SizeClass};
 
 #[test]
 fn bounds_oracle_is_timing_neutral_for_every_technique() {
-    // Arming the oracle must observe, never perturb: the armed run's
-    // report is byte-identical (modulo wall clock) under all eight
-    // techniques, and cycle counts match exactly.
-    for wl in [gather_attack(SIZE, SEED), oob_gather(SIZE, SEED)] {
-        let strip = |mut r: dvr_sim::SimReport| {
-            r.host_seconds = 0.0; // wall clock is the only nondeterministic field
-            r.to_json()
-        };
-        let all = [
-            Technique::Baseline,
-            Technique::Pre,
-            Technique::Imp,
-            Technique::Vr,
-            Technique::Dvr,
-            Technique::DvrOffload,
-            Technique::DvrDiscovery,
-            Technique::Oracle,
-        ];
-        for t in all {
-            let cfg = SimConfig::new(t).with_max_instructions(50_000);
-            let plain = simulate(&wl, &cfg);
-            let armed = simulate(&wl, &cfg.with_bounds_oracle(true));
-            assert!(plain.spec_extents.is_none());
-            assert!(armed.spec_extents.is_some(), "{}: extents attach when armed", t.name());
-            assert_eq!(plain.core.cycles, armed.core.cycles, "{}: oracle changed timing", t.name());
-            assert_eq!(strip(plain), strip(armed), "{}: oracle perturbed the report", t.name());
+    // Both gather kernels give the runahead engines lane loads to
+    // observe; the baseline has no lanes.
+    for wl in [gather_attack(SizeClass::Test, 42), oob_gather(SizeClass::Test, 42)] {
+        for (t, o) in observe_neutrally(&wl) {
+            let extents = o.lanes.extents.extents().len();
+            match t {
+                Technique::Baseline => {
+                    assert_eq!(extents, 0, "{}: baseline recorded lane extents", wl.name)
+                }
+                Technique::Vr | Technique::Dvr => {
+                    assert!(extents > 0, "{} under {}: no lane extents", wl.name, t.name())
+                }
+                _ => {}
+            }
         }
-    }
-}
-
-#[test]
-fn bounds_audit_json_is_well_formed_and_consistent() {
-    let r = bounds_audit_oob(SIZE, SEED, INSTRS);
-    let json = r.to_json();
-    assert!(json.starts_with("{\"bench\":\"oob-gather\""), "{json}");
-    assert!(json.ends_with(&format!("\"unexplained\":{}}}", r.unexplained())), "{json}");
-    assert!(json.contains(&format!("\"confirmed_oob\":{}", r.confirmed_oob())), "{json}");
-    assert!(json.contains(&format!("\"static_errors\":{}", r.static_errors())), "{json}");
-    for d in &r.divergences {
-        assert!(json.contains(&format!("\"kind\":\"{}\"", d.kind)), "{json}");
     }
 }
