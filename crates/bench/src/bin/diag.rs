@@ -22,7 +22,13 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--threads" => {
-                threads = args.next().and_then(|v| v.parse().ok()).expect("numeric --threads");
+                let usage_error = |msg: String| -> ! {
+                    eprintln!("error: {msg}");
+                    std::process::exit(2)
+                };
+                let v =
+                    args.next().unwrap_or_else(|| usage_error("--threads needs a value".into()));
+                threads = v.parse().unwrap_or_else(|e| usage_error(format!("--threads: {e}")));
             }
             "--keep-going" => keep_going = true,
             "--audit" => audit = true,

@@ -26,10 +26,6 @@
 //!   --sample-threads N        in-process threads for each sampled cell's
 //!                             measure phase; 0 = all cores (default: 1;
 //!                             output is byte-identical either way)
-//!   --jobs N                  fan each plain sampled cell's measure phase
-//!                             across N `dvrsim sample-worker` processes
-//!                             (output byte-identical; swept cells fall
-//!                             back to --sample-threads)
 //!   --cache DIR               serve completed cells from (and store them
 //!                             into) the content-addressed result cache that
 //!                             `dvrsim sweep --cache` maintains; output is
@@ -44,19 +40,40 @@
 //!                             their speedups would be meaningless)
 //! ```
 //!
-//! Exit status: 0 on success; without `--keep-going` a failed cell aborts
-//! the process with a diagnostic naming the cell; with `--sanitize` any
-//! invariant violation exits 1.
+//! Exit status: 0 on success; 2 on a usage error (an unknown option, a
+//! missing or malformed value); without `--keep-going` a failed cell
+//! aborts the process with a diagnostic naming the cell; with
+//! `--sanitize` any invariant violation exits 1.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 
 use bench::{
     run_experiment_full, sample_speedup_probe, sweep_resume_probe, Ctx, Experiment, EXPERIMENTS,
 };
+use dvr_sim::sweep::parse_size_token;
 use workloads::SizeClass;
 
+/// Reports a usage error and exits 2.
+fn usage_error(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+/// The value after `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
+}
+
+/// The value after `flag`, as a number.
+fn number<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T
+where
+    T::Err: Display,
+{
+    value(args, flag).parse().unwrap_or_else(|e| usage_error(format!("{flag}: {e}")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiment = "all".to_string();
     let mut size = SizeClass::Paper;
     let mut instrs: u64 = 500_000;
@@ -69,95 +86,45 @@ fn main() {
     let mut sample = false;
     let mut sample_period: Option<u64> = None;
     let mut sample_threads: usize = 1;
-    let mut jobs: usize = 0;
     let mut bench_json: Option<String> = None;
     let mut cache_dir: Option<String> = None;
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let a = &mut args;
+        match arg.as_str() {
             "--size" => {
-                i += 1;
-                size = match args.get(i).map(String::as_str) {
-                    Some("test") => SizeClass::Test,
-                    Some("small") => SizeClass::Small,
-                    Some("paper") => SizeClass::Paper,
-                    other => {
-                        eprintln!("error: unknown figures size {other:?} (expected test, small, or paper)");
-                        std::process::exit(2);
-                    }
-                };
+                let v = value(a, "--size");
+                size = parse_size_token(&v).unwrap_or_else(|| usage_error(format!("unknown size '{v}'")));
             }
-            "--instrs" => {
-                i += 1;
-                instrs = args[i].parse().expect("numeric --instrs");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("numeric --seed");
-            }
-            "--threads" => {
-                i += 1;
-                threads = args[i].parse().expect("numeric --threads");
-            }
-            "--sample-threads" => {
-                i += 1;
-                sample_threads = args[i].parse().expect("numeric --sample-threads");
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args[i].parse().expect("numeric --jobs");
-            }
-            "--svg" => {
-                i += 1;
-                svg_dir = Some(args[i].clone());
-            }
-            "--bench-json" => {
-                i += 1;
-                bench_json = Some(args[i].clone());
-            }
-            "--cache" => {
-                i += 1;
-                cache_dir = Some(args[i].clone());
-            }
+            "--instrs" => instrs = number(a, "--instrs"),
+            "--seed" => seed = number(a, "--seed"),
+            "--threads" => threads = number(a, "--threads"),
+            "--sample-threads" => sample_threads = number(a, "--sample-threads"),
+            "--svg" => svg_dir = Some(value(a, "--svg")),
+            "--bench-json" => bench_json = Some(value(a, "--bench-json")),
+            "--cache" => cache_dir = Some(value(a, "--cache")),
             "--keep-going" => keep_going = true,
             "--sanitize" => sanitize = true,
             "--sample" => sample = true,
-            "--sample-period" => {
-                i += 1;
-                sample_period = Some(args[i].parse().expect("numeric --sample-period"));
-            }
-            "--force-fail" => {
-                i += 1;
-                force_fail = Some(args[i].clone());
-            }
+            "--sample-period" => sample_period = Some(number(a, "--sample-period")),
+            "--force-fail" => force_fail = Some(value(a, "--force-fail")),
             other if !other.starts_with("--") => experiment = other.to_string(),
-            other => {
-                eprintln!("error: unknown figures option '{other}' (see the module docs or crates/bench/src/bin/figures.rs for the option list)");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown figures option '{other}' (see the module docs or crates/bench/src/bin/figures.rs for the option list)")),
         }
-        i += 1;
     }
 
     let mut ctx = Ctx::new(size, instrs, seed)
         .with_threads(threads)
         .with_keep_going(keep_going)
         .with_sanitize(sanitize)
-        .with_sample_threads(sample_threads)
-        .with_jobs(jobs);
+        .with_sample_threads(sample_threads);
     if sample || sample_period.is_some() {
         let mut scfg = dvr_sim::SampleConfig::default();
         if let Some(p) = sample_period {
             scfg = scfg.with_period(p);
         }
         ctx = ctx.with_sample(scfg);
-    }
-    if jobs > 0 && bench::dvrsim_binary().is_none() {
-        eprintln!(
-            "[figures] --jobs {jobs}: no dvrsim binary next to this executable; \
-             sampled cells will run in-process"
-        );
     }
     if let Some(label) = force_fail {
         ctx = ctx.with_force_fail(label);
@@ -216,7 +183,7 @@ fn main() {
         );
     }
     if let Some(dir) = bench_json {
-        let path = write_bench_json(&dir, &experiment, &mut ctx, &timings, total_wall, jobs);
+        let path = write_bench_json(&dir, &experiment, &mut ctx, &timings, total_wall);
         eprintln!("[figures] wrote {path}");
     }
     if !ctx.failures().is_empty() {
@@ -249,7 +216,6 @@ fn write_bench_json(
     ctx: &mut Ctx,
     timings: &[(&str, f64)],
     total_wall: f64,
-    jobs: usize,
 ) -> String {
     let (runs, sim_instrs, sim_secs) = ctx.throughput_totals();
     let minstr_per_sec = if sim_secs > 0.0 { sim_instrs as f64 / sim_secs / 1e6 } else { 0.0 };
@@ -272,7 +238,7 @@ fn write_bench_json(
     let _ = write!(
         j,
         "{{\"experiment\":\"{experiment}\",\"size\":\"{:?}\",\"instrs\":{},\"seed\":{},\
-         \"threads\":{},\"sample_threads\":{},\"jobs\":{jobs},\"sampled\":{},\
+         \"threads\":{},\"sample_threads\":{},\"sampled\":{},\
          \"host_cores\":{host_cores},",
         ctx.size,
         ctx.instrs,

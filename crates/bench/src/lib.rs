@@ -12,16 +12,15 @@ pub mod chart;
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chart::{Chart, ChartKind, Series};
 use dvr_sim::{
-    evaluate_mix, measure_periods_via_workers, merge_periods, sample_emit, sampled_report_from,
-    simulate, simulate_mix, simulate_sampled, simulate_sampled_threads, try_parallel_map,
-    CoreStats, EngineSummary, MemStats, MixSpec, RunOutcome, SampleConfig, SimConfig, SimError,
-    SimReport, Technique,
+    evaluate_mix, simulate, simulate_mix, simulate_sampled, simulate_sampled_threads,
+    try_parallel_map, CoreStats, EngineSummary, MemStats, MixSpec, RunOutcome, SampleConfig,
+    SimConfig, SimError, SimReport, Technique,
 };
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
@@ -96,13 +95,6 @@ pub struct Ctx {
     /// [`Ctx::threads`], which fans out across cells; reports are
     /// byte-identical for every setting.
     pub sample_threads: usize,
-    /// When nonzero and sampling, plain Table 1 cells fan their measure
-    /// phase across this many `dvrsim sample-worker` processes (the binary
-    /// is located next to the running executable). Swept configurations the
-    /// worker cannot rebuild from its command line, and sanitized runs,
-    /// fall back to the in-process path; either way the reports are
-    /// byte-identical, so figure output does not depend on this knob.
-    pub jobs: usize,
     cache: HashMap<(Benchmark, Option<GraphInput>), Arc<Workload>>,
     result_cache: Option<dvr_sim::sim_sweep::ResultCache>,
     failures: Vec<CellFailure>,
@@ -130,7 +122,6 @@ impl Ctx {
             sanitize: false,
             sample: None,
             sample_threads: 1,
-            jobs: 0,
             cache: HashMap::new(),
             result_cache: None,
             failures: Vec::new(),
@@ -199,12 +190,6 @@ impl Ctx {
         self
     }
 
-    /// Sets the worker-process count for sampled cells (see [`Ctx::jobs`]).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
     /// Every cell failure recorded so far (keep-going mode only).
     pub fn failures(&self) -> &[CellFailure] {
         &self.failures
@@ -239,10 +224,7 @@ impl Ctx {
                 return r;
             }
         }
-        let r = match self.sample_dispatch() {
-            Some(d) => simulate_sampled_cell(&wl, &cell, &d),
-            None => simulate(&wl, cfg),
-        };
+        let r = simulate_cell(&wl, cfg, self.sampling());
         if let Some(key) = key {
             self.cache_store(key, &r);
         }
@@ -309,18 +291,10 @@ impl Ctx {
         (self.cache_hits, self.cache_misses, self.cache_stores, self.cache_corrupt)
     }
 
-    /// Resolves the sampling knobs into one dispatch description shared by
-    /// every cell of a batch (`None` when running exactly).
-    fn sample_dispatch(&self) -> Option<SampleDispatch> {
-        let scfg = self.sample?;
-        let worker = (self.jobs > 0).then(|| dvrsim_binary().map(|p| (p, self.jobs))).flatten();
-        Some(SampleDispatch {
-            scfg,
-            threads: self.sample_threads,
-            worker,
-            size: self.size,
-            seed: self.seed,
-        })
+    /// The sampling configuration and per-cell measure threads every cell
+    /// runs under (`None` when running exactly).
+    fn sampling(&self) -> Option<(SampleConfig, usize)> {
+        self.sample.map(|scfg| (scfg, self.sample_threads))
     }
 
     /// Runs a batch of cells on up to [`Ctx::threads`] worker threads and
@@ -355,7 +329,7 @@ impl Ctx {
         let cached: Vec<Option<SimReport>> =
             keys.iter().map(|k| k.and_then(|k| self.cache_lookup(k))).collect();
         let force_fail = self.force_fail.clone();
-        let dispatch = self.sample_dispatch();
+        let sampling = self.sampling();
         let results = try_parallel_map(cells.len(), self.threads, |i| {
             if let Some(r) = &cached[i] {
                 return r.clone();
@@ -363,10 +337,7 @@ impl Ctx {
             if force_fail.as_deref() == Some(labels[i].as_str()) {
                 panic!("forced failure requested for cell '{}'", labels[i]);
             }
-            match &dispatch {
-                Some(d) => simulate_sampled_cell(&jobs[i], &cells[i], d),
-                None => simulate(&jobs[i], &cells[i].cfg),
-            }
+            simulate_cell(&jobs[i], &cells[i].cfg, sampling)
         });
         let mut reports = Vec::with_capacity(cells.len());
         for (i, result) in results.into_iter().enumerate() {
@@ -444,129 +415,16 @@ impl Ctx {
     }
 }
 
-/// How a sampled cell's measure phase is dispatched — resolved once per
-/// batch from the context's knobs and shared read-only by the cell workers.
-#[derive(Clone)]
-struct SampleDispatch {
-    scfg: SampleConfig,
-    threads: usize,
-    /// `(dvrsim binary, job count)` when worker processes were requested
-    /// and the binary was found.
-    worker: Option<(PathBuf, usize)>,
-    size: SizeClass,
-    seed: u64,
-}
-
-/// Locates the `dvrsim` binary built alongside the current executable
-/// (`figures` and `dvrsim` land in the same target directory; test
-/// binaries sit one level down in `deps/`).
-pub fn dvrsim_binary() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?.to_path_buf();
-    for _ in 0..2 {
-        let cand = dir.join(format!("dvrsim{}", std::env::consts::EXE_SUFFIX));
-        if cand.is_file() {
-            return Some(cand);
-        }
-        if !dir.pop() {
-            break;
-        }
+/// Runs one cell exactly, or sampled with `(config, measure threads)`.
+fn simulate_cell(
+    wl: &Workload,
+    cfg: &SimConfig,
+    sampling: Option<(SampleConfig, usize)>,
+) -> SimReport {
+    match sampling {
+        Some((scfg, threads)) => simulate_sampled_threads(wl, cfg, &scfg, threads),
+        None => simulate(wl, cfg),
     }
-    None
-}
-
-/// The CLI spelling of a technique (the `dvrsim --technique` flag).
-fn technique_flag(t: Technique) -> &'static str {
-    match t {
-        Technique::Baseline => "ooo",
-        Technique::Pre => "pre",
-        Technique::Imp => "imp",
-        Technique::Vr => "vr",
-        Technique::Dvr => "dvr",
-        Technique::DvrOffload => "dvr-offload",
-        Technique::DvrDiscovery => "dvr-discovery",
-        Technique::Oracle => "oracle",
-    }
-}
-
-fn size_flag(s: SizeClass) -> &'static str {
-    match s {
-        SizeClass::Test => "test",
-        SizeClass::Small => "small",
-        SizeClass::Paper => "paper",
-    }
-}
-
-/// The `dvrsim sample-worker` command line that rebuilds this cell's
-/// workload and configuration from flags (the orchestrator appends
-/// `--checkpoint <file>` per period).
-fn worker_argv(exe: &Path, cell: &Cell, d: &SampleDispatch) -> Vec<String> {
-    let mut v: Vec<String> = vec![
-        exe.to_string_lossy().into_owned(),
-        "sample-worker".into(),
-        "--bench".into(),
-        cell.benchmark.name().into(),
-        "--technique".into(),
-        technique_flag(cell.cfg.technique).into(),
-        "--size".into(),
-        size_flag(d.size).into(),
-        "--seed".into(),
-        d.seed.to_string(),
-        "--instrs".into(),
-        cell.cfg.max_instructions.to_string(),
-        "--interval".into(),
-        d.scfg.interval.to_string(),
-        "--warmup".into(),
-        d.scfg.warmup.to_string(),
-        "--period".into(),
-        d.scfg.period.to_string(),
-        "--placement".into(),
-        match d.scfg.placement {
-            dvr_sim::Placement::Systematic => "systematic".into(),
-            dvr_sim::Placement::Random => "random".into(),
-        },
-        "--sample-seed".into(),
-        d.scfg.seed.to_string(),
-        "--json".into(),
-    ];
-    if let Some(g) = cell.input {
-        v.push("--input".into());
-        v.push(g.name().into());
-    }
-    v
-}
-
-static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Runs one sampled cell under a dispatch description: worker processes
-/// when requested and applicable, in-process measure threads otherwise.
-///
-/// A worker rebuilds its configuration from `(technique, size, seed,
-/// instrs)` alone, so only unmodified Table 1 cells (no ROB/MSHR/lane
-/// sweeps, no sanitizer) take the process path; everything else falls back
-/// in-process. Both paths are byte-identical, so the choice never shows in
-/// figure output.
-fn simulate_sampled_cell(wl: &Workload, cell: &Cell, d: &SampleDispatch) -> SimReport {
-    let plain = cell.cfg
-        == SimConfig::new(cell.cfg.technique).with_max_instructions(cell.cfg.max_instructions);
-    if let Some((exe, njobs)) = d.worker.as_ref().filter(|_| plain) {
-        let t0 = std::time::Instant::now();
-        let argv = worker_argv(exe, cell, d);
-        let scratch = std::env::temp_dir().join(format!(
-            "figures-sample-{}-{}",
-            std::process::id(),
-            SCRATCH_ID.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = sample_emit(wl, &cell.cfg, &d.scfg).and_then(|emit| {
-            let periods = measure_periods_via_workers(&argv, &emit.checkpoints, *njobs, &scratch)?;
-            Ok(merge_periods(periods, emit.total_retired, emit.halted))
-        });
-        let _ = std::fs::remove_dir_all(&scratch);
-        let mut r = sampled_report_from(wl, &cell.cfg, &d.scfg, result);
-        r.host_seconds = t0.elapsed().as_secs_f64();
-        return r;
-    }
-    simulate_sampled_threads(wl, &cell.cfg, &d.scfg, d.threads)
 }
 
 /// Wall-clock comparison of the sequential vs parallel sampled driver on
@@ -630,6 +488,8 @@ pub struct SweepProbe {
     /// journal is fresh but the cache is warm.
     pub cache_hit_rate: f64,
 }
+
+static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Runs the sweep probe on a private scratch directory: a 2-cell grid
 /// (BFS/KR under OoO and DVR at test scale) swept cold, resumed, and

@@ -10,31 +10,19 @@
 //! dvrsim --list
 //! ```
 
+use std::fmt::Display;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
+use dvr_sim::sweep::{parse_size_token, parse_technique_token, technique_token};
 use dvr_sim::{
     evaluate_mix, measure_emitted, measure_periods_via_workers, parallel_map, sample_emit,
-    sampled_report_from, simulate, simulate_mix, FaultConfig, MixSpec, Placement, SampleConfig,
-    SimConfig, SimReport, Technique,
+    sample_worker_args, sampled_report_from, simulate, simulate_mix, FaultConfig, MixSpec,
+    Placement, SampleConfig, SampleError, SimConfig, SimReport, SweepCell, Technique,
 };
 use sim_sample::merge_periods;
 use workloads::{gather_attack, Benchmark, GraphInput, SizeClass, Workload};
-
-struct Options {
-    bench: Option<Benchmark>,
-    asm_path: Option<String>,
-    input: Option<GraphInput>,
-    techniques: Vec<Technique>,
-    size: SizeClass,
-    instrs: u64,
-    seed: u64,
-    rob: Option<usize>,
-    inject: Option<FaultConfig>,
-    watchdog: Option<u64>,
-    sanitize: bool,
-    verbose: bool,
-    json: bool,
-}
 
 const USAGE: &str = "\
 usage: dvrsim [--list] (--bench NAME | --asm FILE.s) [options]
@@ -50,9 +38,8 @@ usage: dvrsim [--list] (--bench NAME | --asm FILE.s) [options]
        dvrsim sample (--all | --bench NAME) [--technique T] [--size S] [--instrs N]
                      [--interval N] [--warmup N] [--period N] [--placement systematic|random]
                      [--sample-seed N] [--no-exact] [--threads N] [--jobs N] [--json]
-       dvrsim sample-worker --bench NAME --technique T --checkpoint FILE.ckpt
-                     [--input G] [--size S] [--seed N] [--instrs N] [--interval N]
-                     [--warmup N] [--period N] [--placement P] [--sample-seed N] [--json]
+       dvrsim sample-worker CELL-KEY --checkpoint FILE.ckpt [--interval N] [--warmup N]
+                     [--period N] [--placement P] [--sample-seed N]
        dvrsim mix (--spec LIST | --cores N) [--technique T] [--size S] [--seed N]
                   [--instrs N] [--threads N] [--solo] [--sanitize] [--json]
        dvrsim sweep [--bench LIST|all|gap|hpcdb] [--input LIST|all] [--technique T]
@@ -130,8 +117,9 @@ wall-clock fields) for every --threads/--jobs combination. Unless
 whose 95% confidence interval misses the exact IPC fails the command.
 
 the `sample-worker` subcommand is the internal worker of `sample --jobs`:
-it measures one period from a checkpoint file and prints one integer-JSON
-result line on stdout.
+it measures one period of the cell CELL-KEY (the key `sweep-worker` takes)
+from a checkpoint file and answers like `sweep-worker`, with one
+SWEEPOK1/SWEEPFAIL1 line on stdout.
 
 the `mix` subcommand runs a multi-programmed multi-core simulation: one
 out-of-order core per mix entry, private L1/L2 each, one shared L3 and one
@@ -171,11 +159,78 @@ bounds-audit: no unexplained divergences and no static bounds errors;
 sample: every CI contains the exact IPC), 1 otherwise.
 ";
 
-/// Shared rejection for an unrecognized flag in any subcommand's argument
-/// loop: one message shape, one exit code.
-fn unknown_flag(cmd: &str, flag: &str) -> ExitCode {
-    eprintln!("error: unknown {cmd} option '{flag}' (see 'dvrsim --help')");
-    ExitCode::from(2)
+/// The one argument reader behind every entry point. It words the four
+/// common flag errors; `main` prints each as one `error:` line on stderr
+/// and exits 2:
+///
+/// - `--F needs a value` ([`Args::value`]);
+/// - `--F: <parse error>` ([`Args::number`]);
+/// - `unknown <what> '<v>'` ([`Args::named`]);
+/// - `unknown <cmd> option '--F' (see 'dvrsim --help')` ([`Args::unknown`]).
+struct Args<'a> {
+    /// The entry point named in unknown-option errors (`dvrsim` for the
+    /// top-level run).
+    cmd: &'a str,
+    rest: std::slice::Iter<'a, String>,
+    /// The argument [`Args::next`] returned last.
+    flag: &'a str,
+}
+
+impl<'a> Args<'a> {
+    fn new(cmd: &'a str, args: &'a [String]) -> Self {
+        Args { cmd, rest: args.iter(), flag: "" }
+    }
+
+    /// The next flag or positional argument. `--help` (or `-h`) anywhere
+    /// prints the usage text and exits 0.
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?.as_str();
+        if matches!(self.flag, "--help" | "-h") {
+            print!("{USAGE}");
+            std::process::exit(0);
+        }
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<&'a str, String> {
+        self.rest.next().map(String::as_str).ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    /// The current flag's value as a number.
+    fn number<T: FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let flag = self.flag;
+        self.value()?.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+
+    /// The current flag's value as a name `parse` knows; `what` says what
+    /// kind of name (`benchmark`, `size`, ...).
+    fn named<T>(&mut self, what: &str, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+        let v = self.value()?;
+        parse(v).ok_or_else(|| format!("unknown {what} '{v}'"))
+    }
+
+    /// The error for a flag this entry point does not take.
+    fn unknown(&self) -> String {
+        format!("unknown {} option '{}' (see 'dvrsim --help')", self.cmd, self.flag)
+    }
+}
+
+/// Reads the current flag into `scfg` if it is one of the five sampling
+/// flags `sample` and `sample-worker` share; `Ok(false)` if it is not.
+fn sampling_flag(a: &mut Args, scfg: &mut SampleConfig) -> Result<bool, String> {
+    match a.flag {
+        "--interval" => scfg.interval = a.number()?,
+        "--warmup" => scfg.warmup = a.number()?,
+        "--period" => scfg.period = a.number()?,
+        "--placement" => scfg.placement = a.named("placement", Placement::parse)?,
+        "--sample-seed" => scfg.seed = a.number()?,
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 fn parse_inject(spec: &str) -> Result<FaultConfig, String> {
@@ -201,45 +256,13 @@ fn parse_inject(spec: &str) -> Result<FaultConfig, String> {
     Ok(f)
 }
 
+/// A `--technique` value: a technique token, `baseline`, or `all` (the
+/// baseline plus the Figure 7 techniques).
 fn parse_technique(s: &str) -> Option<Vec<Technique>> {
-    Some(match s {
-        "ooo" | "baseline" => vec![Technique::Baseline],
-        "pre" => vec![Technique::Pre],
-        "imp" => vec![Technique::Imp],
-        "vr" => vec![Technique::Vr],
-        "dvr" => vec![Technique::Dvr],
-        "dvr-offload" => vec![Technique::DvrOffload],
-        "dvr-discovery" => vec![Technique::DvrDiscovery],
-        "oracle" => vec![Technique::Oracle],
-        "all" => {
-            let mut v = vec![Technique::Baseline];
-            v.extend(Technique::FIG7);
-            v
-        }
-        _ => return None,
-    })
-}
-
-/// The CLI spelling of a technique — the inverse of [`parse_technique`]
-/// for single techniques, used to build `sample-worker` command lines.
-fn technique_flag(t: Technique) -> &'static str {
-    match t {
-        Technique::Baseline => "ooo",
-        Technique::Pre => "pre",
-        Technique::Imp => "imp",
-        Technique::Vr => "vr",
-        Technique::Dvr => "dvr",
-        Technique::DvrOffload => "dvr-offload",
-        Technique::DvrDiscovery => "dvr-discovery",
-        Technique::Oracle => "oracle",
-    }
-}
-
-fn size_flag(s: SizeClass) -> &'static str {
     match s {
-        SizeClass::Test => "test",
-        SizeClass::Small => "small",
-        SizeClass::Paper => "paper",
+        "all" => Some([Technique::Baseline].into_iter().chain(Technique::FIG7).collect()),
+        "baseline" => Some(vec![Technique::Baseline]),
+        _ => parse_technique_token(s).map(|t| vec![t]),
     }
 }
 
@@ -247,104 +270,127 @@ fn parse_bench(s: &str) -> Option<Benchmark> {
     Benchmark::ALL.iter().copied().find(|b| b.name().eq_ignore_ascii_case(s))
 }
 
-fn parse_size(s: &str) -> Option<SizeClass> {
-    match s {
-        "test" => Some(SizeClass::Test),
-        "small" => Some(SizeClass::Small),
-        "paper" => Some(SizeClass::Paper),
-        _ => None,
-    }
-}
-
 fn parse_input(s: &str) -> Option<GraphInput> {
     GraphInput::ALL.iter().copied().find(|g| g.name().eq_ignore_ascii_case(s))
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut o = Options {
-        bench: None,
-        asm_path: None,
-        input: None,
-        techniques: parse_technique("all").expect("static"),
-        size: SizeClass::Small,
-        instrs: 200_000,
-        seed: 42,
-        rob: None,
-        inject: None,
-        watchdog: None,
-        sanitize: false,
-        verbose: false,
-        json: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or_else(|| format!("{} needs a value", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
+/// The top-level run: one benchmark or `.s` kernel under each selected
+/// technique.
+fn run_main(args: &[String]) -> Result<ExitCode, String> {
+    let (mut bench, mut asm_path, mut input) = (None, None, None);
+    let mut techniques = parse_technique("all").expect("static");
+    let mut size = SizeClass::Small;
+    let (mut instrs, mut seed) = (200_000, 42);
+    let (mut rob, mut inject, mut watchdog) = (None, None, None);
+    let (mut sanitize, mut verbose, mut json) = (false, false, false);
+    let mut a = Args::new("dvrsim", args);
+    while let Some(flag) = a.next() {
+        match flag {
             "--list" => {
                 println!("benchmarks:");
                 for b in Benchmark::ALL {
                     let inputs = if b.is_gap() { "  (takes --input)" } else { "" };
                     println!("  {}{}", b.name(), inputs);
                 }
-                std::process::exit(0);
+                return Ok(ExitCode::SUCCESS);
             }
-            "--bench" => {
-                let v = value(&mut i)?;
-                o.bench = Some(parse_bench(&v).ok_or(format!("unknown benchmark '{v}'"))?);
-            }
-            "--asm" => o.asm_path = Some(value(&mut i)?),
-            "--input" => {
-                let v = value(&mut i)?;
-                o.input = Some(parse_input(&v).ok_or(format!("unknown input '{v}'"))?);
-            }
-            "--technique" => {
-                let v = value(&mut i)?;
-                o.techniques = parse_technique(&v).ok_or(format!("unknown technique '{v}'"))?;
-            }
-            "--size" => {
-                let v = value(&mut i)?;
-                o.size = parse_size(&v).ok_or_else(|| format!("unknown size '{v}'"))?;
-            }
-            "--instrs" => o.instrs = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => o.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--rob" => o.rob = Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?),
-            "--inject" => o.inject = Some(parse_inject(&value(&mut i)?)?),
-            "--watchdog" => o.watchdog = Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?),
-            "--sanitize" => o.sanitize = true,
-            "--verbose" => o.verbose = true,
-            "--json" => o.json = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option '{other}'")),
+            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
+            "--asm" => asm_path = Some(a.value()?),
+            "--input" => input = Some(a.named("input", parse_input)?),
+            "--technique" => techniques = a.named("technique", parse_technique)?,
+            "--size" => size = a.named("size", parse_size_token)?,
+            "--instrs" => instrs = a.number()?,
+            "--seed" => seed = a.number()?,
+            "--rob" => rob = Some(a.number()?),
+            "--inject" => inject = Some(parse_inject(a.value()?)?),
+            "--watchdog" => watchdog = Some(a.number()?),
+            "--sanitize" => sanitize = true,
+            "--verbose" => verbose = true,
+            "--json" => json = true,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    if o.bench.is_none() && o.asm_path.is_none() {
-        return Err("one of --bench or --asm is required (try --list)".to_string());
+    let wl = match (asm_path, bench) {
+        (Some(path), _) => {
+            let prog = std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| sim_isa::parse_program(&text).map_err(|e| e.to_string()));
+            match prog {
+                Ok(prog) => Workload {
+                    name: path.to_string(),
+                    prog,
+                    mem: sim_isa::SparseMemory::new(),
+                    description: "user kernel (zero-initialized memory)".to_string(),
+                    regions: vec![],
+                },
+                Err(e) => {
+                    eprintln!("error: {path}: {e}");
+                    return Ok(ExitCode::FAILURE);
+                }
+            }
+        }
+        (None, Some(b)) => b.build(input, size, seed),
+        (None, None) => {
+            return Err(format!("one of --bench or --asm is required (try --list)\n\n{USAGE}"))
+        }
+    };
+    if !json {
+        println!("{} — {}", wl.name, wl.description);
+        println!(
+            "{} static instructions, {} byte memory image\n",
+            wl.prog.len(),
+            wl.mem.footprint_bytes()
+        );
     }
-    Ok(o)
-}
 
-fn load_workload(o: &Options) -> Result<Workload, String> {
-    if let Some(path) = &o.asm_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let prog = sim_isa::parse_program(&text).map_err(|e| format!("{path}: {e}"))?;
-        return Ok(Workload {
-            name: path.clone(),
-            prog,
-            mem: sim_isa::SparseMemory::new(),
-            description: "user kernel (zero-initialized memory)".to_string(),
-            regions: vec![],
-        });
+    let mut base_ipc = None;
+    let mut failed = 0usize;
+    for t in &techniques {
+        let mut cfg = SimConfig::new(*t).with_max_instructions(instrs);
+        if let Some(rob) = rob {
+            cfg = cfg.with_rob(rob);
+        }
+        if let Some(fault) = inject {
+            cfg = cfg.with_faults(fault);
+        }
+        if let Some(w) = watchdog {
+            cfg = cfg.with_watchdog_cycles(w);
+        }
+        if sanitize {
+            cfg = cfg.with_sanitize(true);
+        }
+        let r = simulate(&wl, &cfg);
+        if *t == Technique::Baseline {
+            base_ipc = Some(r.ipc);
+        }
+        if json {
+            println!("{}", r.to_json());
+        } else {
+            print_report(&r, if *t == Technique::Baseline { None } else { base_ipc }, verbose);
+        }
+        // The sanitizer speaks only on stderr so stdout (and especially
+        // --json) stays byte-identical with the sanitizer on or off.
+        if let Some(san) = &r.sanitizer {
+            eprintln!("sanitize[{}]: {}", r.technique.name(), san.summary());
+            if !san.is_clean() {
+                for m in &san.first {
+                    eprintln!("sanitize[{}]:   {m}", r.technique.name());
+                }
+                failed += 1;
+            }
+        }
+        if let Some(e) = r.outcome.error() {
+            failed += 1;
+            if !json {
+                println!("               FAILED ({}): {e}", e.kind());
+            }
+        }
     }
-    let b = o.bench.expect("validated in parse_args");
-    Ok(b.build(o.input, o.size, o.seed))
+    if failed > 0 {
+        eprintln!("{failed} of {} runs failed", techniques.len());
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_report(r: &SimReport, base_ipc: Option<f64>, verbose: bool) {
@@ -376,96 +422,75 @@ fn print_report(r: &SimReport, base_ipc: Option<f64>, verbose: bool) {
     }
 }
 
+/// A program `lint` or `lint-taint` checks, with the memory image it was
+/// built with (none for a user `.s` kernel).
+type Linted = (String, sim_isa::Program, Option<sim_isa::SparseMemory>);
+
+/// The programs `lint` and `lint-taint` check: every benchmark (`--all`),
+/// else one (`--bench`), else a `.s` kernel (`--asm`); empty when none is
+/// selected. `Err` is the exit code after a read or parse failure (already
+/// reported).
+fn load_programs(
+    all: bool,
+    bench: Option<Benchmark>,
+    asm: Option<&str>,
+    size: SizeClass,
+    seed: u64,
+) -> Result<Vec<Linted>, ExitCode> {
+    let built = |b: Benchmark| {
+        let wl = b.build(None, size, seed);
+        (wl.name, wl.prog, Some(wl.mem))
+    };
+    if all {
+        return Ok(Benchmark::ALL.into_iter().map(built).collect());
+    }
+    if let Some(b) = bench {
+        return Ok(vec![built(b)]);
+    }
+    let Some(path) = asm else { return Ok(vec![]) };
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("error: {path}: {e}");
+        ExitCode::FAILURE
+    })?;
+    match sim_isa::parse_program(&text) {
+        Ok(prog) => Ok(vec![(path.to_string(), prog, None)]),
+        Err(e) => {
+            eprintln!("{path}: error[parse]: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
 /// `dvrsim lint`: static analysis of assembled programs — CFG + dataflow
 /// diagnostics plus the Discovery-Mode loop-classification report.
-fn lint_main(args: &[String]) -> ExitCode {
-    let mut all = false;
-    let mut bench: Option<Benchmark> = None;
-    let mut asm: Option<String> = None;
-    let mut size = SizeClass::Test;
-    let mut seed = 42u64;
-    let mut bounds = false;
-    let mut verbose = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+fn lint_main(args: &[String]) -> Result<ExitCode, String> {
+    let (mut all, mut bounds, mut verbose, mut json) = (false, false, false, false);
+    let (mut bench, mut asm) = (None, None);
+    let (mut size, mut seed) = (SizeClass::Test, 42);
+    let mut a = Args::new("lint", args);
+    while let Some(flag) = a.next() {
+        match flag {
             "--all" => all = true,
             "--bounds" => bounds = true,
             "--verbose" => verbose = true,
             "--json" => json = true,
-            "--bench" | "--asm" | "--size" | "--seed" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--asm" => asm = Some(v),
-                    "--size" => match parse_size(&v) {
-                        Some(s) => size = s,
-                        None => {
-                            eprintln!("error: unknown size '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("lint", other),
+            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
+            "--asm" => asm = Some(a.value()?),
+            "--size" => size = a.named("size", parse_size_token)?,
+            "--seed" => seed = a.number()?,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
 
     // Programs carry their initial memory image when built from the suite:
     // the bounds verifier scans read-only regions for content bounds. A
     // user .s kernel lints without an image (sound, less precise).
-    let programs: Vec<(String, sim_isa::Program, Option<sim_isa::SparseMemory>)> = if all {
-        Benchmark::ALL
-            .iter()
-            .map(|b| {
-                let wl = b.build(None, size, seed);
-                (wl.name, wl.prog, Some(wl.mem))
-            })
-            .collect()
-    } else if let Some(b) = bench {
-        let wl = b.build(None, size, seed);
-        vec![(wl.name, wl.prog, Some(wl.mem))]
-    } else if let Some(path) = asm {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match sim_isa::parse_program(&text) {
-            Ok(prog) => vec![(path, prog, None)],
-            Err(e) => {
-                eprintln!("{path}: error[parse]: {e}");
-                return ExitCode::FAILURE;
-            }
+    let programs = match load_programs(all, bench, asm, size, seed) {
+        Ok(p) if p.is_empty() => {
+            return Err(format!("lint needs --all, --bench NAME, or --asm FILE.s\n\n{USAGE}"))
         }
-    } else {
-        eprintln!("error: lint needs --all, --bench NAME, or --asm FILE.s\n\n{USAGE}");
-        return ExitCode::from(2);
+        Ok(p) => p,
+        Err(code) => return Ok(code),
     };
 
     let mut total_errors = 0usize;
@@ -534,11 +559,7 @@ fn lint_main(args: &[String]) -> ExitCode {
             if programs.len() == 1 { "" } else { "s" }
         );
     }
-    if total_errors > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if total_errors > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// The selectors and knobs the three audit subcommands share.
@@ -553,17 +574,12 @@ struct AuditArgs {
     json: bool,
 }
 
-/// The one argument loop of `audit`, `leak-audit` and `bounds-audit`.
+/// The argument loop of `audit`, `leak-audit` and `bounds-audit`.
 /// `kernels` lists the bundled-kernel selectors `cmd` accepts (`--attack`,
 /// `--oob`); every other flag outside the shared set is rejected with the
-/// subcommand's name. `Err` is the exit code: 0 after `--help`, 2 on a
-/// usage error (already reported on stderr).
-fn parse_audit_args(cmd: &str, args: &[String], kernels: &[&str]) -> Result<AuditArgs, ExitCode> {
-    let usage_error = |msg: String| {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    };
-    let mut a = AuditArgs {
+/// subcommand's name.
+fn parse_audit_args(cmd: &str, args: &[String], kernels: &[&str]) -> Result<AuditArgs, String> {
+    let mut x = AuditArgs {
         all: false,
         attack: false,
         oob: false,
@@ -573,39 +589,21 @@ fn parse_audit_args(cmd: &str, args: &[String], kernels: &[&str]) -> Result<Audi
         instrs: 60_000,
         json: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--all" => a.all = true,
-            "--json" => a.json = true,
-            "--attack" if kernels.contains(&"--attack") => a.attack = true,
-            "--oob" if kernels.contains(&"--oob") => a.oob = true,
-            flag @ ("--bench" | "--size" | "--seed" | "--instrs") => {
-                let Some(v) = args.get(i + 1) else {
-                    return Err(usage_error(format!("{flag} needs a value")));
-                };
-                let set = match flag {
-                    "--bench" => parse_bench(v)
-                        .map(|b| a.bench = Some(b))
-                        .ok_or_else(|| format!("unknown benchmark '{v}'")),
-                    "--size" => parse_size(v)
-                        .map(|s| a.size = s)
-                        .ok_or_else(|| format!("unknown size '{v}'")),
-                    "--seed" => v.parse().map(|n| a.seed = n).map_err(|e| format!("--seed: {e}")),
-                    _ => v.parse().map(|n| a.instrs = n).map_err(|e| format!("--instrs: {e}")),
-                };
-                set.map_err(usage_error)?;
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Err(ExitCode::SUCCESS);
-            }
-            other => return Err(unknown_flag(cmd, other)),
+    let mut a = Args::new(cmd, args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--all" => x.all = true,
+            "--json" => x.json = true,
+            "--attack" if kernels.contains(&"--attack") => x.attack = true,
+            "--oob" if kernels.contains(&"--oob") => x.oob = true,
+            "--bench" => x.bench = Some(a.named("benchmark", parse_bench)?),
+            "--size" => x.size = a.named("size", parse_size_token)?,
+            "--seed" => x.seed = a.number()?,
+            "--instrs" => x.instrs = a.number()?,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    if !a.all && !a.attack && !a.oob && a.bench.is_none() {
+    if !x.all && !x.attack && !x.oob && x.bench.is_none() {
         let mut selectors = vec!["--all", "--bench NAME"];
         selectors.extend(kernels);
         let needs = match selectors.split_last() {
@@ -613,10 +611,9 @@ fn parse_audit_args(cmd: &str, args: &[String], kernels: &[&str]) -> Result<Audi
             Some((last, rest)) => format!("{}, or {last}", rest.join(", ")),
             None => unreachable!("two shared selectors"),
         };
-        eprintln!("error: {cmd} needs {needs}\n\n{USAGE}");
-        return Err(ExitCode::from(2));
+        return Err(format!("{cmd} needs {needs}\n\n{USAGE}"));
     }
-    Ok(a)
+    Ok(x)
 }
 
 /// One audited workload as the audit subcommands print it.
@@ -639,16 +636,13 @@ impl Audited {
 /// out-of-bounds lanes. Each audited workload prints its report; the text
 /// form ends with one summary line. Exits 1 on any unexplained divergence
 /// (bounds-audit also on any static bounds error).
-fn audits_main(cmd: &str, args: &[String]) -> ExitCode {
+fn audits_main(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
     let kernels: &[&str] = match cmd {
         "audit" => &[],
         "leak-audit" => &["--attack"],
         _ => &["--attack", "--oob"],
     };
-    let a = match parse_audit_args(cmd, args, kernels) {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
+    let a = parse_audit_args(cmd, args, kernels)?;
     let (size, seed, instrs, json) = (a.size, a.seed, a.instrs, a.json);
     let benches: Vec<Benchmark> =
         if a.all { Benchmark::ALL.to_vec() } else { a.bench.into_iter().collect() };
@@ -714,108 +708,47 @@ fn audits_main(cmd: &str, args: &[String]) -> ExitCode {
             if audited.len() == 1 { "" } else { "s" }
         );
     }
-    if unexplained > 0 || failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if unexplained > 0 || failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `dvrsim lint-taint`: the secret-taint information-flow pass — report
 /// every secret-dependent branch, secret-addressed load, and speculative
 /// gather gadget in a program with `.secret` declarations.
-fn lint_taint_main(args: &[String]) -> ExitCode {
-    let mut all = false;
-    let mut attack = false;
-    let mut bench: Option<Benchmark> = None;
-    let mut asm: Option<String> = None;
-    let mut size = SizeClass::Test;
-    let mut seed = 42u64;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+fn lint_taint_main(args: &[String]) -> Result<ExitCode, String> {
+    let (mut all, mut attack, mut json) = (false, false, false);
+    let (mut bench, mut asm) = (None, None);
+    let (mut size, mut seed) = (SizeClass::Test, 42);
+    let mut a = Args::new("lint-taint", args);
+    while let Some(flag) = a.next() {
+        match flag {
             "--all" => all = true,
             "--attack" => attack = true,
             "--json" => json = true,
-            "--bench" | "--asm" | "--size" | "--seed" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--asm" => asm = Some(v),
-                    "--size" => match parse_size(&v) {
-                        Some(s) => size = s,
-                        None => {
-                            eprintln!("error: unknown size '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match v.parse() {
-                        Ok(n) => seed = n,
-                        Err(e) => {
-                            eprintln!("error: --seed: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("lint-taint", other),
+            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
+            "--asm" => asm = Some(a.value()?),
+            "--size" => size = a.named("size", parse_size_token)?,
+            "--seed" => seed = a.number()?,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
 
-    let mut programs: Vec<(String, sim_isa::Program)> = Vec::new();
-    if all {
-        for b in Benchmark::ALL {
-            let wl = b.build(None, size, seed);
-            programs.push((wl.name, wl.prog));
-        }
-    } else if let Some(b) = bench {
-        let wl = b.build(None, size, seed);
-        programs.push((wl.name, wl.prog));
-    } else if let Some(path) = &asm {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match sim_isa::parse_program(&text) {
-            Ok(prog) => programs.push((path.clone(), prog)),
-            Err(e) => {
-                eprintln!("{path}: error[parse]: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let mut programs = match load_programs(all, bench, asm, size, seed) {
+        Ok(p) => p,
+        Err(code) => return Ok(code),
+    };
     if attack || all {
         let wl = gather_attack(size, seed);
-        programs.push((wl.name, wl.prog));
+        programs.push((wl.name, wl.prog, None));
     }
     if programs.is_empty() {
         eprintln!("error: lint-taint needs --all, --bench NAME, --attack, or --asm FILE.s\n");
         eprint!("{USAGE}");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
 
     let mut total_gadgets = 0usize;
     let mut total_warnings = 0usize;
-    for (name, prog) in &programs {
+    for (name, prog, _) in &programs {
         let r = sim_lint::analyze_taint(prog);
         if json {
             println!("{}", r.to_json(name, Some(prog)));
@@ -841,128 +774,47 @@ fn lint_taint_main(args: &[String]) -> ExitCode {
             if programs.len() == 1 { "" } else { "s" }
         );
     }
-    if total_gadgets > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if total_gadgets > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 /// `dvrsim sample`: checkpointed sampled simulation — functional
 /// fast-forward with warming between seeded detailed intervals, reported
 /// with a 95% confidence interval and (by default) validated against an
 /// exact run of the same region.
-fn sample_main(args: &[String]) -> ExitCode {
-    let mut all = false;
-    let mut bench: Option<Benchmark> = None;
-    let mut input: Option<GraphInput> = None;
+fn sample_main(args: &[String]) -> Result<ExitCode, String> {
+    let (mut all, mut no_exact, mut json) = (false, false, false);
+    let (mut bench, mut input) = (None, None);
     let mut techniques = vec![Technique::Baseline];
     let mut size = SizeClass::Small;
-    let mut seed = 42u64;
-    let mut instrs = 200_000u64;
+    let (mut seed, mut instrs) = (42, 200_000);
     let mut scfg = SampleConfig::default();
-    let mut no_exact = false;
-    let mut json = false;
-    let mut threads = 1usize;
-    let mut jobs = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let (mut threads, mut jobs) = (1, 0);
+    let mut a = Args::new("sample", args);
+    while let Some(flag) = a.next() {
+        match flag {
             "--all" => all = true,
             "--no-exact" => no_exact = true,
             "--json" => json = true,
-            "--bench" | "--input" | "--technique" | "--size" | "--seed" | "--instrs"
-            | "--interval" | "--warmup" | "--period" | "--placement" | "--sample-seed"
-            | "--threads" | "--jobs" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                let parse_u64 = |flag: &str, v: &str| -> Result<u64, ExitCode> {
-                    v.parse().map_err(|e| {
-                        eprintln!("error: {flag}: {e}");
-                        ExitCode::from(2)
-                    })
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--input" => match parse_input(&v) {
-                        Some(g) => input = Some(g),
-                        None => {
-                            eprintln!("error: unknown input '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--technique" => match parse_technique(&v) {
-                        Some(t) => techniques = t,
-                        None => {
-                            eprintln!("error: unknown technique '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => match parse_size(&v) {
-                        Some(s) => size = s,
-                        None => {
-                            eprintln!("error: unknown size '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--placement" => {
-                        scfg.placement = match v.as_str() {
-                            "systematic" => Placement::Systematic,
-                            "random" => Placement::Random,
-                            _ => {
-                                eprintln!("error: unknown placement '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    flag => {
-                        let n = match parse_u64(flag, &v) {
-                            Ok(n) => n,
-                            Err(code) => return code,
-                        };
-                        match flag {
-                            "--seed" => seed = n,
-                            "--instrs" => instrs = n,
-                            "--interval" => scfg.interval = n,
-                            "--warmup" => scfg.warmup = n,
-                            "--period" => scfg.period = n,
-                            "--sample-seed" => scfg.seed = n,
-                            "--threads" => threads = n as usize,
-                            "--jobs" => jobs = n as usize,
-                            _ => unreachable!("covered by the outer match"),
-                        }
-                    }
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("sample", other),
+            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
+            "--input" => input = Some(a.named("input", parse_input)?),
+            "--technique" => techniques = a.named("technique", parse_technique)?,
+            "--size" => size = a.named("size", parse_size_token)?,
+            "--seed" => seed = a.number()?,
+            "--instrs" => instrs = a.number()?,
+            "--threads" => threads = a.number()?,
+            "--jobs" => jobs = a.number()?,
+            _ if sampling_flag(&mut a, &mut scfg)? => {}
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    let benches: Vec<Benchmark> = if all {
-        Benchmark::ALL.to_vec()
-    } else if let Some(b) = bench {
-        vec![b]
-    } else {
-        eprintln!("error: sample needs --all or --bench NAME (see 'dvrsim --help')");
-        return ExitCode::from(2);
+    let benches: Vec<Benchmark> = match (all, bench) {
+        (true, _) => Benchmark::ALL.to_vec(),
+        (false, Some(b)) => vec![b],
+        (false, None) => {
+            return Err("sample needs --all or --bench NAME (see 'dvrsim --help')".into())
+        }
     };
-    if let Err(e) = scfg.with_max_instructions(instrs).validate() {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    scfg.with_max_instructions(instrs).validate()?;
 
     // Sampled runs: the functional fast-forward pass is paid ONCE per
     // benchmark — its emitted checkpoints seed the measure phase of every
@@ -970,26 +822,35 @@ fn sample_main(args: &[String]) -> ExitCode {
     // in-process worker threads (--threads) or spawned sample-worker
     // processes (--jobs > 0). Both paths merge deterministically, so the
     // reports are byte-identical modulo wall-clock fields.
+    let gap_input = |b: Benchmark| b.is_gap().then(|| input.unwrap_or(GraphInput::Kr));
     let mut cells: Vec<(Benchmark, Technique)> = Vec::new();
     let mut sampled_reports: Vec<SimReport> = Vec::new();
     let scratch_root = std::env::temp_dir().join(format!("dvrsim-sample-{}", std::process::id()));
-    for b in &benches {
-        let wl = b.build(b.is_gap().then(|| input.unwrap_or(GraphInput::Kr)), size, seed);
+    for &b in &benches {
+        let wl = b.build(gap_input(b), size, seed);
         let cfg0 = SimConfig::new(techniques[0]).with_max_instructions(instrs);
         let t_emit = std::time::Instant::now();
         let emit = sample_emit(&wl, &cfg0, &scfg);
         let emit_secs = t_emit.elapsed().as_secs_f64();
-        for t in &techniques {
-            cells.push((*b, *t));
-            let cfg = SimConfig::new(*t).with_max_instructions(instrs);
+        for &technique in &techniques {
+            cells.push((b, technique));
+            let cfg = SimConfig::new(technique).with_max_instructions(instrs);
             let t0 = std::time::Instant::now();
             let result = match &emit {
                 Ok(emit) if jobs > 0 => {
-                    let scratch = scratch_root.join(format!("{}-{}", b.name(), technique_flag(*t)));
-                    worker_command(*b, input, *t, size, seed, instrs, &scfg).and_then(|argv| {
-                        measure_periods_via_workers(&argv, &emit.checkpoints, jobs, &scratch)
-                            .map(|periods| merge_periods(periods, emit.total_retired, emit.halted))
-                    })
+                    let cell =
+                        SweepCell { bench: b, input: gap_input(b), technique, size, seed, instrs };
+                    let scratch =
+                        scratch_root.join(format!("{}-{}", b.name(), technique_token(technique)));
+                    std::env::current_exe()
+                        .map_err(|e| {
+                            SampleError::Worker(format!("cannot locate the dvrsim binary: {e}"))
+                        })
+                        .and_then(|exe| {
+                            let argv = sample_worker_args(&exe, &cell, &scfg);
+                            measure_periods_via_workers(&argv, &emit.checkpoints, jobs, &scratch)
+                        })
+                        .map(|periods| merge_periods(periods, emit.total_retired, emit.halted))
                 }
                 Ok(emit) => measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, threads)
                     .map(|periods| merge_periods(periods, emit.total_retired, emit.halted)),
@@ -1015,7 +876,7 @@ fn sample_main(args: &[String]) -> ExitCode {
     } else {
         parallel_map(cells.len(), threads, |i| {
             let (b, t) = cells[i];
-            let wl = b.build(b.is_gap().then(|| input.unwrap_or(GraphInput::Kr)), size, seed);
+            let wl = b.build(gap_input(b), size, seed);
             Some(simulate(&wl, &SimConfig::new(t).with_max_instructions(instrs)))
         })
     };
@@ -1069,93 +930,98 @@ fn sample_main(args: &[String]) -> ExitCode {
     }
     if failed > 0 {
         eprintln!("sample: {failed} of {} runs failed or missed their CI", sampled_reports.len());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `dvrsim sample-worker`: measures ONE sampling period of a sweep cell
+/// from a checkpoint file and answers with one `SWEEPOK1`/`SWEEPFAIL1`
+/// line on stdout — the worker half of `dvrsim sample --jobs N`.
+fn sample_worker_main(args: &[String]) -> Result<ExitCode, String> {
+    let (mut key, mut checkpoint) = (None, None);
+    let mut scfg = SampleConfig::default();
+    let mut a = Args::new("sample-worker", args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--checkpoint" => checkpoint = Some(a.value()?),
+            _ if sampling_flag(&mut a, &mut scfg)? => {}
+            cell if key.is_none() && !cell.starts_with("--") => key = Some(cell),
+            _ => return Err(a.unknown()),
+        }
+    }
+    let (Some(key), Some(path)) = (key, checkpoint) else {
+        return Err("sample-worker needs CELL-KEY and --checkpoint FILE".into());
+    };
+    let cell = match SweepCell::parse(key) {
+        Ok(cell) => cell,
+        Err(e) => {
+            println!("{}", sim_sweep::fail_line("bad_cell", &e));
+            return Ok(ExitCode::SUCCESS);
+        }
+    };
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let ck = dvr_sim::PeriodCheckpoint::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let wl = cell.bench.build(cell.input, cell.size, cell.seed);
+    let cfg = cell.config();
+    let scfg = scfg.with_max_instructions(cell.instrs);
+    let line = match sim_sample::measure_period(
+        &wl.prog,
+        &wl.mem,
+        cfg.core,
+        cfg.hierarchy,
+        &scfg,
+        &ck,
+        || dvr_sim::engine_factory(&cfg),
+    ) {
+        Ok(p) => sim_sweep::ok_line(p.to_json().as_bytes()),
+        Err(e) => {
+            let kind = match &e {
+                SampleError::Sim(e) => e.kind(),
+                _ => "sample",
+            };
+            sim_sweep::fail_line(kind, &e.to_string())
+        }
+    };
+    println!("{line}");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `dvrsim mix`: a multi-programmed mix on the discrete-event scheduler —
 /// N cores with private L1/L2 over one shared L3 + DRAM, with optional solo
 /// baselines for throughput/fairness metrics.
-fn mix_main(args: &[String]) -> ExitCode {
-    let mut spec_str: Option<String> = None;
-    let mut cores = 0usize;
+fn mix_main(args: &[String]) -> Result<ExitCode, String> {
+    let (mut spec_str, mut cores) = (None, 0);
     let mut technique = Technique::Dvr;
     let mut size = SizeClass::Small;
-    let mut seed = 42u64;
-    let mut instrs = 200_000u64;
-    let mut threads = 1usize;
-    let mut solo = false;
-    let mut sanitize = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let (mut seed, mut instrs, mut threads) = (42, 200_000, 1);
+    let (mut solo, mut sanitize, mut json) = (false, false, false);
+    let mut a = Args::new("mix", args);
+    while let Some(flag) = a.next() {
+        match flag {
             "--solo" => solo = true,
             "--sanitize" => sanitize = true,
             "--json" => json = true,
-            "--spec" | "--cores" | "--technique" | "--size" | "--seed" | "--instrs"
-            | "--threads" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
+            "--spec" => spec_str = Some(a.value()?),
+            "--cores" => cores = a.number()?,
+            "--technique" => {
+                let v = a.value()?;
+                technique = match parse_technique(v).as_deref() {
+                    Some([t]) => *t,
+                    _ => return Err(format!("mix needs a single technique, got '{v}'")),
                 };
-                match args[i].as_str() {
-                    "--spec" => spec_str = Some(v),
-                    "--technique" => match parse_technique(&v).as_deref() {
-                        Some([t]) => technique = *t,
-                        _ => {
-                            eprintln!("error: mix needs a single technique, got '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => match parse_size(&v) {
-                        Some(s) => size = s,
-                        None => {
-                            eprintln!("error: unknown size '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    flag => {
-                        let n: u64 = match v.parse() {
-                            Ok(n) => n,
-                            Err(e) => {
-                                eprintln!("error: {flag}: {e}");
-                                return ExitCode::from(2);
-                            }
-                        };
-                        match flag {
-                            "--cores" => cores = n as usize,
-                            "--seed" => seed = n,
-                            "--instrs" => instrs = n,
-                            "--threads" => threads = n as usize,
-                            _ => unreachable!("covered by the outer match"),
-                        }
-                    }
-                }
-                i += 1;
             }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("mix", other),
+            "--size" => size = a.named("size", parse_size_token)?,
+            "--seed" => seed = a.number()?,
+            "--instrs" => instrs = a.number()?,
+            "--threads" => threads = a.number()?,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    let spec = match (&spec_str, cores) {
-        (Some(s), _) => match MixSpec::parse(s, technique) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: --spec: {e}");
-                return ExitCode::from(2);
-            }
-        },
+    let spec = match (spec_str, cores) {
+        (Some(s), _) => MixSpec::parse(s, technique).map_err(|e| format!("--spec: {e}"))?,
         (None, n) if n > 0 => MixSpec::round_robin(n, technique),
-        _ => {
-            eprintln!("error: mix needs --spec LIST or --cores N (see 'dvrsim --help')");
-            return ExitCode::from(2);
-        }
+        _ => return Err("mix needs --spec LIST or --cores N (see 'dvrsim --help')".into()),
     };
 
     let base = SimConfig::new(technique).with_max_instructions(instrs).with_sanitize(sanitize);
@@ -1250,318 +1116,35 @@ fn mix_main(args: &[String]) -> ExitCode {
     }
     if failed > 0 {
         eprintln!("mix: {failed} of {} runs failed", mix.cores.len());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
-}
-
-/// Builds the `dvrsim sample-worker ...` command line that reconstructs
-/// one (workload, technique, sampling) cell in a child process. The
-/// workload is rebuilt from its deterministic (bench, input, size, seed)
-/// recipe, so only the small checkpoint file crosses the process
-/// boundary.
-fn worker_command(
-    b: Benchmark,
-    input: Option<GraphInput>,
-    t: Technique,
-    size: SizeClass,
-    seed: u64,
-    instrs: u64,
-    scfg: &SampleConfig,
-) -> Result<Vec<String>, dvr_sim::SampleError> {
-    let exe = std::env::current_exe().map_err(|e| {
-        dvr_sim::SampleError::Worker(format!("cannot locate the dvrsim binary: {e}"))
-    })?;
-    let mut v: Vec<String> = vec![
-        exe.to_string_lossy().into_owned(),
-        "sample-worker".into(),
-        "--bench".into(),
-        b.name().into(),
-        "--technique".into(),
-        technique_flag(t).into(),
-        "--size".into(),
-        size_flag(size).into(),
-        "--seed".into(),
-        seed.to_string(),
-        "--instrs".into(),
-        instrs.to_string(),
-        "--interval".into(),
-        scfg.interval.to_string(),
-        "--warmup".into(),
-        scfg.warmup.to_string(),
-        "--period".into(),
-        scfg.period.to_string(),
-        "--placement".into(),
-        match scfg.placement {
-            Placement::Systematic => "systematic".into(),
-            Placement::Random => "random".into(),
-        },
-        "--sample-seed".into(),
-        scfg.seed.to_string(),
-        "--json".into(),
-    ];
-    if b.is_gap() {
-        v.push("--input".into());
-        v.push(input.unwrap_or(GraphInput::Kr).name().into());
-    }
-    Ok(v)
-}
-
-/// `dvrsim sample-worker`: measures ONE sampling period from a checkpoint
-/// file and prints one integer-JSON result line on stdout — the worker
-/// half of `dvrsim sample --jobs N`.
-fn sample_worker_main(args: &[String]) -> ExitCode {
-    let mut bench: Option<Benchmark> = None;
-    let mut input: Option<GraphInput> = None;
-    let mut techniques: Vec<Technique> = vec![];
-    let mut size = SizeClass::Small;
-    let mut seed = 42u64;
-    let mut instrs = 200_000u64;
-    let mut scfg = SampleConfig::default();
-    let mut checkpoint: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            // Output is always one JSON line; the flag is accepted for
-            // symmetry with the other subcommands.
-            "--json" => {}
-            "--bench" | "--input" | "--technique" | "--size" | "--seed" | "--instrs"
-            | "--interval" | "--warmup" | "--period" | "--placement" | "--sample-seed"
-            | "--checkpoint" => {
-                let Some(v) = args.get(i + 1).cloned() else {
-                    eprintln!("error: {} needs a value", args[i]);
-                    return ExitCode::from(2);
-                };
-                match args[i].as_str() {
-                    "--bench" => match parse_bench(&v) {
-                        Some(b) => bench = Some(b),
-                        None => {
-                            eprintln!("error: unknown benchmark '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--input" => match parse_input(&v) {
-                        Some(g) => input = Some(g),
-                        None => {
-                            eprintln!("error: unknown input '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--technique" => match parse_technique(&v) {
-                        Some(t) if t.len() == 1 => techniques = t,
-                        _ => {
-                            eprintln!("error: sample-worker needs a single technique, got '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--size" => match parse_size(&v) {
-                        Some(s) => size = s,
-                        None => {
-                            eprintln!("error: unknown size '{v}'");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--placement" => {
-                        scfg.placement = match v.as_str() {
-                            "systematic" => Placement::Systematic,
-                            "random" => Placement::Random,
-                            _ => {
-                                eprintln!("error: unknown placement '{v}'");
-                                return ExitCode::from(2);
-                            }
-                        };
-                    }
-                    "--checkpoint" => checkpoint = Some(v),
-                    flag => {
-                        let n: u64 = match v.parse() {
-                            Ok(n) => n,
-                            Err(e) => {
-                                eprintln!("error: {flag}: {e}");
-                                return ExitCode::from(2);
-                            }
-                        };
-                        match flag {
-                            "--seed" => seed = n,
-                            "--instrs" => instrs = n,
-                            "--interval" => scfg.interval = n,
-                            "--warmup" => scfg.warmup = n,
-                            "--period" => scfg.period = n,
-                            "--sample-seed" => scfg.seed = n,
-                            _ => unreachable!("covered by the outer match"),
-                        }
-                    }
-                }
-                i += 1;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("sample-worker", other),
-        }
-        i += 1;
-    }
-    let (Some(b), Some(path), [t]) = (bench, checkpoint, techniques.as_slice()) else {
-        eprintln!("error: sample-worker needs --bench, --technique, and --checkpoint");
-        return ExitCode::from(2);
-    };
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ck = match dvr_sim::PeriodCheckpoint::decode(&bytes) {
-        Ok(ck) => ck,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let wl = b.build(b.is_gap().then(|| input.unwrap_or(GraphInput::Kr)), size, seed);
-    let cfg = SimConfig::new(*t).with_max_instructions(instrs);
-    let scfg = scfg.with_max_instructions(instrs);
-    match sim_sample::measure_period(&wl.prog, &wl.mem, cfg.core, cfg.hierarchy, &scfg, &ck, || {
-        dvr_sim::engine_factory(&cfg)
-    }) {
-        Ok(p) => {
-            println!("{}", p.to_json());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("sample-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("lint") {
-        return lint_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("lint-taint") {
-        return lint_taint_main(&argv[1..]);
-    }
-    if let Some(cmd @ ("audit" | "leak-audit" | "bounds-audit")) = argv.first().map(String::as_str)
-    {
-        return audits_main(cmd, &argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sample") {
-        return sample_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sample-worker") {
-        return sample_worker_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("mix") {
-        return mix_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sweep") {
-        return sweep_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("sweep-worker") {
-        return sweep_worker_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        return serve_main(&argv[1..]);
-    }
-    let o = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let rest = argv.get(1..).unwrap_or_default();
+    let run = match argv.first().map(String::as_str) {
+        Some("lint") => lint_main(rest),
+        Some("lint-taint") => lint_taint_main(rest),
+        Some(cmd @ ("audit" | "leak-audit" | "bounds-audit")) => audits_main(cmd, rest),
+        Some("sample") => sample_main(rest),
+        Some("sample-worker") => sample_worker_main(rest),
+        Some("mix") => mix_main(rest),
+        Some("sweep") => sweep_main(rest),
+        Some("sweep-worker") => sweep_worker_main(rest),
+        Some("serve") => serve_main(rest),
+        _ => run_main(&argv),
     };
-    let wl = match load_workload(&o) {
-        Ok(wl) => wl,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !o.json {
-        println!("{} — {}", wl.name, wl.description);
-        println!(
-            "{} static instructions, {} byte memory image\n",
-            wl.prog.len(),
-            wl.mem.footprint_bytes()
-        );
-    }
-
-    let mut base_ipc = None;
-    let mut failed = 0usize;
-    for t in &o.techniques {
-        let mut cfg = SimConfig::new(*t).with_max_instructions(o.instrs);
-        if let Some(rob) = o.rob {
-            cfg = cfg.with_rob(rob);
-        }
-        if let Some(fault) = o.inject {
-            cfg = cfg.with_faults(fault);
-        }
-        if let Some(w) = o.watchdog {
-            cfg = cfg.with_watchdog_cycles(w);
-        }
-        if o.sanitize {
-            cfg = cfg.with_sanitize(true);
-        }
-        let r = simulate(&wl, &cfg);
-        if *t == Technique::Baseline {
-            base_ipc = Some(r.ipc);
-        }
-        if o.json {
-            println!("{}", r.to_json());
-        } else {
-            print_report(&r, if *t == Technique::Baseline { None } else { base_ipc }, o.verbose);
-        }
-        // The sanitizer speaks only on stderr so stdout (and especially
-        // --json) stays byte-identical with the sanitizer on or off.
-        if let Some(san) = &r.sanitizer {
-            eprintln!("sanitize[{}]: {}", r.technique.name(), san.summary());
-            if !san.is_clean() {
-                for m in &san.first {
-                    eprintln!("sanitize[{}]:   {m}", r.technique.name());
-                }
-                failed += 1;
-            }
-        }
-        if let Some(e) = r.outcome.error() {
-            failed += 1;
-            if !o.json {
-                println!("               FAILED ({}): {e}", e.kind());
-            }
-        }
-    }
-    if failed > 0 {
-        eprintln!("{failed} of {} runs failed", o.techniques.len());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    run.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        ExitCode::from(2)
+    })
 }
 
 // ---------------------------------------------------------------------------
 // sweep / sweep-worker / serve — the crash-safe sweep service
 // ---------------------------------------------------------------------------
-
-struct SweepOpts {
-    benches: Vec<Benchmark>,
-    inputs: Vec<GraphInput>,
-    techniques: Vec<Technique>,
-    size: SizeClass,
-    seed: u64,
-    instrs: u64,
-    out: std::path::PathBuf,
-    cache: Option<std::path::PathBuf>,
-    jobs: usize,
-    timeout_ms: u64,
-    retries: u32,
-    backoff_ms: u64,
-    backoff_seed: u64,
-    keep_going: bool,
-    gc: bool,
-    fault: sim_sweep::SweepFault,
-    json: bool,
-}
 
 fn parse_bench_list(spec: &str) -> Result<Vec<Benchmark>, String> {
     match spec {
@@ -1600,110 +1183,68 @@ fn parse_technique_list(spec: &str) -> Result<Vec<Technique>, String> {
     Ok(out)
 }
 
-fn parse_sweep_args(args: &[String]) -> Result<SweepOpts, String> {
-    let mut o = SweepOpts {
-        benches: Benchmark::ALL.to_vec(),
-        inputs: vec![GraphInput::Kr],
-        techniques: parse_technique("all").expect("static"),
-        size: SizeClass::Small,
-        seed: 42,
-        instrs: 200_000,
-        out: "sweep-out".into(),
-        cache: Some(".dvr-cache".into()),
-        jobs: 0,
-        timeout_ms: 0,
-        retries: 2,
-        backoff_ms: 50,
-        backoff_seed: 42,
-        keep_going: false,
-        gc: false,
-        fault: sim_sweep::SweepFault::default(),
-        json: false,
-    };
-    let mut i = 0usize;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or(format!("{} needs a value", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => o.benches = parse_bench_list(&value(&mut i)?)?,
-            "--input" => o.inputs = parse_input_list(&value(&mut i)?)?,
-            "--technique" => o.techniques = parse_technique_list(&value(&mut i)?)?,
-            "--size" => {
-                let v = value(&mut i)?;
-                o.size =
-                    dvr_sim::sweep::parse_size_token(&v).ok_or(format!("unknown size '{v}'"))?;
-            }
-            "--seed" => o.seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--instrs" => o.instrs = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--out" => o.out = value(&mut i)?.into(),
-            "--cache" => o.cache = Some(value(&mut i)?.into()),
-            "--no-cache" => o.cache = None,
-            "--jobs" => o.jobs = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--timeout-ms" => o.timeout_ms = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--retries" => o.retries = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--backoff-ms" => o.backoff_ms = value(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--backoff-seed" => {
-                o.backoff_seed = value(&mut i)?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--keep-going" => o.keep_going = true,
-            "--gc" => o.gc = true,
+fn sweep_main(args: &[String]) -> Result<ExitCode, String> {
+    let mut benches = Benchmark::ALL.to_vec();
+    let mut inputs = vec![GraphInput::Kr];
+    let mut techniques = parse_technique("all").expect("static");
+    let mut size = SizeClass::Small;
+    let (mut seed, mut instrs) = (42, 200_000);
+    let mut out = PathBuf::from("sweep-out");
+    let mut cache_dir = Some(PathBuf::from(".dvr-cache"));
+    let (mut gc, mut json) = (false, false);
+    let mut opts = sim_sweep::SweepOptions::default();
+    let mut a = Args::new("sweep", args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--bench" => benches = parse_bench_list(a.value()?)?,
+            "--input" => inputs = parse_input_list(a.value()?)?,
+            "--technique" => techniques = parse_technique_list(a.value()?)?,
+            "--size" => size = a.named("size", parse_size_token)?,
+            "--seed" => seed = a.number()?,
+            "--instrs" => instrs = a.number()?,
+            "--out" => out = a.value()?.into(),
+            "--cache" => cache_dir = Some(a.value()?.into()),
+            "--no-cache" => cache_dir = None,
+            "--jobs" => opts.jobs = a.number()?,
+            "--timeout-ms" => opts.timeout_ms = a.number()?,
+            "--retries" => opts.retries = a.number()?,
+            "--backoff-ms" => opts.backoff_ms = a.number()?,
+            "--backoff-seed" => opts.seed = a.number()?,
+            "--keep-going" => opts.keep_going = true,
+            "--gc" => gc = true,
             "--inject-sweep" => {
-                o.fault =
-                    sim_sweep::SweepFault::parse(&value(&mut i)?).map_err(|e| e.to_string())?
+                opts.fault = sim_sweep::SweepFault::parse(a.value()?).map_err(|e| e.to_string())?
             }
-            "--json" => o.json = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                let _ = unknown_flag("sweep", other);
-                std::process::exit(2);
-            }
+            "--json" => json = true,
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
-    Ok(o)
-}
-
-fn sweep_grid(o: &SweepOpts) -> Vec<dvr_sim::SweepCell> {
-    dvr_sim::SweepCell::grid(&o.benches, &o.inputs, &o.techniques, o.size, o.seed, o.instrs)
-}
-
-fn sweep_main(args: &[String]) -> ExitCode {
-    let o = match parse_sweep_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let cells = sweep_grid(&o);
-    let keys: Vec<String> = cells.iter().map(|c| c.key()).collect();
-    let exe = (o.jobs > 0).then(|| std::env::current_exe().ok()).flatten();
+    let keys: Vec<String> =
+        dvr_sim::SweepCell::grid(&benches, &inputs, &techniques, size, seed, instrs)
+            .iter()
+            .map(|c| c.key())
+            .collect();
+    let exe = (opts.jobs > 0).then(|| std::env::current_exe().ok()).flatten();
     let runner = dvr_sim::DvrSweepRunner::new(exe);
-    let cache = match &o.cache {
+    let cache = match &cache_dir {
         None => None,
         Some(dir) => match sim_sweep::ResultCache::open(dir) {
             Ok(c) => Some(c),
             Err(e) => {
                 eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
     };
 
-    if o.gc {
+    if gc {
         let Some(cache) = cache else {
-            eprintln!("error: --gc needs a cache (drop --no-cache)");
-            return ExitCode::from(2);
+            return Err("--gc needs a cache (drop --no-cache)".into());
         };
         use sim_sweep::CellRunner;
         let keep: std::collections::HashSet<String> =
             keys.iter().filter_map(|k| runner.cache_key(k)).map(|d| d.hex()).collect();
-        return match cache.gc(&keep) {
+        return Ok(match cache.gc(&keep) {
             Ok(stats) => {
                 println!(
                     "sweep gc: kept={} removed={} quarantine_purged={}",
@@ -1715,28 +1256,19 @@ fn sweep_main(args: &[String]) -> ExitCode {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
 
-    if let Err(e) = std::fs::create_dir_all(&o.out) {
-        eprintln!("error: create {}: {e}", o.out.display());
-        return ExitCode::FAILURE;
+    if let Err(e) = std::fs::create_dir_all(&out) {
+        eprintln!("error: create {}: {e}", out.display());
+        return Ok(ExitCode::FAILURE);
     }
-    let opts = sim_sweep::SweepOptions {
-        jobs: o.jobs,
-        timeout_ms: o.timeout_ms,
-        retries: o.retries,
-        backoff_ms: o.backoff_ms,
-        seed: o.backoff_seed,
-        keep_going: o.keep_going,
-        fault: o.fault,
-    };
-    let journal = o.out.join("journal.dvrj");
+    let journal = out.join("journal.dvrj");
     let run = match sim_sweep::run_sweep(&keys, &runner, &journal, cache.as_ref(), &opts) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("sweep: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     for w in &run.warnings {
@@ -1759,38 +1291,39 @@ fn sweep_main(args: &[String]) -> ExitCode {
         s.replay.dropped_bytes,
     );
     let summary = sim_sweep::render_summary(&keys, &run.outcomes, &runner);
-    let path = o.out.join("summary.json");
+    let path = out.join("summary.json");
     if let Err(e) = sim_sweep::write_atomic(&path, &summary) {
         eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    if o.json {
+    if json {
         print!("{summary}");
     } else {
         println!("wrote {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn sweep_worker_main(args: &[String]) -> ExitCode {
-    // The supervisor appends --test-hang under an injected hang fault;
-    // honoring it exercises the timeout/kill path deterministically.
-    if args.iter().any(|a| a == sim_sweep::WORKER_HANG_FLAG) {
+fn sweep_worker_main(args: &[String]) -> Result<ExitCode, String> {
+    let (mut cell, mut hang) = (None, false);
+    let mut a = Args::new("sweep-worker", args);
+    while let Some(arg) = a.next() {
+        match arg {
+            // The supervisor appends this under an injected hang fault;
+            // honoring it exercises the timeout/kill path deterministically.
+            sim_sweep::WORKER_HANG_FLAG => hang = true,
+            key if cell.is_none() && !key.starts_with("--") => cell = Some(key),
+            _ => return Err(a.unknown()),
+        }
+    }
+    if hang {
         loop {
             std::thread::sleep(std::time::Duration::from_secs(60));
         }
     }
-    match args.first().map(String::as_str) {
-        Some("--help" | "-h") => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Some(flag) if flag.starts_with("--") => return unknown_flag("sweep-worker", flag),
-        _ => {}
-    }
-    let Some(cell) = args.first() else {
+    let Some(cell) = cell else {
         eprintln!("usage: dvrsim sweep-worker CELL-KEY");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     use sim_sweep::CellRunner;
     let runner = dvr_sim::DvrSweepRunner::new(None);
@@ -1798,47 +1331,25 @@ fn sweep_worker_main(args: &[String]) -> ExitCode {
         Ok(payload) => println!("{}", sim_sweep::ok_line(&payload)),
         Err((kind, message)) => println!("{}", sim_sweep::fail_line(&kind, &message)),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn serve_main(args: &[String]) -> ExitCode {
-    let mut socket: Option<std::path::PathBuf> = None;
-    let mut cache_dir: Option<std::path::PathBuf> = Some(".dvr-cache".into());
-    let mut i = 0usize;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or(format!("{} needs a value", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => match value(&mut i) {
-                Ok(v) => socket = Some(v.into()),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--cache" => match value(&mut i) {
-                Ok(v) => cache_dir = Some(v.into()),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            },
+fn serve_main(args: &[String]) -> Result<ExitCode, String> {
+    let mut socket: Option<PathBuf> = None;
+    let mut cache_dir = Some(PathBuf::from(".dvr-cache"));
+    let mut a = Args::new("serve", args);
+    while let Some(flag) = a.next() {
+        match flag {
+            "--socket" => socket = Some(a.value()?.into()),
+            "--cache" => cache_dir = Some(a.value()?.into()),
             "--no-cache" => cache_dir = None,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return unknown_flag("serve", other),
+            _ => return Err(a.unknown()),
         }
-        i += 1;
     }
     let Some(socket) = socket else {
-        eprintln!("error: serve needs --socket PATH\n\n{USAGE}");
-        return ExitCode::from(2);
+        return Err(format!("serve needs --socket PATH\n\n{USAGE}"));
     };
-    serve_loop(&socket, cache_dir.as_deref())
+    Ok(serve_loop(&socket, cache_dir.as_deref()))
 }
 
 #[cfg(unix)]

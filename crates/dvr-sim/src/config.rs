@@ -36,21 +36,14 @@ impl Technique {
     pub const FIG8: [Technique; 4] =
         [Technique::Vr, Technique::DvrOffload, Technique::DvrDiscovery, Technique::Dvr];
 
-    /// Parses a CLI spelling, case-insensitively: `ooo`/`baseline`, `pre`,
-    /// `imp`, `vr`, `dvr`, `dvr-offload`, `dvr-discovery`, `oracle`.
-    /// Returns `None` for anything else (callers render their own hint).
+    /// Parses a [`technique_token`](crate::sweep::technique_token) or
+    /// `baseline`, case-insensitively. Returns `None` for anything else
+    /// (callers render their own hint).
     pub fn parse(s: &str) -> Option<Technique> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "ooo" | "baseline" => Technique::Baseline,
-            "pre" => Technique::Pre,
-            "imp" => Technique::Imp,
-            "vr" => Technique::Vr,
-            "dvr" => Technique::Dvr,
-            "dvr-offload" => Technique::DvrOffload,
-            "dvr-discovery" => Technique::DvrDiscovery,
-            "oracle" => Technique::Oracle,
-            _ => return None,
-        })
+        match s.to_ascii_lowercase().as_str() {
+            "baseline" => Some(Technique::Baseline),
+            token => crate::sweep::parse_technique_token(token),
+        }
     }
 
     /// Display name matching the paper's figure legends.

@@ -54,7 +54,7 @@ pub use runner::{
 };
 pub use sample::{
     engine_factory, measure_emitted, measure_periods_via_workers, run_sampled_threads, sample_emit,
-    sampled_report_from, simulate_sampled, simulate_sampled_threads,
+    sample_worker_args, sampled_report_from, simulate_sampled, simulate_sampled_threads,
 };
 pub use sweep::{cache_key, decode_report, encode_report, DvrSweepRunner, SweepCell};
 

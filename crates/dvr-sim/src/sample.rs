@@ -12,23 +12,26 @@
 //! Because each period is measured from its own checkpoint, the measure
 //! phase fans out: [`simulate_sampled_threads`] dispatches periods
 //! across in-process worker threads, and
-//! [`measure_periods_via_workers`] dispatches them to spawned
-//! `dvrsim sample-worker` processes speaking the integer JSON line
-//! protocol. All paths merge through [`sim_sample::merge_periods`], so
-//! the resulting reports are byte-identical (modulo wall-clock fields).
+//! [`measure_periods_via_workers`] dispatches them to `dvrsim
+//! sample-worker` processes under the sweep supervisor. All paths merge
+//! through [`sim_sample::merge_periods`], so the resulting reports are
+//! byte-identical (modulo wall-clock fields).
 
 use std::path::Path;
+use std::sync::atomic::AtomicU64;
 
 use sim_ooo::{RunaheadEngine, SimError};
 use sim_sample::{
     emit_checkpoints, measure_period, merge_periods, EmitResult, PeriodCheckpoint, PeriodResult,
-    Placement, SampleConfig, SampleError, SampledRun,
+    SampleConfig, SampleError, SampledRun,
 };
+use sim_sweep::{Supervisor, SweepOptions};
 use workloads::Workload;
 
 use crate::config::SimConfig;
 use crate::report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
 use crate::runner::{try_parallel_map, AnyEngine};
+use crate::sweep::SweepCell;
 
 /// Builds a fresh runahead engine for one detailed interval — the same
 /// engine [`simulate`](crate::simulate) runs (including the Figure 8
@@ -57,13 +60,6 @@ fn failed(e: SampleError) -> RunOutcome {
             SimError::Panic { message: format!("sample worker failed: {msg}") }
         }
     })
-}
-
-fn placement_name(p: Placement) -> &'static str {
-    match p {
-        Placement::Systematic => "systematic",
-        Placement::Random => "random",
-    }
 }
 
 /// Phase 1 for one workload: runs the functional fast-forward pass and
@@ -148,31 +144,50 @@ pub fn run_sampled_threads(
     Ok(merge_periods(periods, emit.total_retired, emit.halted))
 }
 
-/// Phase 2 out-of-process: measures checkpoints by spawning worker
-/// processes, at most `jobs` at a time (0 is treated as 1).
+/// The `dvrsim sample-worker` command line that measures periods of
+/// `cell`: the cell key rebuilds the workload and configuration, the five
+/// sampling flags the [`SampleConfig`]. [`measure_periods_via_workers`]
+/// appends `--checkpoint FILE` per period.
+pub fn sample_worker_args(exe: &Path, cell: &SweepCell, scfg: &SampleConfig) -> Vec<String> {
+    let mut argv = vec![exe.display().to_string(), "sample-worker".into(), cell.key()];
+    for (flag, value) in [
+        ("--interval", scfg.interval.to_string()),
+        ("--warmup", scfg.warmup.to_string()),
+        ("--period", scfg.period.to_string()),
+        ("--placement", scfg.placement.name().to_string()),
+        ("--sample-seed", scfg.seed.to_string()),
+    ] {
+        argv.extend([flag.to_string(), value]);
+    }
+    argv
+}
+
+/// Phase 2 out-of-process: measures each checkpoint in a worker process
+/// (see [`sample_worker_args`]), at most `jobs` at a time (0 is treated
+/// as 1).
 ///
-/// Each checkpoint is written to `scratch_dir` as `period_NNNNN.ckpt`
-/// and a worker is spawned as `worker_argv ++ ["--checkpoint", path]`;
-/// the worker prints one [`PeriodResult`] JSON line on stdout. Workers
-/// are reaped with `wait_with_output` (never leaving zombies and never
-/// blocking on a dead child), every spawned worker in a batch is reaped
-/// before an error is returned, and checkpoint files are removed on all
-/// paths. A worker that dies — killed, crashed, or printing garbage —
-/// surfaces as a typed [`SampleError::Worker`], not a hang.
+/// Each checkpoint is written to `scratch_dir` as `period_NNNNN.ckpt` and
+/// measured by `argv ++ ["--checkpoint", path]` under a
+/// [`sim_sweep::Supervisor`] with [`SweepOptions::default`]'s retries and
+/// backoff and no timeout. The worker answers with a `SWEEPOK1` line whose
+/// payload is the period's [`PeriodResult::to_json`]. A worker that dies
+/// or prints garbage is retried; a typed `SWEEPFAIL1` answer and a binary
+/// that cannot be spawned at all are not. Checkpoint files are removed on
+/// all paths.
 ///
 /// # Errors
 ///
-/// [`SampleError::Worker`] on spawn failure, non-zero worker exit, or an
-/// unparseable/mismatched result line.
+/// [`SampleError::Worker`] for the first period, in period order, that
+/// still fails after its retries, or whose answer is not its own result.
 pub fn measure_periods_via_workers(
-    worker_argv: &[String],
+    argv: &[String],
     checkpoints: &[PeriodCheckpoint],
     jobs: usize,
     scratch_dir: &Path,
 ) -> Result<Vec<PeriodResult>, SampleError> {
-    let (exe, fixed_args) = worker_argv
-        .split_first()
-        .ok_or_else(|| SampleError::Worker("empty worker command line".to_string()))?;
+    if argv.is_empty() {
+        return Err(SampleError::Worker("empty worker command line".to_string()));
+    }
     std::fs::create_dir_all(scratch_dir).map_err(|e| {
         SampleError::Worker(format!("cannot create scratch dir {}: {e}", scratch_dir.display()))
     })?;
@@ -191,116 +206,43 @@ pub fn measure_periods_via_workers(
         files.push(path);
     }
 
+    let opts = SweepOptions::default();
+    let spawns = AtomicU64::new(0);
+    let supervisor = Supervisor {
+        timeout_ms: 0,
+        retries: opts.retries,
+        backoff_ms: opts.backoff_ms,
+        seed: opts.seed,
+        fault: &opts.fault,
+        spawns: &spawns,
+    };
+    let measure = |i: usize| -> Result<PeriodResult, SampleError> {
+        let index = checkpoints[i].index;
+        let mut period_argv = argv.to_vec();
+        period_argv.extend(["--checkpoint".to_string(), files[i].display().to_string()]);
+        let payload = supervisor
+            .run_cell(&format!("period-{index}"), &period_argv)
+            .map_err(|e| SampleError::Worker(e.to_string()))?;
+        match std::str::from_utf8(&payload).ok().and_then(PeriodResult::from_json) {
+            Some(p) if p.index == index => Ok(p),
+            Some(p) => Err(SampleError::Worker(format!(
+                "period {index}: worker answered for period {}",
+                p.index
+            ))),
+            None => Err(SampleError::Worker(format!("period {index}: unparseable worker payload"))),
+        }
+    };
     let result = match write_err {
         Some(e) => Err(e),
-        None => run_worker_batches(exe, fixed_args, checkpoints, &files, jobs.max(1)),
+        None => try_parallel_map(checkpoints.len(), jobs.max(1), measure)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|cell| Err(SampleError::Worker(cell.to_string()))))
+            .collect(),
     };
     for path in &files {
         let _ = std::fs::remove_file(path);
     }
     result
-}
-
-/// Whether a failed `spawn` is worth one retry: resource-exhaustion
-/// errors (EAGAIN, EMFILE/ENFILE, ENOMEM) clear when siblings exit,
-/// unlike a missing or non-executable binary.
-fn spawn_error_is_transient(e: &std::io::Error) -> bool {
-    use std::io::ErrorKind;
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted | ErrorKind::OutOfMemory)
-        || matches!(e.raw_os_error(), Some(code) if [11, 23, 24, 12].contains(&code))
-}
-
-fn run_worker_batches(
-    exe: &str,
-    fixed_args: &[String],
-    checkpoints: &[PeriodCheckpoint],
-    files: &[std::path::PathBuf],
-    jobs: usize,
-) -> Result<Vec<PeriodResult>, SampleError> {
-    use std::process::{Command, Stdio};
-
-    let mut periods = Vec::with_capacity(checkpoints.len());
-    for batch in checkpoints.iter().zip(files).collect::<Vec<_>>().chunks(jobs) {
-        // Spawn the whole batch, then reap the whole batch: a failure in
-        // one worker must not leave siblings unwaited.
-        let children: Vec<_> = batch
-            .iter()
-            .map(|(ck, path)| {
-                let spawn = || {
-                    Command::new(exe)
-                        .args(fixed_args)
-                        .arg("--checkpoint")
-                        .arg(path)
-                        .stdin(Stdio::null())
-                        .stdout(Stdio::piped())
-                        .stderr(Stdio::piped())
-                        .spawn()
-                };
-                // A loaded machine can transiently refuse a fork
-                // (EAGAIN/EMFILE); one short backoff usually clears it.
-                let child = spawn().or_else(|e| {
-                    if spawn_error_is_transient(&e) {
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        spawn()
-                    } else {
-                        Err(e)
-                    }
-                });
-                (ck.index, child)
-            })
-            .collect();
-        let mut batch_err = None;
-        for (index, child) in children {
-            let out = match child {
-                Ok(c) => c.wait_with_output(),
-                Err(e) => {
-                    batch_err
-                        .get_or_insert(SampleError::Worker(format!("period {index}: spawn: {e}")));
-                    continue;
-                }
-            };
-            let out = match out {
-                Ok(o) => o,
-                Err(e) => {
-                    batch_err
-                        .get_or_insert(SampleError::Worker(format!("period {index}: wait: {e}")));
-                    continue;
-                }
-            };
-            if batch_err.is_some() {
-                continue;
-            }
-            if !out.status.success() {
-                let stderr = String::from_utf8_lossy(&out.stderr);
-                batch_err = Some(SampleError::Worker(format!(
-                    "period {index}: worker exited with {}: {}",
-                    out.status,
-                    stderr.trim().chars().take(300).collect::<String>()
-                )));
-                continue;
-            }
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            match PeriodResult::from_json(&stdout) {
-                Some(p) if p.index == index => periods.push(p),
-                Some(p) => {
-                    batch_err = Some(SampleError::Worker(format!(
-                        "period {index}: worker answered for period {}",
-                        p.index
-                    )));
-                }
-                None => {
-                    batch_err = Some(SampleError::Worker(format!(
-                        "period {index}: unparseable worker output: {:?}",
-                        stdout.trim().chars().take(120).collect::<String>()
-                    )));
-                }
-            }
-        }
-        if let Some(e) = batch_err {
-            return Err(e);
-        }
-    }
-    Ok(periods)
 }
 
 /// Builds the [`SimReport`] for a sampled result (successful or failed).
@@ -344,7 +286,7 @@ pub fn sampled_report_from(
                 interval_len: scfg.interval,
                 warmup_len: scfg.warmup,
                 period: scfg.period,
-                placement: placement_name(scfg.placement),
+                placement: scfg.placement.name(),
                 seed: scfg.seed,
                 ipc_mean: r.ipc_mean,
                 ipc_variance: r.ipc_variance,
@@ -503,19 +445,6 @@ mod tests {
             assert_eq!(engine_factory(&cfg).name(), name, "{}", t.name());
             assert_eq!(engine_factory(&cfg).name(), name, "{}", t.name());
         }
-    }
-
-    #[test]
-    fn spawn_retry_classifier_separates_transient_from_permanent() {
-        use std::io::{Error, ErrorKind};
-        // EAGAIN both as a kind and as a raw errno.
-        assert!(spawn_error_is_transient(&Error::from(ErrorKind::WouldBlock)));
-        assert!(spawn_error_is_transient(&Error::from_raw_os_error(11)));
-        // EMFILE: per-process fd table full while a sibling batch drains.
-        assert!(spawn_error_is_transient(&Error::from_raw_os_error(24)));
-        // A missing or non-executable worker binary never heals itself.
-        assert!(!spawn_error_is_transient(&Error::from(ErrorKind::NotFound)));
-        assert!(!spawn_error_is_transient(&Error::from(ErrorKind::PermissionDenied)));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use sim_sample::SampleConfig;
+use sim_sample::{Placement, SampleConfig};
 use sim_sweep::{CellRunner, Digest128, Hasher};
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
@@ -290,10 +290,7 @@ pub fn encode_report(r: &SimReport) -> Result<Vec<u8>, String> {
             put_u64(&mut out, s.interval_len);
             put_u64(&mut out, s.warmup_len);
             put_u64(&mut out, s.period);
-            out.push(match s.placement {
-                "random" => 1,
-                _ => 0,
-            });
+            out.push(u8::from(s.placement == Placement::Random.name()));
             put_u64(&mut out, s.seed);
             put_f64(&mut out, s.ipc_mean);
             put_f64(&mut out, s.ipc_variance);
@@ -386,7 +383,12 @@ pub fn decode_report(raw: &[u8]) -> Result<SimReport, String> {
             interval_len: c.u64("interval_len")?,
             warmup_len: c.u64("warmup_len")?,
             period: c.u64("period")?,
-            placement: if c.u8("placement")? == 1 { "random" } else { "systematic" },
+            placement: if c.u8("placement")? == 1 {
+                Placement::Random
+            } else {
+                Placement::Systematic
+            }
+            .name(),
             seed: c.u64("seed")?,
             ipc_mean: c.f64("ipc_mean")?,
             ipc_variance: c.f64("ipc_variance")?,
@@ -506,7 +508,7 @@ impl CellRunner for DvrSweepRunner {
         }
     }
 
-    fn worker_argv(&self, cell: &str) -> Option<Vec<String>> {
+    fn worker_args(&self, cell: &str) -> Option<Vec<String>> {
         let exe = self.exe.as_ref()?;
         Some(vec![exe.display().to_string(), "sweep-worker".into(), cell.to_string()])
     }
@@ -683,7 +685,7 @@ mod tests {
         assert!(json.contains("\"outcome\":\"complete\""), "{json}");
         assert!(json.contains("\"host_seconds\":0.000000"), "{json}");
         assert!(runner.cache_key(&cell.key()).is_some());
-        assert!(runner.worker_argv(&cell.key()).is_none(), "no exe configured");
+        assert!(runner.worker_args(&cell.key()).is_none(), "no exe configured");
         // Same cell twice -> byte-identical payload (cacheable).
         assert_eq!(runner.run(&cell.key()).unwrap(), payload);
     }

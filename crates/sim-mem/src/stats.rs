@@ -85,8 +85,8 @@ impl MemStats {
     /// Length of the [`MemStats::to_flat`] encoding.
     pub const FLAT_LEN: usize = 14 + 8 * SOURCES;
 
-    /// Flattens every counter into a fixed-order `u64` array — the wire
-    /// format of the sample-worker protocol and the basis of
+    /// Flattens every counter into a fixed-order `u64` array — the `mem`
+    /// array of a sample worker's period payload and the basis of
     /// [`MemStats::accumulate`]. All counters are event counts, so the
     /// encoding is lossless and summable.
     pub fn to_flat(&self) -> Vec<u64> {

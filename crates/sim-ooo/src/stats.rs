@@ -32,8 +32,8 @@ impl CoreStats {
     /// Length of the [`CoreStats::to_flat`] encoding.
     pub const FLAT_LEN: usize = 10;
 
-    /// Flattens the counters into a fixed-order array — the wire format of
-    /// the sample-worker protocol.
+    /// Flattens the counters into a fixed-order array — the `core` array
+    /// of a sample worker's period payload.
     pub fn to_flat(&self) -> [u64; Self::FLAT_LEN] {
         [
             self.cycles,

@@ -11,6 +11,21 @@ pub enum Placement {
     Random,
 }
 
+impl Placement {
+    /// The policy's CLI and report spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Placement::Systematic => "systematic",
+            Placement::Random => "random",
+        }
+    }
+
+    /// Parses a [`Placement::name`] back.
+    pub fn parse(s: &str) -> Option<Placement> {
+        [Placement::Systematic, Placement::Random].into_iter().find(|p| p.name() == s)
+    }
+}
+
 /// Configuration of a sampled run.
 ///
 /// The run is divided into consecutive *periods* of `period` retired

@@ -14,8 +14,8 @@
 //! ([`emit_checkpoints`]) serializes a versioned [`PeriodCheckpoint`] at
 //! every period's warmup start, then each period is measured
 //! independently from its checkpoint ([`measure_period`]) — in this
-//! thread, a worker thread, or a worker process speaking the integer
-//! JSON line protocol in [`PeriodResult::to_json`] — and
+//! thread, a worker thread, or a worker process answering with the
+//! integer JSON payload of [`PeriodResult::to_json`] — and
 //! [`merge_periods`] recombines the results into a [`SampledRun`] that
 //! is byte-identical regardless of where the periods ran.
 //!

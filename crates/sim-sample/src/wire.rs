@@ -1,11 +1,13 @@
-//! The sample-worker wire protocol: one [`PeriodResult`] per JSON line.
+//! The sample-worker payload codec: one [`PeriodResult`] as a line of
+//! integer JSON.
 //!
-//! A worker process measures one period and prints exactly one line of
-//! JSON on stdout; the orchestrator parses it back and merges. The
-//! protocol carries **integers only** — every derived float (IPC, MLP,
-//! the report aggregates) is recomputed at merge time from the counters
-//! — so a result that crosses the wire is bit-exactly the result that
-//! would have been produced in-process.
+//! A `dvrsim sample-worker` process measures one period and answers with
+//! a `SWEEPOK1` line of the sweep supervisor's protocol (`sim-sweep`)
+//! whose payload is this JSON line; the orchestrator decodes it back and
+//! merges. The payload carries **integers only** — every derived float
+//! (IPC, MLP, the report aggregates) is recomputed at merge time from the
+//! counters — so a result that crosses the process boundary is bit-exactly
+//! the result that would have been produced in-process.
 //!
 //! The format is fixed-order and machine-generated on both ends, so the
 //! parser is deliberately strict: field order, spelling, and shape must
@@ -17,7 +19,7 @@ use sim_ooo::CoreStats;
 
 use crate::driver::PeriodResult;
 
-/// Current version of the worker line protocol (the leading `"v"` field).
+/// Current version of the payload format (the leading `"v"` field).
 pub const WIRE_VERSION: u64 = 1;
 
 fn put_array(out: &mut String, vals: &[u64]) {

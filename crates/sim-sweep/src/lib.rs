@@ -77,7 +77,7 @@ pub trait CellRunner: Sync {
 
     /// Argv for computing the cell in a worker process (`--jobs`
     /// mode). `None` forces in-process execution for this cell.
-    fn worker_argv(&self, cell: &str) -> Option<Vec<String>> {
+    fn worker_args(&self, cell: &str) -> Option<Vec<String>> {
         let _ = cell;
         None
     }
@@ -343,7 +343,7 @@ fn compute_cell<R: CellRunner>(
     opts: &SweepOptions,
     state: &DriverState,
 ) -> Option<CellOutcome> {
-    let result = match (opts.jobs > 0).then(|| runner.worker_argv(cell)).flatten() {
+    let result = match (opts.jobs > 0).then(|| runner.worker_args(cell)).flatten() {
         Some(argv) => {
             let sup = Supervisor {
                 timeout_ms: opts.timeout_ms,

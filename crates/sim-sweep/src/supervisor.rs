@@ -1,19 +1,23 @@
 //! Worker-process supervision: spawn, poll, timeout, retry, backoff.
 //!
 //! Each cell attempt spawns one worker process speaking a one-line
-//! stdout protocol (the sweep sibling of the `sample-worker` line
-//! protocol):
+//! stdout protocol:
 //!
 //! ```text
 //! SWEEPOK1 <hex payload>                 # success
 //! SWEEPFAIL1 <error-kind> <hex message>  # typed simulation failure
 //! ```
 //!
-//! Anything else — spawn failure, death by signal, nonzero exit,
-//! protocol garbage, or exceeding the per-cell wall-clock budget — is
-//! an *infrastructure* failure and is retried with exponential backoff
-//! plus deterministic seeded jitter. A `SWEEPFAIL1` line is a *typed,
-//! deterministic* simulation outcome and is never retried.
+//! Both kinds of `dvrsim` worker speak it: `sweep-worker` answers with an
+//! encoded report, `sample-worker` with one measured sampling period.
+//!
+//! Anything else — death by signal, nonzero exit, protocol garbage, or
+//! exceeding the per-cell wall-clock budget — is an *infrastructure*
+//! failure and is retried with exponential backoff plus deterministic
+//! seeded jitter. So is a spawn the host refused for lack of resources
+//! (EAGAIN, EMFILE/ENFILE, ENOMEM). Two failures are never retried: a
+//! `SWEEPFAIL1` line, which is a *typed, deterministic* simulation
+//! outcome, and a worker binary that is missing or not executable.
 //!
 //! Workers are polled with `try_wait` so a hung worker is killed the
 //! moment it exceeds its budget instead of wedging the sweep.
@@ -79,32 +83,30 @@ impl Supervisor<'_> {
     /// infrastructure failures up to the retry budget.
     pub fn run_cell(&self, cell: &str, argv: &[String]) -> Result<Vec<u8>, SweepError> {
         assert!(!argv.is_empty(), "worker argv must name a binary");
-        let mut last = SweepError::Worker {
-            cell: cell.to_string(),
-            attempts: 0,
-            message: "no attempt made".into(),
-        };
-        for attempt in 0..=self.retries {
-            match self.one_attempt(cell, argv) {
+        let mut attempts = 0;
+        loop {
+            let (e, retry) = match self.one_attempt(cell, argv) {
                 Ok(payload) => return Ok(payload),
-                Err(e @ SweepError::Cell { .. }) => return Err(e),
-                Err(e) => {
-                    last = stamp_attempts(e, attempt + 1);
-                    if attempt < self.retries {
-                        std::thread::sleep(Duration::from_millis(backoff_delay_ms(
-                            self.seed,
-                            cell,
-                            attempt,
-                            self.backoff_ms,
-                        )));
-                    }
-                }
+                Err(failure) => failure,
+            };
+            if !retry || attempts == self.retries {
+                return Err(stamp_attempts(e, attempts + 1));
             }
+            std::thread::sleep(Duration::from_millis(backoff_delay_ms(
+                self.seed,
+                cell,
+                attempts,
+                self.backoff_ms,
+            )));
+            attempts += 1;
         }
-        Err(last)
     }
 
-    fn one_attempt(&self, cell: &str, argv: &[String]) -> Result<Vec<u8>, SweepError> {
+    /// One spawn-to-exit attempt. `Err` carries whether another attempt
+    /// could succeed.
+    fn one_attempt(&self, cell: &str, argv: &[String]) -> Result<Vec<u8>, (SweepError, bool)> {
+        let worker_error =
+            |message: String| SweepError::Worker { cell: cell.to_string(), attempts: 0, message };
         let n = self.spawns.fetch_add(1, Ordering::Relaxed) + 1;
         let mut cmd = Command::new(&argv[0]);
         cmd.args(&argv[1..]);
@@ -112,11 +114,9 @@ impl Supervisor<'_> {
             cmd.arg(WORKER_HANG_FLAG);
         }
         cmd.stdin(Stdio::null()).stdout(Stdio::piped()).stderr(Stdio::piped());
-        let mut child = cmd.spawn().map_err(|e| SweepError::Worker {
-            cell: cell.to_string(),
-            attempts: 0,
-            message: format!("spawn: {e}"),
-        })?;
+        let mut child = cmd
+            .spawn()
+            .map_err(|e| (worker_error(format!("spawn: {e}")), spawn_error_is_transient(&e)))?;
         if self.fault.kill_worker_at == n {
             let _ = child.kill();
         }
@@ -130,21 +130,15 @@ impl Supervisor<'_> {
                     {
                         let _ = child.kill();
                         let _ = child.wait();
-                        return Err(SweepError::Timeout {
-                            cell: cell.to_string(),
-                            timeout_ms: self.timeout_ms,
-                            attempts: 0,
-                        });
+                        let timeout_ms = self.timeout_ms;
+                        let cell = cell.to_string();
+                        return Err((SweepError::Timeout { cell, timeout_ms, attempts: 0 }, true));
                     }
                     std::thread::sleep(POLL);
                 }
                 Err(e) => {
                     let _ = child.kill();
-                    return Err(SweepError::Worker {
-                        cell: cell.to_string(),
-                        attempts: 0,
-                        message: format!("wait: {e}"),
-                    });
+                    return Err((worker_error(format!("wait: {e}")), true));
                 }
             }
         };
@@ -160,8 +154,20 @@ impl Supervisor<'_> {
             use std::io::Read;
             let _ = s.read_to_string(&mut stderr);
         }
-        parse_worker_output(cell, status.success(), &stdout, &stderr)
+        parse_worker_output(cell, status.success(), &stdout, &stderr).map_err(|e| {
+            let retry = !matches!(e, SweepError::Cell { .. });
+            (e, retry)
+        })
     }
+}
+
+/// Whether a failed `spawn` is worth another attempt: resource-exhaustion
+/// errors (EAGAIN, EMFILE/ENFILE, ENOMEM) clear when siblings exit,
+/// unlike a missing or non-executable binary.
+fn spawn_error_is_transient(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind;
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted | ErrorKind::OutOfMemory)
+        || matches!(e.raw_os_error(), Some(code) if [11, 23, 24, 12].contains(&code))
 }
 
 fn stamp_attempts(e: SweepError, attempts: u32) -> SweepError {
@@ -307,6 +313,33 @@ mod tests {
             sup(&fault, &spawns).run_cell("c", &sh("sleep 0.3; echo 'SWEEPOK1 aa'")).unwrap();
         assert_eq!(payload, vec![0xaa]);
         assert_eq!(spawns.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn spawn_retry_classifier_separates_transient_from_permanent() {
+        use std::io::{Error, ErrorKind};
+        // EAGAIN both as a kind and as a raw errno.
+        assert!(spawn_error_is_transient(&Error::from(ErrorKind::WouldBlock)));
+        assert!(spawn_error_is_transient(&Error::from_raw_os_error(11)));
+        // EMFILE: per-process fd table full while a sibling batch drains.
+        assert!(spawn_error_is_transient(&Error::from_raw_os_error(24)));
+        // A missing or non-executable worker binary never heals itself.
+        assert!(!spawn_error_is_transient(&Error::from(ErrorKind::NotFound)));
+        assert!(!spawn_error_is_transient(&Error::from(ErrorKind::PermissionDenied)));
+    }
+
+    #[test]
+    fn missing_binary_is_not_retried() {
+        let fault = SweepFault::default();
+        let spawns = AtomicU64::new(0);
+        let argv = vec!["/nonexistent/sweep-worker-binary".to_string()];
+        match sup(&fault, &spawns).run_cell("c", &argv) {
+            Err(SweepError::Worker { attempts: 1, message, .. }) => {
+                assert!(message.starts_with("spawn: "), "{message}")
+            }
+            other => panic!("expected one failed spawn, got {other:?}"),
+        }
+        assert_eq!(spawns.load(Ordering::Relaxed), 1, "no retry of a missing binary");
     }
 
     #[test]

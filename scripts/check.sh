@@ -182,9 +182,11 @@ for combo in "--threads 1 --jobs 2" "--threads 4 --jobs 2"; do
 done
 
 echo "== sample-parallel: worker-protocol round-trip =="
-# Emit one checkpoint orchestrator-style, feed it to a real sample-worker,
-# and check the integer-JSON result line parses and names its period.
-# (tests/sample_parallel.rs does this in-process; this smokes the CLI.)
+# Measure every period in real sample-worker processes under the sweep
+# supervisor: each worker answers with a SWEEPOK1 line whose payload is its
+# period's integer-JSON result, and the merged report must match the
+# sequential one. (tests/sample_parallel.rs also drives the worker path
+# through the library; this smokes the CLI.)
 worker_out="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench bfs --size test \
     --instrs 60000 --no-exact --json --jobs 2 | strip_clock)"
 echo "$worker_out" | grep -q '"sampling":' || { echo "worker-backed sample produced no sampling section"; exit 1; }

@@ -132,3 +132,51 @@ fn instruction_budget_is_respected() {
     // The core stops within one commit-width of the budget.
     assert!(r.core.committed >= 12_345 && r.core.committed < 12_345 + 5);
 }
+
+/// Every `dvrsim` entry point words a flag error the same way: one
+/// `error:` line naming the flag, then exit status 2.
+#[test]
+fn every_entry_point_reports_usage_errors_the_same_way() {
+    // (entry point, a flag taking a value, a flag taking a number); the
+    // top-level run is `dvrsim` itself, the rest are subcommands.
+    let entry_points = [
+        ("dvrsim", Some("--instrs"), Some("--instrs")),
+        ("lint", Some("--seed"), Some("--seed")),
+        ("audit", Some("--instrs"), Some("--instrs")),
+        ("lint-taint", Some("--size"), Some("--seed")),
+        ("leak-audit", Some("--bench"), Some("--seed")),
+        ("bounds-audit", Some("--seed"), Some("--instrs")),
+        ("sample", Some("--placement"), Some("--interval")),
+        ("sample-worker", Some("--checkpoint"), Some("--warmup")),
+        ("mix", Some("--spec"), Some("--cores")),
+        ("sweep", Some("--out"), Some("--timeout-ms")),
+        ("sweep-worker", None, None),
+        ("serve", Some("--socket"), None),
+    ];
+    for (cmd, valued, numeric) in entry_points {
+        let prefix: &[&str] = if cmd == "dvrsim" { &[] } else { &[cmd] };
+        let first_error_line = |args: &[&str]| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_dvrsim"))
+                .args(prefix)
+                .args(args)
+                .output()
+                .expect("run dvrsim");
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(2), "{cmd} {args:?}: {stderr}");
+            stderr.lines().next().unwrap_or_default().to_string()
+        };
+        assert_eq!(
+            first_error_line(&["--bogus"]),
+            format!("error: unknown {cmd} option '--bogus' (see 'dvrsim --help')")
+        );
+        if let Some(flag) = valued {
+            assert_eq!(first_error_line(&[flag]), format!("error: {flag} needs a value"));
+        }
+        if let Some(flag) = numeric {
+            assert_eq!(
+                first_error_line(&[flag, "x"]),
+                format!("error: {flag}: invalid digit found in string")
+            );
+        }
+    }
+}

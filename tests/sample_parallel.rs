@@ -1,15 +1,16 @@
 //! Checkpoint-parallel sampling acceptance tests: the sequential driver,
 //! the in-process thread fan-out, and the multi-process worker fan-out
-//! must produce byte-identical reports on every benchmark; a dead worker
-//! must surface a typed error instead of hanging the orchestrator.
+//! must produce byte-identical reports on every benchmark; a broken
+//! worker must surface a typed error instead of hanging the orchestrator,
+//! and a killed one must be retried.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use dvr_sim::{
-    measure_periods_via_workers, sample_emit, sampled_report_from, simulate_sampled,
-    simulate_sampled_threads, Placement, SampleConfig, SampleError, SimConfig, SimReport,
-    Technique,
+    measure_periods_via_workers, sample_emit, sample_worker_args, sampled_report_from,
+    simulate_sampled, simulate_sampled_threads, Placement, SampleConfig, SampleError, SimConfig,
+    SimReport, SweepCell, Technique,
 };
 use proptest::prelude::*;
 use sim_sample::merge_periods;
@@ -35,50 +36,19 @@ fn normalized_json(mut r: SimReport) -> String {
     r.to_json()
 }
 
-fn technique_flag(t: Technique) -> &'static str {
-    match t {
-        Technique::Baseline => "ooo",
-        Technique::Dvr => "dvr",
-        _ => unimplemented!("only the techniques this test exercises"),
-    }
-}
-
-/// The worker command line the orchestrator would build for this cell,
+/// The worker command line the orchestrator builds for this cell,
 /// pointed at the freshly built `dvrsim` binary under test.
-fn worker_argv(b: Benchmark, t: Technique, scfg: &SampleConfig) -> Vec<String> {
-    let mut v: Vec<String> = vec![
-        env!("CARGO_BIN_EXE_dvrsim").into(),
-        "sample-worker".into(),
-        "--bench".into(),
-        b.name().into(),
-        "--technique".into(),
-        technique_flag(t).into(),
-        "--size".into(),
-        "small".into(),
-        "--seed".into(),
-        "42".into(),
-        "--instrs".into(),
-        INSTRS.to_string(),
-        "--interval".into(),
-        scfg.interval.to_string(),
-        "--warmup".into(),
-        scfg.warmup.to_string(),
-        "--period".into(),
-        scfg.period.to_string(),
-        "--placement".into(),
-        match scfg.placement {
-            Placement::Systematic => "systematic".into(),
-            Placement::Random => "random".into(),
-        },
-        "--sample-seed".into(),
-        scfg.seed.to_string(),
-        "--json".into(),
-    ];
-    if b.is_gap() {
-        v.push("--input".into());
-        v.push("kr".into());
-    }
-    v
+fn worker_args(b: Benchmark, t: Technique, scfg: &SampleConfig) -> Vec<String> {
+    let input = b.is_gap().then_some(GraphInput::Kr);
+    let cell = SweepCell {
+        bench: b,
+        input,
+        technique: t,
+        size: SizeClass::Small,
+        seed: 42,
+        instrs: INSTRS,
+    };
+    sample_worker_args(Path::new(env!("CARGO_BIN_EXE_dvrsim")), &cell, scfg)
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -95,10 +65,22 @@ fn sampled_via_workers(
     jobs: usize,
     tag: &str,
 ) -> SimReport {
+    let argv = worker_args(b, cfg.technique, scfg);
+    sampled_via(wl, &argv, cfg, scfg, jobs, tag)
+}
+
+/// [`sampled_via_workers`] with an explicit worker command line.
+fn sampled_via(
+    wl: &Workload,
+    argv: &[String],
+    cfg: &SimConfig,
+    scfg: &SampleConfig,
+    jobs: usize,
+    tag: &str,
+) -> SimReport {
     let dir = scratch(tag);
-    let argv = worker_argv(b, cfg.technique, scfg);
     let result = sample_emit(wl, cfg, scfg).and_then(|emit| {
-        let periods = measure_periods_via_workers(&argv, &emit.checkpoints, jobs, &dir)?;
+        let periods = measure_periods_via_workers(argv, &emit.checkpoints, jobs, &dir)?;
         Ok(merge_periods(periods, emit.total_retired, emit.halted))
     });
     let _ = std::fs::remove_dir_all(&dir);
@@ -123,8 +105,8 @@ fn all_three_dispatch_paths_are_byte_identical_on_every_benchmark() {
     }
 }
 
-/// A worker command line that cannot even parse its arguments (no
-/// `--bench`) must come back as a typed [`SampleError::Worker`] — the
+/// A worker command line that cannot even parse its arguments (no cell
+/// key) must come back as a typed [`SampleError::Worker`] — the
 /// orchestrator reaps the dead children instead of hanging on them.
 #[test]
 fn broken_worker_command_surfaces_a_typed_error() {
@@ -144,6 +126,30 @@ fn broken_worker_command_surfaces_a_typed_error() {
         }
         other => panic!("expected SampleError::Worker, got {other:?}"),
     }
+}
+
+/// A worker that dies mid-run is an infrastructure failure: the
+/// supervisor retries its period, and the merged report is still the
+/// sequential one byte for byte.
+#[test]
+fn a_killed_sample_worker_is_retried_without_changing_the_report() {
+    let b = Benchmark::Bfs;
+    let wl = &suite()[Benchmark::ALL.iter().position(|&x| x == b).expect("bfs is in the suite")];
+    let cfg = SimConfig::new(Technique::Dvr).with_max_instructions(INSTRS);
+    let scfg = SampleConfig::default();
+    // The first spawn to create the marker directory SIGKILLs itself;
+    // every other spawn (the retry included) runs the real worker.
+    let marker = scratch("killed-marker");
+    let _ = std::fs::remove_dir_all(&marker);
+    let script = format!("mkdir '{}' 2>/dev/null && kill -9 $$; exec \"$@\"", marker.display());
+    let mut argv: Vec<String> = vec!["/bin/sh".into(), "-c".into(), script, "sh".into()];
+    argv.extend(worker_args(b, cfg.technique, &scfg));
+
+    let seq = normalized_json(simulate_sampled(wl, &cfg, &scfg));
+    let procs = normalized_json(sampled_via(wl, &argv, &cfg, &scfg, 2, "killed"));
+    assert!(marker.is_dir(), "the first worker ran the kill branch");
+    let _ = std::fs::remove_dir_all(&marker);
+    assert_eq!(seq, procs, "a retried worker changed the merged report");
 }
 
 proptest! {
