@@ -140,10 +140,12 @@ fn main() {
     }
 
     // Run each experiment separately so the trajectory JSON can attribute
-    // wall seconds per figure; the concatenated stdout is byte-identical
-    // to what a single run_experiment_full("all") produces.
-    let names: Vec<&str> =
-        if experiment == "all" { EXPERIMENTS.to_vec() } else { vec![experiment.as_str()] };
+    // wall seconds per figure; "all" separates them with a blank line.
+    let names: Vec<&str> = if experiment == "all" {
+        EXPERIMENTS.iter().map(|&(name, _)| name).collect()
+    } else {
+        vec![experiment.as_str()]
+    };
     let t0 = std::time::Instant::now();
     let mut result = Experiment::default();
     let mut timings: Vec<(&str, f64)> = Vec::new();

@@ -1,9 +1,11 @@
 //! # bench — figure/table regeneration harness for the DVR reproduction
 //!
-//! One entry point per table and figure of the paper (see DESIGN.md §3).
-//! The `figures` binary drives [`run_experiment`]; `--svg DIR` additionally
-//! renders each figure as a chart via [`chart::Chart`]. The Criterion
-//! benches reuse the same experiment code on reduced inputs.
+//! One entry point per table and figure of the paper (see DESIGN.md §3),
+//! listed by name in [`EXPERIMENTS`]; each declares its cells once as a
+//! grid ([`Ctx::run_grid`]). The `figures` binary drives
+//! [`run_experiment_full`]; `--svg DIR` additionally renders each figure as
+//! a chart via [`chart::Chart`]. The Criterion benches reuse the same
+//! experiment code on reduced inputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +26,14 @@ use dvr_sim::{
 };
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
+/// A (benchmark, input) pair: one row of an experiment grid. The input is
+/// `None` for non-GAP benchmarks.
+pub type Combo = (Benchmark, Option<GraphInput>);
+
 /// One experiment cell: a (benchmark, input) pair simulated under one
-/// configuration. Experiments enumerate their cells up front so
-/// [`Ctx::run_batch`] can fan them out over worker threads.
+/// configuration. Experiments declare their cells up front as a grid
+/// ([`Ctx::run_grid`]) so [`Ctx::run_batch`] can fan them out over worker
+/// threads.
 #[derive(Clone, Copy, Debug)]
 pub struct Cell {
     /// The benchmark to run.
@@ -207,31 +214,6 @@ impl Ctx {
         SimConfig::new(t).with_max_instructions(self.instrs).with_sanitize(self.sanitize)
     }
 
-    /// Runs one (benchmark, input, technique) cell.
-    pub fn run(&mut self, b: Benchmark, g: Option<GraphInput>, t: Technique) -> SimReport {
-        let cfg = self.tcfg(t);
-        self.run_cfg(b, g, &cfg)
-    }
-
-    /// Runs with an explicit config (ROB sweeps, ablations).
-    pub fn run_cfg(&mut self, b: Benchmark, g: Option<GraphInput>, cfg: &SimConfig) -> SimReport {
-        let wl = self.workload(b, g);
-        let cell = Cell::new(b, g, *cfg);
-        let key = self.cell_cache_key(&cell, &wl);
-        if let Some(key) = key {
-            if let Some(r) = self.cache_lookup(key) {
-                self.account(std::slice::from_ref(&r));
-                return r;
-            }
-        }
-        let r = simulate_cell(&wl, cfg, self.sampling());
-        if let Some(key) = key {
-            self.cache_store(key, &r);
-        }
-        self.account(std::slice::from_ref(&r));
-        r
-    }
-
     /// The cell's content address, or `None` when it must not be cached:
     /// no cache attached, sanitizer on (its ledger is not in the payload),
     /// or a force-fail hook active.
@@ -368,6 +350,18 @@ impl Ctx {
         }
         self.account(&reports);
         reports
+    }
+
+    /// Runs every configuration on every combo as one [`Ctx::run_batch`]
+    /// and returns the reports as `grid[combo][config]`. Cells run in
+    /// combo-major order, so keep-going failures are listed that way too.
+    pub fn run_grid(&mut self, combos: &[Combo], cfgs: &[SimConfig]) -> Vec<Vec<SimReport>> {
+        let cells: Vec<Cell> = combos
+            .iter()
+            .flat_map(|&(b, g)| cfgs.iter().map(move |&cfg| Cell::new(b, g, cfg)))
+            .collect();
+        let mut reports = self.run_batch(&cells).into_iter();
+        combos.iter().map(|_| reports.by_ref().take(cfgs.len()).collect()).collect()
     }
 
     fn account(&mut self, reports: &[SimReport]) {
@@ -561,15 +555,6 @@ fn failed_report(cell: &Cell, workload_name: &str, err: SimError) -> SimReport {
     }
 }
 
-/// Normalizes an IPC against a baseline that may come from a failed cell.
-fn norm(ipc: f64, base: f64) -> f64 {
-    if base <= 0.0 {
-        0.0
-    } else {
-        ipc / base
-    }
-}
-
 /// A rendered experiment: the text report plus zero or more charts.
 #[derive(Clone, Debug, Default)]
 pub struct Experiment {
@@ -587,7 +572,7 @@ impl Experiment {
 
 /// The benchmark-input combinations of Figure 7 (GAP × 5 inputs, then the
 /// eight hpc-db benchmarks).
-pub fn fig7_combos() -> Vec<(Benchmark, Option<GraphInput>)> {
+pub fn fig7_combos() -> Vec<Combo> {
     let mut v = Vec::new();
     for b in Benchmark::GAP {
         for g in GraphInput::ALL {
@@ -602,7 +587,7 @@ pub fn fig7_combos() -> Vec<(Benchmark, Option<GraphInput>)> {
 
 /// The 13-benchmark set with GAP pinned to KR (used by Figures 2, 8, 9,
 /// 10, 11, 12 to bound runtime).
-pub fn combos_kr() -> Vec<(Benchmark, Option<GraphInput>)> {
+pub fn combos_kr() -> Vec<Combo> {
     Benchmark::ALL.iter().map(|&b| (b, b.is_gap().then_some(GraphInput::Kr))).collect()
 }
 
@@ -622,11 +607,23 @@ pub fn combo_name(b: Benchmark, g: Option<GraphInput>) -> String {
     }
 }
 
-/// All experiment names, in paper order (the paper's tables and figures,
-/// then our extensions).
-pub const EXPERIMENTS: [&str; 11] = [
-    "table1", "table2", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablation",
-    "mix",
+/// An experiment's entry point.
+pub type ExperimentFn = fn(&mut Ctx) -> Experiment;
+
+/// Every experiment, by name, in paper order (the paper's tables and
+/// figures, then our extensions).
+pub const EXPERIMENTS: [(&str, ExperimentFn); 11] = [
+    ("table1", |_| Experiment::text_only(table1())),
+    ("table2", |ctx| Experiment::text_only(table2(ctx))),
+    ("fig2", fig2),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("ablation", |ctx| Experiment::text_only(ablation(ctx))),
+    ("mix", mix_figure),
 ];
 
 /// Runs a named experiment, returning its printable report (text only).
@@ -634,39 +631,17 @@ pub fn run_experiment(name: &str, ctx: &mut Ctx) -> String {
     run_experiment_full(name, ctx).text
 }
 
-/// Runs a named experiment, returning text and charts.
-///
-/// Valid names: `table1`, `table2`, `fig2`, `fig7`, `fig8`, `fig9`,
-/// `fig10`, `fig11`, `fig12`, `ablation`, `mix`, `all`.
+/// Runs a named experiment (one of [`EXPERIMENTS`]), returning text and
+/// charts; an unknown name yields a one-line text report saying so.
 ///
 /// In keep-going mode, cells that failed during the experiment are listed
 /// in a trailing text section and their categories marked on the charts.
 pub fn run_experiment_full(name: &str, ctx: &mut Ctx) -> Experiment {
-    if name == "all" {
-        let mut out = Experiment::default();
-        for n in EXPERIMENTS {
-            let e = run_experiment_full(n, ctx);
-            out.text.push_str(&e.text);
-            out.text.push('\n');
-            out.charts.extend(e.charts);
-        }
-        return out;
-    }
-    let mark = ctx.failures.len();
-    let mut e = match name {
-        "table1" => Experiment::text_only(table1()),
-        "table2" => Experiment::text_only(table2(ctx)),
-        "fig2" => fig2(ctx),
-        "fig7" => fig7(ctx),
-        "fig8" => fig8(ctx),
-        "fig9" => fig9(ctx),
-        "fig10" => fig10(ctx),
-        "fig11" => fig11(ctx),
-        "fig12" => fig12(ctx),
-        "ablation" => Experiment::text_only(ablation(ctx)),
-        "mix" => mix_figure(ctx),
-        other => Experiment::text_only(format!("unknown experiment '{other}'\n")),
+    let Some(&(_, run)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) else {
+        return Experiment::text_only(format!("unknown experiment '{name}'\n"));
     };
+    let mark = ctx.failures.len();
+    let mut e = run(ctx);
     annotate_failures(&mut e, &ctx.failures[mark..]);
     e
 }
@@ -754,20 +729,13 @@ pub fn table2(ctx: &mut Ctx) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "== Table 2: graph inputs (scaled surrogates) ==");
     let _ = writeln!(s, "{:6} {:>10} {:>12} {:>10}", "Input", "Nodes", "Edges", "LLC MPKI");
-    let cells: Vec<Cell> = GraphInput::ALL
-        .into_iter()
-        .flat_map(|g| Benchmark::GAP.into_iter().map(move |b| (b, g)))
-        .map(|(b, g)| Cell::new(b, Some(g), ctx.tcfg(Technique::Baseline)))
-        .collect();
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    for g in GraphInput::ALL {
+    let combos: Vec<Combo> =
+        GraphInput::ALL.into_iter().flat_map(|g| Benchmark::GAP.map(|b| (b, Some(g)))).collect();
+    let grid = ctx.run_grid(&combos, &[ctx.tcfg(Technique::Baseline)]);
+    for (g, rows) in GraphInput::ALL.into_iter().zip(grid.chunks(Benchmark::GAP.len())) {
         let graph = g.generate(ctx.size.graph_scale_shift(), ctx.seed);
-        let (mut misses, mut instrs) = (0u64, 0u64);
-        for _ in Benchmark::GAP {
-            let r = rep.next().expect("one report per cell");
-            misses += r.mem.dram_demand;
-            instrs += r.core.committed;
-        }
+        let misses: u64 = rows.iter().map(|row| row[0].mem.dram_demand).sum();
+        let instrs: u64 = rows.iter().map(|row| row[0].core.committed).sum();
         let mpki = 1000.0 * misses as f64 / instrs.max(1) as f64;
         let _ = writeln!(s, "{:6} {:>10} {:>12} {:>10.1}", g.name(), graph.n, graph.m(), mpki);
     }
@@ -776,40 +744,39 @@ pub fn table2(ctx: &mut Ctx) -> String {
 
 const ROB_SWEEP: [usize; 5] = [128, 192, 224, 350, 512];
 
+/// The ROB sweep behind Figures 2 and 12: per [`combos_kr`] combo, the
+/// OoO-350 baseline plus two variant configs per [`ROB_SWEEP`] point.
+/// Returns, per point, the h-mean speedup of each variant over the
+/// baseline and the mean full-window stall fraction of the first variant.
+fn rob_sweep(ctx: &mut Ctx, variants: &[[SimConfig; 2]]) -> [Vec<f64>; 3] {
+    let mut cfgs = vec![ctx.tcfg(Technique::Baseline)];
+    cfgs.extend(variants.iter().flatten());
+    let grid = ctx.run_grid(&combos_kr(), &cfgs);
+    // Variant `v` at sweep point `i` is column `1 + 2 * i + v`.
+    let hmeans = |v: usize| -> Vec<f64> {
+        (0..variants.len())
+            .map(|i| {
+                let speedups: Vec<f64> =
+                    grid.iter().map(|row| row[1 + 2 * i + v].speedup_over(&row[0])).collect();
+                hmean(&speedups)
+            })
+            .collect()
+    };
+    let stall = (0..variants.len())
+        .map(|i| {
+            grid.iter().map(|row| row[1 + 2 * i].core.rob_full_stall_fraction()).sum::<f64>()
+                / grid.len() as f64
+        })
+        .collect();
+    [hmeans(0), hmeans(1), stall]
+}
+
 /// Figure 2: OoO & VR performance vs ROB size (normalized to OoO-350) and
 /// full-window stall fraction.
 pub fn fig2(ctx: &mut Ctx) -> Experiment {
-    let combos = combos_kr();
-    // Baseline at 350 for normalization, then the (OoO, VR) pair per ROB
-    // point per combo — all enumerated up front so the batch can fan out.
-    let mut cells: Vec<Cell> =
-        combos.iter().map(|&(b, g)| Cell::new(b, g, ctx.tcfg(Technique::Baseline))).collect();
-    for rob in ROB_SWEEP {
-        for &(b, g) in &combos {
-            cells.push(Cell::new(b, g, ctx.tcfg(Technique::Baseline).with_rob(rob)));
-            cells.push(Cell::new(b, g, ctx.tcfg(Technique::Vr).with_rob(rob)));
-        }
-    }
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    let base350: Vec<f64> = combos.iter().map(|_| rep.next().expect("baseline cell").ipc).collect();
-    let mut ooo_pts = Vec::new();
-    let mut vr_pts = Vec::new();
-    let mut stall_pts = Vec::new();
-    for _rob in ROB_SWEEP {
-        let mut ooo = Vec::new();
-        let mut vr = Vec::new();
-        let mut stall = Vec::new();
-        for (k, _) in combos.iter().enumerate() {
-            let rb = rep.next().expect("OoO cell");
-            ooo.push(norm(rb.ipc, base350[k]));
-            stall.push(rb.core.rob_full_stall_fraction());
-            let rv = rep.next().expect("VR cell");
-            vr.push(norm(rv.ipc, base350[k]));
-        }
-        ooo_pts.push(hmean(&ooo));
-        vr_pts.push(hmean(&vr));
-        stall_pts.push(stall.iter().sum::<f64>() / stall.len() as f64);
-    }
+    let variants = ROB_SWEEP
+        .map(|rob| [Technique::Baseline, Technique::Vr].map(|t| ctx.tcfg(t).with_rob(rob)));
+    let [ooo_pts, vr_pts, stall_pts] = rob_sweep(ctx, &variants);
 
     let cats: Vec<String> = ROB_SWEEP.iter().map(|r| r.to_string()).collect();
     let perf = Chart {
@@ -847,141 +814,99 @@ pub fn fig2(ctx: &mut Ctx) -> Experiment {
     Experiment { text, charts: vec![perf, stall] }
 }
 
-/// Figure 7: speedup of each technique over the baseline, per
-/// benchmark-input combination.
-pub fn fig7(ctx: &mut Ctx) -> Experiment {
-    let combos = fig7_combos();
-    let mut cells = Vec::new();
-    for &(b, g) in &combos {
-        cells.push(Cell::new(b, g, ctx.tcfg(Technique::Baseline)));
-        for &t in &Technique::FIG7 {
-            cells.push(Cell::new(b, g, ctx.tcfg(t)));
-        }
-    }
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    let mut cats = Vec::new();
-    let mut base_ipcs = Vec::new();
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); Technique::FIG7.len()];
-    for &(b, g) in &combos {
-        let base = rep.next().expect("baseline cell");
-        cats.push(combo_name(b, g));
-        base_ipcs.push(base.ipc);
-        for (i, _) in Technique::FIG7.iter().enumerate() {
-            cols[i].push(rep.next().expect("technique cell").speedup_over(&base));
-        }
-    }
+/// The speedup table behind Figures 7 and 8: per combo, each technique's
+/// speedup over the OoO baseline, an H-MEAN row and a grouped-bar chart.
+/// A column is `(technique, header, width)`; `ooo_ipc` leads with the
+/// baseline's own IPC.
+fn speedup_figure(
+    ctx: &mut Ctx,
+    combos: &[Combo],
+    cols: &[(Technique, &str, usize)],
+    ooo_ipc: bool,
+    heading: &str,
+    title: &str,
+    slug: &str,
+) -> Experiment {
+    let mut cfgs = vec![ctx.tcfg(Technique::Baseline)];
+    cfgs.extend(cols.iter().map(|&(t, ..)| ctx.tcfg(t)));
+    let grid = ctx.run_grid(combos, &cfgs);
+    let speedups: Vec<Vec<f64>> = (1..cfgs.len())
+        .map(|i| grid.iter().map(|row| row[i].speedup_over(&row[0])).collect())
+        .collect();
+    let cats: Vec<String> = combos.iter().map(|&(b, g)| combo_name(b, g)).collect();
 
-    let mut text = String::new();
-    let _ = writeln!(text, "== Figure 7: normalized performance (speedup over OoO) ==");
-    let _ = writeln!(
-        text,
-        "{:16} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7}",
-        "benchmark", "OoO-IPC", "PRE", "IMP", "VR", "DVR", "Oracle"
-    );
-    for (k, c) in cats.iter().enumerate() {
-        let mut row = format!("{:16} {:>8.3}", c, base_ipcs[k]);
-        for col in &cols {
-            let _ = write!(row, " {:>7.2}", col[k]);
+    // Built column by column: the header, one row per combo, the H-MEAN.
+    let mut header = format!("{:16}", "benchmark");
+    let mut rows: Vec<String> = cats.iter().map(|c| format!("{c:16}")).collect();
+    let mut total = format!("{:16}", "H-MEAN");
+    if ooo_ipc {
+        let _ = write!(header, " {:>8}", "OoO-IPC");
+        for (row, reports) in rows.iter_mut().zip(&grid) {
+            let _ = write!(row, " {:>8.3}", reports[0].ipc);
         }
-        let _ = writeln!(text, "{row}");
+        let _ = write!(total, " {:>8}", "");
     }
-    let mut row = format!("{:16} {:>8}", "H-MEAN", "");
-    for col in &cols {
-        let _ = write!(row, " {:>7.2}", hmean(col));
+    for (&(_, name, w), col) in cols.iter().zip(&speedups) {
+        let _ = write!(header, " {name:>w$}");
+        for (row, x) in rows.iter_mut().zip(col) {
+            let _ = write!(row, " {x:>w$.2}");
+        }
+        let _ = write!(total, " {:>w$.2}", hmean(col));
     }
-    let _ = writeln!(text, "{row}");
+    let mut text = format!("== {heading} ==\n");
+    for line in [&header].into_iter().chain(&rows).chain([&total]) {
+        let _ = writeln!(text, "{line}");
+    }
 
     let chart = Chart {
-        title: "Figure 7: speedup over the OoO baseline".into(),
+        title: title.into(),
         y_label: "speedup (x)".into(),
         categories: cats,
-        series: Technique::FIG7
+        series: cols
             .iter()
-            .zip(&cols)
-            .map(|(t, col)| Series::new(t.name(), col.clone()))
+            .zip(speedups)
+            .map(|(&(_, name, _), col)| Series::new(name, col))
             .collect(),
         kind: ChartKind::GroupedBars,
         baseline: Some(1.0),
-        slug: "fig07_performance".into(),
+        slug: slug.into(),
         failed: vec![],
     };
     Experiment { text, charts: vec![chart] }
 }
 
+/// Figure 7: speedup of each technique over the baseline, per
+/// benchmark-input combination.
+pub fn fig7(ctx: &mut Ctx) -> Experiment {
+    let cols = Technique::FIG7.map(|t| (t, t.name(), 7));
+    speedup_figure(
+        ctx,
+        &fig7_combos(),
+        &cols,
+        true,
+        "Figure 7: normalized performance (speedup over OoO)",
+        "Figure 7: speedup over the OoO baseline",
+        "fig07_performance",
+    )
+}
+
 /// Figure 8: the DVR breakdown (VR → Offload → +Discovery → +Nested).
 pub fn fig8(ctx: &mut Ctx) -> Experiment {
-    let combos = combos_kr();
-    let mut cells = Vec::new();
-    for &(b, g) in &combos {
-        cells.push(Cell::new(b, g, ctx.tcfg(Technique::Baseline)));
-        for &t in &Technique::FIG8 {
-            cells.push(Cell::new(b, g, ctx.tcfg(t)));
-        }
-    }
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    let mut cats = Vec::new();
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); Technique::FIG8.len()];
-    for &(b, g) in &combos {
-        let base = rep.next().expect("baseline cell");
-        cats.push(combo_name(b, g));
-        for (i, _) in Technique::FIG8.iter().enumerate() {
-            cols[i].push(rep.next().expect("technique cell").speedup_over(&base));
-        }
-    }
-
-    let names = ["VR", "Offload", "+Discovery", "DVR"];
-    let mut text = String::new();
-    let _ = writeln!(text, "== Figure 8: DVR breakdown (speedup over OoO) ==");
-    let _ = writeln!(
-        text,
-        "{:16} {:>7} {:>9} {:>11} {:>7}",
-        "benchmark", names[0], names[1], names[2], names[3]
-    );
-    for (k, c) in cats.iter().enumerate() {
-        let _ = writeln!(
-            text,
-            "{:16} {:>7.2} {:>9.2} {:>11.2} {:>7.2}",
-            c, cols[0][k], cols[1][k], cols[2][k], cols[3][k]
-        );
-    }
-    let _ = writeln!(
-        text,
-        "{:16} {:>7.2} {:>9.2} {:>11.2} {:>7.2}",
-        "H-MEAN",
-        hmean(&cols[0]),
-        hmean(&cols[1]),
-        hmean(&cols[2]),
-        hmean(&cols[3])
-    );
-
-    let chart = Chart {
-        title: "Figure 8: DVR breakdown (speedup over OoO)".into(),
-        y_label: "speedup (x)".into(),
-        categories: cats,
-        series: names.iter().zip(&cols).map(|(n, col)| Series::new(*n, col.clone())).collect(),
-        kind: ChartKind::GroupedBars,
-        baseline: Some(1.0),
-        slug: "fig08_breakdown".into(),
-        failed: vec![],
-    };
-    Experiment { text, charts: vec![chart] }
+    let [vr, offload, discovery, dvr] = Technique::FIG8;
+    let cols =
+        [(vr, "VR", 7), (offload, "Offload", 9), (discovery, "+Discovery", 11), (dvr, "DVR", 7)];
+    let title = "Figure 8: DVR breakdown (speedup over OoO)";
+    speedup_figure(ctx, &combos_kr(), &cols, false, title, title, "fig08_breakdown")
 }
 
 /// Figure 9: memory-level parallelism (average MSHRs in use per cycle).
 pub fn fig9(ctx: &mut Ctx) -> Experiment {
     let combos = combos_kr();
     let techs = [Technique::Baseline, Technique::Vr, Technique::Dvr];
-    let cells: Vec<Cell> =
-        combos.iter().flat_map(|&(b, g)| techs.map(|t| Cell::new(b, g, ctx.tcfg(t)))).collect();
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    let mut cats = Vec::new();
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); techs.len()];
-    for &(b, g) in &combos {
-        cats.push(combo_name(b, g));
-        for (i, _) in techs.iter().enumerate() {
-            cols[i].push(rep.next().expect("technique cell").mlp);
-        }
-    }
+    let grid = ctx.run_grid(&combos, &techs.map(|t| ctx.tcfg(t)));
+    let cats: Vec<String> = combos.iter().map(|&(b, g)| combo_name(b, g)).collect();
+    let cols: Vec<Vec<f64>> =
+        (0..techs.len()).map(|i| grid.iter().map(|row| row[i].mlp).collect()).collect();
 
     let mut text = String::new();
     let _ = writeln!(text, "== Figure 9: MLP (avg MSHRs used per cycle) ==");
@@ -1021,31 +946,22 @@ pub fn fig9(ctx: &mut Ctx) -> Experiment {
 /// runahead traffic (accuracy/coverage).
 pub fn fig10(ctx: &mut Ctx) -> Experiment {
     let combos = combos_kr();
-    let mut cats = Vec::new();
+    let techs = [Technique::Baseline, Technique::Vr, Technique::Dvr];
+    let grid = ctx.run_grid(&combos, &techs.map(|t| ctx.tcfg(t)));
+    let cats: Vec<String> = combos.iter().map(|&(b, g)| combo_name(b, g)).collect();
     // Per technique: (demand fraction, runahead fraction), normalized to
     // the baseline's total reads.
     let mut vr_demand = Vec::new();
     let mut vr_ra = Vec::new();
     let mut dvr_demand = Vec::new();
     let mut dvr_ra = Vec::new();
-    let cells: Vec<Cell> = combos
-        .iter()
-        .flat_map(|&(b, g)| {
-            [Technique::Baseline, Technique::Vr, Technique::Dvr]
-                .map(|t| Cell::new(b, g, ctx.tcfg(t)))
-        })
-        .collect();
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    for &(b, g) in &combos {
-        let base = rep.next().expect("baseline cell");
-        let vr = rep.next().expect("VR cell");
-        let dvr = rep.next().expect("DVR cell");
-        cats.push(combo_name(b, g));
-        let norm = base.mem.dram_reads().max(1) as f64;
-        vr_ra.push(vr.mem.dram_runahead() as f64 / norm);
-        vr_demand.push((vr.mem.dram_reads() - vr.mem.dram_runahead()) as f64 / norm);
-        dvr_ra.push(dvr.mem.dram_runahead() as f64 / norm);
-        dvr_demand.push((dvr.mem.dram_reads() - dvr.mem.dram_runahead()) as f64 / norm);
+    for row in &grid {
+        let (base, vr, dvr) = (&row[0], &row[1], &row[2]);
+        let base_reads = base.mem.dram_reads().max(1) as f64;
+        vr_ra.push(vr.mem.dram_runahead() as f64 / base_reads);
+        vr_demand.push((vr.mem.dram_reads() - vr.mem.dram_runahead()) as f64 / base_reads);
+        dvr_ra.push(dvr.mem.dram_runahead() as f64 / base_reads);
+        dvr_demand.push((dvr.mem.dram_reads() - dvr.mem.dram_runahead()) as f64 / base_reads);
     }
 
     let mut text = String::new();
@@ -1092,17 +1008,12 @@ pub fn fig10(ctx: &mut Ctx) -> Experiment {
 /// the prefetched lines).
 pub fn fig11(ctx: &mut Ctx) -> Experiment {
     let combos = combos_kr();
-    let mut cats = Vec::new();
+    let grid = ctx.run_grid(&combos, &[ctx.tcfg(Technique::Dvr)]);
+    let cats: Vec<String> = combos.iter().map(|&(b, g)| combo_name(b, g)).collect();
     let mut buckets: [Vec<f64>; 4] = Default::default();
-    let cells: Vec<Cell> =
-        combos.iter().map(|&(b, g)| Cell::new(b, g, ctx.tcfg(Technique::Dvr))).collect();
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    for &(b, g) in &combos {
-        let r = rep.next().expect("DVR cell");
-        cats.push(combo_name(b, g));
-        let t = r.timeliness().unwrap_or([0.0; 4]);
-        for (i, bv) in t.iter().enumerate() {
-            buckets[i].push(*bv);
+    for row in &grid {
+        for (bucket, v) in buckets.iter_mut().zip(row[0].timeliness().unwrap_or([0.0; 4])) {
+            bucket.push(v);
         }
     }
 
@@ -1145,29 +1056,11 @@ pub fn fig11(ctx: &mut Ctx) -> Experiment {
 
 /// Figure 12: DVR performance vs ROB size, normalized to OoO-350.
 pub fn fig12(ctx: &mut Ctx) -> Experiment {
-    let combos = combos_kr();
-    let mut cells: Vec<Cell> =
-        combos.iter().map(|&(b, g)| Cell::new(b, g, ctx.tcfg(Technique::Baseline))).collect();
-    for rob in ROB_SWEEP {
-        for &(b, g) in &combos {
-            cells.push(Cell::new(b, g, ctx.tcfg(Technique::Dvr).with_rob(rob)));
-            cells.push(Cell::new(b, g, ctx.tcfg(Technique::Dvr).with_scaled_backend(rob)));
-        }
-    }
-    let mut rep = ctx.run_batch(&cells).into_iter();
-    let base350: Vec<f64> = combos.iter().map(|_| rep.next().expect("baseline cell").ipc).collect();
-    let mut dvr_pts = Vec::new();
-    let mut scaled_pts = Vec::new();
-    for _rob in ROB_SWEEP {
-        let mut dvr = Vec::new();
-        let mut dvr_scaled = Vec::new();
-        for (k, _) in combos.iter().enumerate() {
-            dvr.push(norm(rep.next().expect("DVR cell").ipc, base350[k]));
-            dvr_scaled.push(norm(rep.next().expect("scaled cell").ipc, base350[k]));
-        }
-        dvr_pts.push(hmean(&dvr));
-        scaled_pts.push(hmean(&dvr_scaled));
-    }
+    let variants = ROB_SWEEP.map(|rob| {
+        let dvr = ctx.tcfg(Technique::Dvr);
+        [dvr.with_rob(rob), dvr.with_scaled_backend(rob)]
+    });
+    let [dvr_pts, scaled_pts, _] = rob_sweep(ctx, &variants);
 
     let mut text = String::new();
     let _ = writeln!(text, "== Figure 12: DVR vs ROB size (norm. to OoO-350) ==");
@@ -1192,47 +1085,27 @@ pub fn fig12(ctx: &mut Ctx) -> Experiment {
 /// Our ablations: MSHR-count and lane-count sensitivity (including the
 /// paper's Section 6.1 "wider 256-element DVR" extension).
 pub fn ablation(ctx: &mut Ctx) -> String {
-    const MSHR_COMBOS: [(Benchmark, Option<GraphInput>); 2] =
+    const MSHR_COMBOS: [Combo; 2] =
         [(Benchmark::Hj8, None), (Benchmark::Bfs, Some(GraphInput::Kr))];
     const MSHR_SWEEP: [usize; 3] = [12, 24, 48];
-    const DRAM_COMBOS: [(Benchmark, Option<GraphInput>); 2] =
-        [(Benchmark::Camel, None), (Benchmark::NasCg, None)];
-    const LANE_COMBOS: [(Benchmark, Option<GraphInput>); 3] =
+    const DRAM_COMBOS: [Combo; 2] = [(Benchmark::Camel, None), (Benchmark::NasCg, None)];
+    const LANE_COMBOS: [Combo; 3] =
         [(Benchmark::NasCg, None), (Benchmark::NasIs, None), (Benchmark::Hj8, None)];
     const LANE_SWEEP: [usize; 4] = [32, 64, 128, 256];
 
-    // All three ablation sections, enumerated in output order.
-    let mut cells = Vec::new();
-    for (b, g) in MSHR_COMBOS {
-        for mshrs in MSHR_SWEEP {
-            cells.push(Cell::new(b, g, ctx.tcfg(Technique::Dvr).with_mshrs(mshrs)));
-        }
-    }
-    for (b, g) in DRAM_COMBOS {
-        for t in [Technique::Baseline, Technique::Dvr] {
-            cells.push(Cell::new(b, g, ctx.tcfg(t)));
-            cells.push(Cell::new(b, g, ctx.tcfg(t).with_banked_dram()));
-        }
-    }
-    for (b, g) in LANE_COMBOS {
-        cells.push(Cell::new(b, g, ctx.tcfg(Technique::Baseline)));
-        cells.push(Cell::new(b, g, ctx.tcfg(Technique::Oracle)));
-        for lanes in LANE_SWEEP {
-            cells.push(Cell::new(b, g, ctx.tcfg(Technique::Dvr).with_dvr_lanes(lanes)));
-        }
-    }
-    let mut rep = ctx.run_batch(&cells).into_iter();
-
+    // One grid per section, in output order.
     let mut s = String::new();
     let _ = writeln!(s, "== Ablations: MSHR count sensitivity (DVR) ==");
     let _ = writeln!(s, "{:16} {:>8} {:>9} {:>7}", "benchmark", "MSHRs", "DVR-IPC", "MLP");
-    for (b, g) in MSHR_COMBOS {
-        for mshrs in MSHR_SWEEP {
-            let r = rep.next().expect("MSHR cell");
+    let grid =
+        ctx.run_grid(&MSHR_COMBOS, &MSHR_SWEEP.map(|m| ctx.tcfg(Technique::Dvr).with_mshrs(m)));
+    for ((b, g), row) in MSHR_COMBOS.into_iter().zip(&grid) {
+        for (mshrs, r) in MSHR_SWEEP.into_iter().zip(row) {
             let _ =
                 writeln!(s, "{:16} {:>8} {:>9.3} {:>7.2}", combo_name(b, g), mshrs, r.ipc, r.mlp);
         }
     }
+
     // Banked open-page DRAM (our extension): row-buffer locality matters
     // more for the baseline's sequential streams than for hashed chains.
     let _ = writeln!(s, "\n== Ablations: open-page banked DRAM (extension) ==");
@@ -1241,14 +1114,16 @@ pub fn ablation(ctx: &mut Ctx) -> String {
         "{:16} {:>9} {:>9} {:>11} {:>11}",
         "benchmark", "OoO-flat", "OoO-bank", "DVR-flat", "DVR-banked"
     );
-    for (b, g) in DRAM_COMBOS {
-        let mut row = format!("{:16}", combo_name(b, g));
-        for _t in [Technique::Baseline, Technique::Dvr] {
-            let flat = rep.next().expect("flat cell");
-            let banked = rep.next().expect("banked cell");
-            let _ = write!(row, " {:>9.3} {:>9.3}", flat.ipc, banked.ipc);
+    let cfgs = [Technique::Baseline, Technique::Dvr]
+        .map(|t| [ctx.tcfg(t), ctx.tcfg(t).with_banked_dram()])
+        .concat();
+    let grid = ctx.run_grid(&DRAM_COMBOS, &cfgs);
+    for ((b, g), row) in DRAM_COMBOS.into_iter().zip(&grid) {
+        let mut line = format!("{:16}", combo_name(b, g));
+        for r in row {
+            let _ = write!(line, " {:>9.3}", r.ipc);
         }
-        let _ = writeln!(s, "{row}");
+        let _ = writeln!(s, "{line}");
     }
 
     let _ = writeln!(s, "\n== Ablations: DVR lane count (Section 6.1 extension) ==");
@@ -1257,18 +1132,20 @@ pub fn ablation(ctx: &mut Ctx) -> String {
         "{:16} {:>7} {:>9} {:>9} {:>8}",
         "benchmark", "lanes", "DVR-IPC", "speedup", "Oracle"
     );
-    for (b, g) in LANE_COMBOS {
-        let base = rep.next().expect("baseline cell");
-        let oracle = rep.next().expect("oracle cell").speedup_over(&base);
-        for lanes in LANE_SWEEP {
-            let r = rep.next().expect("lane cell");
+    let mut cfgs = vec![ctx.tcfg(Technique::Baseline), ctx.tcfg(Technique::Oracle)];
+    cfgs.extend(LANE_SWEEP.map(|lanes| ctx.tcfg(Technique::Dvr).with_dvr_lanes(lanes)));
+    let grid = ctx.run_grid(&LANE_COMBOS, &cfgs);
+    for ((b, g), row) in LANE_COMBOS.into_iter().zip(&grid) {
+        let base = &row[0];
+        let oracle = row[1].speedup_over(base);
+        for (lanes, r) in LANE_SWEEP.into_iter().zip(&row[2..]) {
             let _ = writeln!(
                 s,
                 "{:16} {:>7} {:>9.3} {:>8.2}x {:>7.2}x",
                 combo_name(b, g),
                 lanes,
                 r.ipc,
-                r.speedup_over(&base),
+                r.speedup_over(base),
                 oracle
             );
         }
@@ -1285,7 +1162,7 @@ const MIX_CORES: [usize; 3] = [1, 2, 4];
 /// IPCs normalized to each program's solo IPC) and fairness (the harmonic
 /// mean of per-core slowdowns vs solo) versus core count.
 ///
-/// Solo baselines go through [`Ctx::run_batch`], so they fan out over the
+/// Solo baselines go through [`Ctx::run_grid`], so they fan out over the
 /// worker threads and are served by the result cache; the mixes themselves
 /// run on the (single-threaded, deterministic) scheduler. Mixes have no
 /// sampled mode, so sampling is suspended for this experiment — the solo
@@ -1299,7 +1176,7 @@ pub fn mix_figure(ctx: &mut Ctx) -> Experiment {
         MIX_CORES.iter().map(|&n| MixSpec::round_robin(n, Technique::Dvr)).collect();
 
     // Solo baselines for every distinct (benchmark, input) any mix uses.
-    let mut combos: Vec<(Benchmark, Option<GraphInput>)> = Vec::new();
+    let mut combos: Vec<Combo> = Vec::new();
     for spec in &specs {
         for c in &spec.cores {
             if !combos.contains(&(c.bench, c.input)) {
@@ -1307,9 +1184,7 @@ pub fn mix_figure(ctx: &mut Ctx) -> Experiment {
             }
         }
     }
-    let cells: Vec<Cell> =
-        combos.iter().map(|&(b, g)| Cell::new(b, g, ctx.tcfg(Technique::Dvr))).collect();
-    let solos = ctx.run_batch(&cells);
+    let solos = ctx.run_grid(&combos, &[ctx.tcfg(Technique::Dvr)]);
 
     let base = ctx.tcfg(Technique::Dvr);
     let mut stp_pts = Vec::new();
@@ -1322,7 +1197,7 @@ pub fn mix_figure(ctx: &mut Ctx) -> Experiment {
             .iter()
             .map(|c| {
                 let k = combos.iter().position(|&x| x == (c.bench, c.input)).expect("solo ran");
-                solos[k].clone()
+                solos[k][0].clone()
             })
             .collect();
         let eval = evaluate_mix(&mix, &solo);
@@ -1586,7 +1461,8 @@ mod tests {
             .with_sanitize(true)
             .with_result_cache(&dir)
             .expect("cache opens");
-        let r = ctx.run(Benchmark::NasIs, None, Technique::Baseline);
+        let cell = Cell::new(Benchmark::NasIs, None, ctx.tcfg(Technique::Baseline));
+        let r = ctx.run_batch(&[cell]).remove(0);
         assert!(r.sanitizer.is_some(), "sanitizer output must survive");
         assert_eq!(ctx.cache_totals(), (0, 0, 0, 0), "sanitized cells must not touch the cache");
         let _ = std::fs::remove_dir_all(&dir);

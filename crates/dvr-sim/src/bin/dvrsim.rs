@@ -69,7 +69,8 @@ options:
                         deadlocked (0 disables; default 2000000)
   --sanitize            run the cycle-model invariant sanitizer (summary on
                         stderr; stdout/JSON output is byte-identical)
-  --verbose             per-run engine detail
+  --verbose             per-run engine detail, prefetch timeliness, demand-hit
+                        levels and prefetch accuracy
   --json                emit one JSON object per run (stdout)
 
 the `lint` subcommand statically analyzes assembled programs (CFG, dataflow,
@@ -419,6 +420,23 @@ fn print_report(r: &SimReport, base_ipc: Option<f64>, verbose: bool) {
                 100.0 * t[3]
             );
         }
+        // Where demand loads hit, and how many prefetches the technique's
+        // own engine issued and what fraction of them were used.
+        let (h, inflight) = (r.mem.demand_hits, r.mem.demand_inflight);
+        let pct = |n: u64| 100.0 * n as f64 / (h.iter().sum::<u64>() + inflight).max(1) as f64;
+        let prefetch = r.prefetch_source().map_or(String::new(), |src| {
+            let acc = 100.0 * r.mem.accuracy(src).unwrap_or(0.0);
+            format!(" | prefetch {} issued, accuracy {acc:.0}%", r.mem.prefetch_issued[src.index()])
+        });
+        println!(
+            "               demand L1 {:.0}% / L2 {:.0}% / L3 {:.0}% / DRAM {:.0}% / in-flight \
+             {:.0}%{prefetch}",
+            pct(h[0]),
+            pct(h[1]),
+            pct(h[2]),
+            pct(h[3]),
+            pct(inflight)
+        );
     }
 }
 

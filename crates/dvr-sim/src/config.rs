@@ -113,11 +113,17 @@ impl SimConfig {
     }
 
     /// Overrides the ROB size, scaling IQ/LQ/SQ proportionally
-    /// (Section 6.5's scaled-back-end variant).
+    /// (Section 6.5's scaled-back-end variant). Every other core knob —
+    /// the sanitizer, the watchdog and the budgets included — is kept.
     pub fn with_scaled_backend(mut self, rob: usize) -> Self {
-        let imp = self.core.imp_prefetcher;
-        self.core = CoreConfig::with_scaled_backend(rob);
-        self.core.imp_prefetcher = imp;
+        let s = CoreConfig::with_scaled_backend(rob);
+        self.core = CoreConfig {
+            rob_size: s.rob_size,
+            iq_size: s.iq_size,
+            lq_size: s.lq_size,
+            sq_size: s.sq_size,
+            ..self.core
+        };
         self
     }
 
@@ -206,6 +212,19 @@ mod tests {
         assert_eq!(cfg.core.watchdog_cycles, 50_000);
         assert_eq!(cfg.core.max_cycles, 1_000_000);
         assert!(SimConfig::new(Technique::Baseline).hierarchy.fault.is_none());
+
+        // Scaling the back end resizes the queues and keeps every other knob.
+        let mut knobs = cfg.with_sanitize(true);
+        knobs.core.max_wall_ms = 9_000;
+        knobs.core.mem_cap_bytes = 1 << 30;
+        let scaled = knobs.with_scaled_backend(128);
+        assert_eq!(scaled.core.rob_size, 128);
+        assert!(scaled.core.iq_size < knobs.core.iq_size);
+        assert!(scaled.core.sanitize);
+        assert_eq!(scaled.core.watchdog_cycles, 50_000);
+        assert_eq!(scaled.core.max_cycles, 1_000_000);
+        assert_eq!(scaled.core.max_wall_ms, 9_000);
+        assert_eq!(scaled.core.mem_cap_bytes, 1 << 30);
     }
 
     #[test]

@@ -180,17 +180,25 @@ impl SimReport {
         }
     }
 
+    /// The prefetch source of this run's technique; `None` for the
+    /// baseline and the Oracle, which have no prefetching engine of their
+    /// own.
+    pub fn prefetch_source(&self) -> Option<PrefetchSource> {
+        match self.technique {
+            Technique::Pre => Some(PrefetchSource::Pre),
+            Technique::Imp => Some(PrefetchSource::Imp),
+            Technique::Vr => Some(PrefetchSource::Vr),
+            Technique::Dvr | Technique::DvrOffload | Technique::DvrDiscovery => {
+                Some(PrefetchSource::Dvr)
+            }
+            Technique::Baseline | Technique::Oracle => None,
+        }
+    }
+
     /// Timeliness buckets (L1/L2/L3/off-chip fractions) for this
     /// technique's own prefetch source, if it issued any (Figure 11).
     pub fn timeliness(&self) -> Option<[f64; 4]> {
-        let src = match self.technique {
-            Technique::Pre => PrefetchSource::Pre,
-            Technique::Imp => PrefetchSource::Imp,
-            Technique::Vr => PrefetchSource::Vr,
-            Technique::Dvr | Technique::DvrOffload | Technique::DvrDiscovery => PrefetchSource::Dvr,
-            Technique::Baseline | Technique::Oracle => return None,
-        };
-        self.mem.timeliness(src)
+        self.mem.timeliness(self.prefetch_source()?)
     }
 
     /// LLC misses per kilo-instruction (Table 2's MPKI column).

@@ -313,8 +313,8 @@ impl MemoryCheckpoint {
         if bytes.len() < 12 || bytes[..4] != MEM_CKPT_MAGIC.to_le_bytes() {
             return None;
         }
-        let n = u64::from_le_bytes(bytes[4..12].try_into().unwrap()) as usize;
-        if bytes.len() != 12 + n * (8 + PAGE_SIZE) {
+        let n = usize::try_from(u64::from_le_bytes(bytes[4..12].try_into().unwrap())).ok()?;
+        if Some(bytes.len()) != n.checked_mul(8 + PAGE_SIZE).and_then(|b| b.checked_add(12)) {
             return None;
         }
         let mut pages = Vec::with_capacity(n);
@@ -504,5 +504,10 @@ mod tests {
         assert!(MemoryCheckpoint::from_bytes(&bytes[..4]).is_none());
         bytes[0] ^= 0xff;
         assert!(MemoryCheckpoint::from_bytes(&bytes).is_none());
+        // A page count whose byte length overflows: a typed `None`, never a
+        // multiply overflow or a capacity-overflow panic.
+        let mut huge = MEM_CKPT_MAGIC.to_le_bytes().to_vec();
+        huge.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(MemoryCheckpoint::from_bytes(&huge).is_none());
     }
 }

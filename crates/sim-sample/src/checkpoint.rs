@@ -120,7 +120,7 @@ fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
 }
 
 fn take<'a>(b: &'a [u8], off: &mut usize, n: usize) -> Option<&'a [u8]> {
-    let s = b.get(*off..*off + n)?;
+    let s = b.get(*off..off.checked_add(n)?)?;
     *off += n;
     Some(s)
 }
@@ -272,6 +272,23 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.extend_from_slice(&[0, 0]);
         assert_eq!(fail(&trailing), E::TrailingBytes { extra: 2 });
+
+        // A blob length near u64::MAX must not overflow the offset.
+        let mut huge_blob = bytes[..24].to_vec();
+        huge_blob.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
+        assert_eq!(fail(&huge_blob), E::Truncated { field: "cpu" });
+
+        // An embedded memory image claiming 2^61 pages is rejected by its
+        // own validation, not by an overflow panic.
+        let ck = sample_checkpoint();
+        let mut crafted = bytes[..24].to_vec();
+        put_blob(&mut crafted, &ck.cpu.to_bytes());
+        let mut mem = ck.mem.to_bytes()[..4].to_vec();
+        mem.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        put_blob(&mut crafted, &mem);
+        put_blob(&mut crafted, &ck.warm_mem);
+        put_blob(&mut crafted, &ck.warm_bp);
+        assert_eq!(fail(&crafted), E::BadEmbedded { field: "mem" });
     }
 
     #[test]

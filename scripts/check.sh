@@ -40,6 +40,16 @@ if cargo run -q -p bench --bin figures -- fig9 --size test --instrs 10000 \
   echo "fail-fast run unexpectedly succeeded"; exit 1
 fi
 
+echo "== figures-golden: every experiment at --threads 4 matches the golden text =="
+# The cli test pins the serial text of every experiment; the same run
+# fanned over four worker threads must print the same bytes.
+figs4="$(mktemp)"
+cargo run -q -p bench --bin figures -- all --size test --instrs 5000 --threads 4 \
+    >"$figs4" 2>/dev/null
+diff -u tests/golden/figures_test.txt "$figs4" \
+    || { echo "figures all --threads 4 diverged from tests/golden/figures_test.txt"; exit 1; }
+rm -f "$figs4"
+
 echo "== lint-workloads: dvrsim lint --all must report zero errors =="
 lint_out="$(cargo run -q -p dvr-sim --bin dvrsim -- lint --all)"
 echo "$lint_out" | grep -q ', 0 errors,' || { echo "lint reported errors:"; echo "$lint_out"; exit 1; }
