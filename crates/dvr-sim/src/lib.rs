@@ -72,7 +72,7 @@ pub use sim_multi::{Component, ComponentId, Scheduler, SchedulerStats, Tick};
 pub use sim_ooo::SanitizeReport;
 pub use sim_ooo::{CoreConfig, CoreStats, DeadlockSnapshot, NullEngine, OooCore, SimError};
 pub use sim_sample::{
-    merge_periods, CheckpointDecodeError, EmitResult, PeriodCheckpoint, PeriodResult, Placement,
-    SampleConfig, SampleError, SampledReport, SampledRun,
+    merge_periods, EmitResult, PeriodCheckpoint, PeriodResult, Placement, SampleConfig,
+    SampleError, SampledReport, SampledRun,
 };
 pub use workloads::{Benchmark, GraphInput, SizeClass, Workload};

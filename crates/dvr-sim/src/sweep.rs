@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+use sim_isa::bytes::{put_str, DecodeError, Reader};
 use sim_sample::{Placement, SampleConfig};
 use sim_sweep::{CellRunner, Digest128, Hasher};
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
@@ -38,7 +39,8 @@ pub const CACHE_CODE_VERSION: u32 = 1;
 /// Version tag of the binary report payload.
 pub const REPORT_CODEC_VERSION: u32 = 1;
 
-const REPORT_MAGIC: &[u8; 4] = b"DVRR";
+/// Opens every report payload: the bytes `DVRR`, read as a little-endian word.
+const REPORT_MAGIC: u32 = 0x5252_5644;
 
 /// All techniques in a stable order (codec indices and `all` grids).
 pub const ALL_TECHNIQUES: [Technique; 8] = [
@@ -234,23 +236,6 @@ impl SweepCell {
 // Binary report codec
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Encodes a **completed** report as a self-describing binary payload.
 ///
 /// Full fidelity where [`SimReport::to_json`] is lossy: every counter
@@ -267,149 +252,85 @@ pub fn encode_report(r: &SimReport) -> Result<Vec<u8>, String> {
         return Err(format!("refusing to encode failed report ({})", e.kind()));
     }
     let mut out = Vec::with_capacity(512);
-    out.extend_from_slice(REPORT_MAGIC);
-    put_u32(&mut out, REPORT_CODEC_VERSION);
+    out.extend_from_slice(&REPORT_MAGIC.to_le_bytes());
+    out.extend_from_slice(&REPORT_CODEC_VERSION.to_le_bytes());
     let tech =
         ALL_TECHNIQUES.iter().position(|&t| t == r.technique).expect("every technique is indexed");
     out.push(tech as u8);
     put_str(&mut out, &r.workload);
-    for v in r.core.to_flat() {
-        put_u64(&mut out, v);
-    }
-    for v in r.mem.to_flat() {
-        put_u64(&mut out, v);
-    }
-    put_f64(&mut out, r.ipc);
-    put_f64(&mut out, r.mlp);
-    put_u64(&mut out, r.simulated_instructions);
+    // Every counter and float travels as one little-endian `u64` word.
+    let put = |out: &mut Vec<u8>, words: &[u64]| {
+        words.iter().for_each(|w| out.extend_from_slice(&w.to_le_bytes()));
+    };
+    put(&mut out, &r.core.to_flat());
+    put(&mut out, &r.mem.to_flat());
+    put(&mut out, &[r.ipc.to_bits(), r.mlp.to_bits(), r.simulated_instructions]);
     match &r.sampling {
         None => out.push(0),
         Some(s) => {
             out.push(1);
-            put_u64(&mut out, s.intervals as u64);
-            put_u64(&mut out, s.interval_len);
-            put_u64(&mut out, s.warmup_len);
-            put_u64(&mut out, s.period);
+            put(&mut out, &[s.intervals as u64, s.interval_len, s.warmup_len, s.period]);
             out.push(u8::from(s.placement == Placement::Random.name()));
-            put_u64(&mut out, s.seed);
-            put_f64(&mut out, s.ipc_mean);
-            put_f64(&mut out, s.ipc_variance);
-            put_f64(&mut out, s.ipc_ci95);
-            put_f64(&mut out, s.mlp_mean);
-            put_u64(&mut out, s.detailed_instructions);
-            put_u64(&mut out, s.warmup_instructions);
-            put_u64(&mut out, s.ffwd_instructions);
+            put(&mut out, &[s.seed, s.ipc_mean.to_bits(), s.ipc_variance.to_bits()]);
+            put(&mut out, &[s.ipc_ci95.to_bits(), s.mlp_mean.to_bits(), s.detailed_instructions]);
+            put(&mut out, &[s.warmup_instructions, s.ffwd_instructions]);
         }
     }
-    put_u64(&mut out, r.engine.episodes);
-    put_u64(&mut out, r.engine.runahead_loads);
-    put_u64(&mut out, r.engine.nested_episodes);
-    put_u64(&mut out, r.engine.lanes_lost);
-    put_str(&mut out, &r.engine.detail);
+    let e = &r.engine;
+    put(&mut out, &[e.episodes, e.runahead_loads, e.nested_episodes, e.lanes_lost]);
+    put_str(&mut out, &e.detail);
     Ok(out)
-}
-
-struct Cursor<'a> {
-    raw: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        if self.raw.len() - self.i < n {
-            return Err(format!("truncated payload at {what} (byte {})", self.i));
-        }
-        let s = &self.raw[self.i..self.i + n];
-        self.i += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, String> {
-        let len = self.u32(what)? as usize;
-        String::from_utf8(self.take(len, what)?.to_vec()).map_err(|_| format!("non-UTF-8 {what}"))
-    }
-
-    fn flats(&mut self, n: usize, what: &str) -> Result<Vec<u64>, String> {
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64(what)?);
-        }
-        Ok(v)
-    }
 }
 
 /// Decodes an [`encode_report`] payload back to a [`SimReport`]
 /// (outcome `Complete`, `host_seconds` zero, no side-band state).
 pub fn decode_report(raw: &[u8]) -> Result<SimReport, String> {
-    let mut c = Cursor { raw, i: 0 };
-    if c.take(4, "magic")? != REPORT_MAGIC {
-        return Err("bad report magic".into());
-    }
-    let version = c.u32("version")?;
-    if version != REPORT_CODEC_VERSION {
-        return Err(format!("unknown report codec version {version}"));
-    }
-    let tech = c.u8("technique")? as usize;
-    let technique =
-        *ALL_TECHNIQUES.get(tech).ok_or_else(|| format!("bad technique index {tech}"))?;
-    let workload = c.str("workload")?;
-    let core = sim_ooo::CoreStats::from_flat(&c.flats(sim_ooo::CoreStats::FLAT_LEN, "core")?)
-        .ok_or("bad core stats")?;
-    let mem = sim_mem::MemStats::from_flat(&c.flats(sim_mem::MemStats::FLAT_LEN, "mem")?)
-        .ok_or("bad mem stats")?;
-    let ipc = c.f64("ipc")?;
-    let mlp = c.f64("mlp")?;
-    let simulated_instructions = c.u64("simulated_instructions")?;
-    let sampling = match c.u8("sampling flag")? {
-        0 => None,
-        1 => Some(SamplingSummary {
-            intervals: c.u64("intervals")? as usize,
-            interval_len: c.u64("interval_len")?,
-            warmup_len: c.u64("warmup_len")?,
-            period: c.u64("period")?,
-            placement: if c.u8("placement")? == 1 {
-                Placement::Random
-            } else {
-                Placement::Systematic
-            }
-            .name(),
-            seed: c.u64("seed")?,
-            ipc_mean: c.f64("ipc_mean")?,
-            ipc_variance: c.f64("ipc_variance")?,
-            ipc_ci95: c.f64("ipc_ci95")?,
-            mlp_mean: c.f64("mlp_mean")?,
-            detailed_instructions: c.u64("detailed_instructions")?,
-            warmup_instructions: c.u64("warmup_instructions")?,
-            ffwd_instructions: c.u64("ffwd_instructions")?,
-        }),
-        other => return Err(format!("bad sampling flag {other}")),
+    read_report(&mut Reader::new(raw)).map_err(|e| format!("report payload: {e}"))
+}
+
+fn read_report(r: &mut Reader<'_>) -> Result<SimReport, DecodeError> {
+    r.magic(REPORT_MAGIC)?;
+    r.version(REPORT_CODEC_VERSION)?;
+    let technique = *ALL_TECHNIQUES
+        .get(usize::from(r.u8("technique")?))
+        .ok_or(DecodeError::Invalid { field: "technique" })?;
+    let workload = r.str("workload")?.to_string();
+    let mut flats = |n: usize, field| (0..n).map(|_| r.u64(field)).collect::<Result<Vec<_>, _>>();
+    let core = sim_ooo::CoreStats::from_flat(&flats(sim_ooo::CoreStats::FLAT_LEN, "core")?)
+        .ok_or(DecodeError::Invalid { field: "core" })?;
+    let mem = sim_mem::MemStats::from_flat(&flats(sim_mem::MemStats::FLAT_LEN, "mem")?)
+        .ok_or(DecodeError::Invalid { field: "mem" })?;
+    let ipc = r.f64("ipc")?;
+    let mlp = r.f64("mlp")?;
+    let simulated_instructions = r.u64("simulated_instructions")?;
+    let sampling = if r.bool("sampling flag")? {
+        Some(SamplingSummary {
+            intervals: r.u64("intervals")? as usize,
+            interval_len: r.u64("interval_len")?,
+            warmup_len: r.u64("warmup_len")?,
+            period: r.u64("period")?,
+            placement: if r.bool("placement")? { Placement::Random } else { Placement::Systematic }
+                .name(),
+            seed: r.u64("seed")?,
+            ipc_mean: r.f64("ipc_mean")?,
+            ipc_variance: r.f64("ipc_variance")?,
+            ipc_ci95: r.f64("ipc_ci95")?,
+            mlp_mean: r.f64("mlp_mean")?,
+            detailed_instructions: r.u64("detailed_instructions")?,
+            warmup_instructions: r.u64("warmup_instructions")?,
+            ffwd_instructions: r.u64("ffwd_instructions")?,
+        })
+    } else {
+        None
     };
     let engine = crate::report::EngineSummary {
-        episodes: c.u64("episodes")?,
-        runahead_loads: c.u64("runahead_loads")?,
-        nested_episodes: c.u64("nested_episodes")?,
-        lanes_lost: c.u64("lanes_lost")?,
-        detail: c.str("detail")?,
+        episodes: r.u64("episodes")?,
+        runahead_loads: r.u64("runahead_loads")?,
+        nested_episodes: r.u64("nested_episodes")?,
+        lanes_lost: r.u64("lanes_lost")?,
+        detail: r.str("detail")?.to_string(),
     };
-    if c.i != raw.len() {
-        return Err(format!("{} trailing byte(s)", raw.len() - c.i));
-    }
+    r.finish()?;
     Ok(SimReport {
         technique,
         workload,
@@ -646,6 +567,15 @@ mod tests {
         let mut extra = payload.clone();
         extra.push(0);
         assert!(decode_report(&extra).unwrap_err().contains("trailing"));
+        // The placement byte is 0 or 1; any other value is rejected, not
+        // read as systematic.
+        let mut systematic = fat_report();
+        systematic.sampling.as_mut().unwrap().placement = "systematic";
+        let other = encode_report(&systematic).unwrap();
+        let at = payload.iter().zip(&other).position(|(a, b)| a != b).unwrap();
+        let mut placement = payload.clone();
+        placement[at] = 2;
+        assert!(decode_report(&placement).unwrap_err().contains("`placement`"));
         let mut vers = payload;
         vers[4] = 99;
         assert!(decode_report(&vers).unwrap_err().contains("version"));

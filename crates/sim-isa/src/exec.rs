@@ -4,6 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::bytes::{DecodeError, Reader};
 use crate::fxhash::FxHashMap;
 use crate::instr::{Instr, Program};
 use crate::mem::SparseMemory;
@@ -521,26 +522,17 @@ impl CpuCheckpoint {
     }
 
     /// Deserializes a checkpoint produced by [`CpuCheckpoint::to_bytes`].
-    /// Returns `None` on a truncated or foreign byte image.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let expect = 4 + NUM_REGS * 8 + 8 + 1 + 8;
-        if bytes.len() != expect || bytes[..4] != CPU_CKPT_MAGIC.to_le_bytes() {
-            return None;
-        }
-        let mut off = 4;
-        let mut u64_at = |bytes: &[u8]| {
-            let v = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-            off += 8;
-            v
-        };
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        r.magic(CPU_CKPT_MAGIC)?;
         let mut regs = [0u64; NUM_REGS];
-        for r in &mut regs {
-            *r = u64_at(bytes);
+        for reg in &mut regs {
+            *reg = r.u64("regs")?;
         }
-        let pc = u64_at(bytes) as usize;
-        let halted = bytes[off] != 0;
-        let retired = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap());
-        Some(CpuCheckpoint { regs, pc, halted, retired })
+        let pc = r.u64("pc")? as usize;
+        let ck = CpuCheckpoint { regs, pc, halted: r.bool("halted")?, retired: r.u64("retired")? };
+        r.finish()?;
+        Ok(ck)
     }
 }
 
@@ -738,9 +730,17 @@ mod tests {
     fn checkpoint_bytes_reject_corruption() {
         let ck = Cpu::new().checkpoint();
         let mut bytes = ck.to_bytes();
-        assert!(CpuCheckpoint::from_bytes(&bytes[1..]).is_none());
+        assert!(CpuCheckpoint::from_bytes(&bytes[1..]).is_err());
+        // The halted flag is 0 or 1; any other byte is not an encoder's.
+        let halted = 4 + NUM_REGS * 8 + 8;
+        bytes[halted] = 2;
+        assert_eq!(
+            CpuCheckpoint::from_bytes(&bytes),
+            Err(DecodeError::Invalid { field: "halted" })
+        );
+        bytes[halted] = 0;
         bytes[0] ^= 0xff;
-        assert!(CpuCheckpoint::from_bytes(&bytes).is_none());
+        assert!(CpuCheckpoint::from_bytes(&bytes).is_err());
     }
 
     #[test]

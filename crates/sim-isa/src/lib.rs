@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 
 mod asm;
+pub mod bytes;
 mod exec;
 pub mod fxhash;
 mod instr;

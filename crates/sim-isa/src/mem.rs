@@ -3,6 +3,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::bytes::{ensure, DecodeError, Reader};
 use crate::fxhash::FxHashMap;
 
 const PAGE_SHIFT: u32 = 12;
@@ -307,26 +308,24 @@ impl MemoryCheckpoint {
         out
     }
 
-    /// Deserializes a delta produced by [`MemoryCheckpoint::to_bytes`].
-    /// Returns `None` on a truncated or foreign byte image.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 12 || bytes[..4] != MEM_CKPT_MAGIC.to_le_bytes() {
-            return None;
-        }
-        let n = usize::try_from(u64::from_le_bytes(bytes[4..12].try_into().unwrap())).ok()?;
-        if Some(bytes.len()) != n.checked_mul(8 + PAGE_SIZE).and_then(|b| b.checked_add(12)) {
-            return None;
-        }
-        let mut pages = Vec::with_capacity(n);
-        let mut off = 12;
+    /// Deserializes a delta produced by [`MemoryCheckpoint::to_bytes`]. Pages
+    /// must come in strictly ascending order, as the encoder writes them.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(bytes);
+        r.magic(MEM_CKPT_MAGIC)?;
+        // An untrusted count sizes no allocation: pages push as they parse.
+        let n = r.u64("pages")?;
+        let mut pages: Vec<(u64, Box<[u8; PAGE_SIZE]>)> = Vec::new();
         for _ in 0..n {
-            let page = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+            let page = r.u64("page")?;
+            ensure(page <= u64::MAX >> PAGE_SHIFT, "page")?;
+            ensure(pages.last().is_none_or(|&(last, _)| last < page), "page")?;
             let mut payload = Box::new([0u8; PAGE_SIZE]);
-            payload.copy_from_slice(&bytes[off + 8..off + 8 + PAGE_SIZE]);
+            payload.copy_from_slice(r.take(PAGE_SIZE, "page bytes")?);
             pages.push((page, payload));
-            off += 8 + PAGE_SIZE;
         }
-        Some(MemoryCheckpoint { pages })
+        r.finish()?;
+        Ok(MemoryCheckpoint { pages })
     }
 }
 
@@ -501,13 +500,24 @@ mod tests {
         let mem = SparseMemory::new();
         let delta = mem.checkpoint_delta(&mem);
         let mut bytes = delta.to_bytes();
-        assert!(MemoryCheckpoint::from_bytes(&bytes[..4]).is_none());
+        assert!(MemoryCheckpoint::from_bytes(&bytes[..4]).is_err());
         bytes[0] ^= 0xff;
-        assert!(MemoryCheckpoint::from_bytes(&bytes).is_none());
-        // A page count whose byte length overflows: a typed `None`, never a
+        assert!(MemoryCheckpoint::from_bytes(&bytes).is_err());
+        // A page count whose byte length overflows: a typed error, never a
         // multiply overflow or a capacity-overflow panic.
         let mut huge = MEM_CKPT_MAGIC.to_le_bytes().to_vec();
         huge.extend_from_slice(&(1u64 << 61).to_le_bytes());
-        assert!(MemoryCheckpoint::from_bytes(&huge).is_none());
+        assert!(MemoryCheckpoint::from_bytes(&huge).is_err());
+        // Pages come strictly ascending; a repeated page is not an encoder's.
+        let mut twice = MEM_CKPT_MAGIC.to_le_bytes().to_vec();
+        twice.extend_from_slice(&2u64.to_le_bytes());
+        for _ in 0..2 {
+            twice.extend_from_slice(&5u64.to_le_bytes());
+            twice.extend_from_slice(&[0; PAGE_SIZE]);
+        }
+        assert_eq!(
+            MemoryCheckpoint::from_bytes(&twice),
+            Err(DecodeError::Invalid { field: "page" })
+        );
     }
 }

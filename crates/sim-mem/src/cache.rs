@@ -1,5 +1,7 @@
 //! A set-associative, LRU, write-back cache tag array.
 
+use sim_isa::bytes::{ensure, DecodeError, Reader};
+
 use crate::LINE_BYTES;
 
 /// Geometry and access latency of one cache level.
@@ -213,38 +215,32 @@ impl Cache {
         }
     }
 
-    /// Restores a [`Cache::save_state`] image into this cache, consuming
-    /// bytes from `b` starting at `*off` and advancing it past the image.
+    /// Restores a [`Cache::save_state`] image into this cache from `r`.
     ///
-    /// Returns `None` (leaving the cache in an unspecified state) if the
-    /// image is truncated, a way index is out of range for this geometry,
-    /// or a flag byte is malformed.
-    pub fn load_state(&mut self, b: &[u8], off: &mut usize) -> Option<()> {
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let s = b.get(*off..*off + n)?;
-            *off += n;
-            Some(s)
-        };
-        self.tick = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        let valid = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        for w in &mut self.ways {
-            *w = Way::default();
-        }
+    /// Fails (leaving the cache in an unspecified state) if the image is
+    /// truncated, or holds what [`Cache::save_state`] never writes for this
+    /// geometry: way indices out of range or not strictly ascending, a line
+    /// in the wrong set, an LRU stamp ahead of the tick, or a flag byte
+    /// other than 0 or 1.
+    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.tick = r.u64("tick")?;
+        let valid = r.u64("valid lines")?;
+        self.ways.fill(Way::default());
+        let mut next = 0; // the lowest way index the next line may take
         for _ in 0..valid {
-            let idx = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-            let tag = u64::from_le_bytes(take(8)?.try_into().ok()?);
-            let lru = u64::from_le_bytes(take(8)?.try_into().ok()?);
-            let dirty = match take(1)?[0] {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            if idx >= self.ways.len() {
-                return None;
-            }
+            // One bounds check per way record (index, tag, LRU stamp, dirty
+            // flag); its fields then come from a local reader, which the
+            // compiler keeps in registers across this per-line loop.
+            let mut way = Reader::new(r.take(4 + 8 + 8 + 1, "way")?);
+            let idx = way.u32("way")? as usize;
+            ensure(idx >= next && idx < self.ways.len(), "way")?;
+            let (tag, lru, dirty) = (way.u64("tag")?, way.u64("lru")?, way.bool("dirty")?);
+            ensure(self.set_range(tag).contains(&idx), "tag")?;
+            ensure(lru <= self.tick, "lru")?;
             self.ways[idx] = Way { tag, valid: true, dirty, lru, ready_at: 0 };
+            next = idx + 1;
         }
-        Some(())
+        Ok(())
     }
 
     /// Read-only structural self-check for the `--sanitize` mode: every

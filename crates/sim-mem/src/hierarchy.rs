@@ -4,6 +4,7 @@ use std::cell::Ref;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use sim_isa::bytes::{DecodeError, Reader};
 use sim_isa::{lane_taint_step, BoundsTracker, FxHashMap, Instr, Program};
 
 use crate::cache::{Cache, CacheConfig};
@@ -668,23 +669,17 @@ impl MemoryHierarchy {
     /// and statistics start empty, exactly as after the functional pass
     /// that produced the image.
     ///
-    /// Returns `None` if the image is malformed, was produced under a
-    /// different cache geometry, or carries trailing bytes.
-    pub fn from_warm_state(cfg: HierarchyConfig, b: &[u8]) -> Option<Self> {
+    /// Fails if the image is malformed, was produced under a different
+    /// cache geometry, or carries trailing bytes.
+    pub fn from_warm_state(cfg: HierarchyConfig, b: &[u8]) -> Result<Self, DecodeError> {
         let mut h = MemoryHierarchy::new(cfg);
-        let mut off = 0usize;
-        let magic = u32::from_le_bytes(b.get(..4)?.try_into().ok()?);
-        if magic != WARM_STATE_MAGIC {
-            return None;
-        }
-        off += 4;
-        h.l1.load_state(b, &mut off)?;
-        h.l2.load_state(b, &mut off)?;
-        h.shared.borrow_mut().load_l3(b, &mut off)?;
-        if off != b.len() {
-            return None;
-        }
-        Some(h)
+        let mut r = Reader::new(b);
+        r.magic(WARM_STATE_MAGIC)?;
+        h.l1.load_state(&mut r)?;
+        h.l2.load_state(&mut r)?;
+        h.shared.borrow_mut().load_l3(&mut r)?;
+        r.finish()?;
+        Ok(h)
     }
 
     /// Drains all in-flight timing state at a sampling interval boundary:
@@ -1029,13 +1024,29 @@ mod tests {
         let mut m = hier();
         m.warm_touch(0x4000, true);
         let bytes = m.warm_state_bytes();
-        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &bytes[1..]).is_none());
+        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &bytes[1..]).is_err());
         let mut truncated = bytes.clone();
         truncated.pop();
-        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &truncated).is_none());
+        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &truncated).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &trailing).is_none());
+        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &trailing).is_err());
+        // Way indices are strictly ascending, and each line sits in its own
+        // set: a repeated, reordered or misplaced L1 line is not an encoder's.
+        // The L1 lines start after the magic, tick and count, 21 bytes each.
+        m.warm_touch(0x4040, false);
+        let bytes = m.warm_state_bytes();
+        let (first, second) = (20..41, 41..62);
+        let load = |b: &[u8]| MemoryHierarchy::from_warm_state(HierarchyConfig::default(), b);
+        let mut repeated = bytes.clone();
+        repeated.copy_within(first.clone(), second.start);
+        assert_eq!(load(&repeated).err(), Some(DecodeError::Invalid { field: "way" }));
+        let mut reordered = bytes.clone();
+        reordered[first.start..second.end].rotate_left(21);
+        assert_eq!(load(&reordered).err(), Some(DecodeError::Invalid { field: "way" }));
+        let mut misplaced = bytes;
+        misplaced[first.start + 4] ^= 1; // the tag's low bit picks the set
+        assert_eq!(load(&misplaced).err(), Some(DecodeError::Invalid { field: "tag" }));
         // A smaller geometry makes the saved way indices out of range.
         let tiny = HierarchyConfig {
             l1: CacheConfig { size_bytes: 4 * crate::LINE_BYTES, assoc: 1, latency: 1 },
@@ -1047,7 +1058,7 @@ mod tests {
         for i in 0..100_000u64 {
             big.warm_touch(i * 64, false);
         }
-        assert!(MemoryHierarchy::from_warm_state(tiny, &big.warm_state_bytes()).is_none());
+        assert!(MemoryHierarchy::from_warm_state(tiny, &big.warm_state_bytes()).is_err());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use sim_isa::bytes::{DecodeError, Reader};
 use sim_isa::FxHashMap;
 
 use crate::cache::{Cache, CacheConfig, Probe};
@@ -212,8 +213,8 @@ impl SharedLlc {
     }
 
     /// Restores the L3 tag array from a warm-state image segment.
-    pub(crate) fn load_l3(&mut self, b: &[u8], off: &mut usize) -> Option<()> {
-        self.l3.load_state(b, off)
+    pub(crate) fn load_l3(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        self.l3.load_state(r)
     }
 
     /// Drains in-flight timing state (sampling interval boundaries).

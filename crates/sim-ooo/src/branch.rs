@@ -12,6 +12,8 @@
 //! A [`LoopPredictor`](crate::LoopPredictor) (the "L" of TAGE-SC-L)
 //! overrides TAGE for branches governing loops with stable trip counts.
 
+use sim_isa::bytes::{ensure, DecodeError, Reader};
+
 /// Configuration of the TAGE predictor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TageConfig {
@@ -40,6 +42,13 @@ impl Default for TageConfig {
 /// `"DVRT"`: magic prefix of a serialized predictor image
 /// ([`TagePredictor::state_bytes`]).
 pub const TAGE_STATE_MAGIC: u32 = 0x4456_5254;
+
+/// The configuration words that follow the magic in a
+/// [`TagePredictor::state_bytes`] image.
+fn config_words(cfg: &TageConfig) -> [u32; 7] {
+    let [h0, h1, h2, h3] = cfg.history_lengths;
+    [cfg.base_bits, cfg.tagged_bits, cfg.tag_bits, h0, h1, h2, h3]
+}
 
 #[derive(Clone, Copy, Debug, Default)]
 struct TaggedEntry {
@@ -241,11 +250,8 @@ impl TagePredictor {
     pub fn state_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&TAGE_STATE_MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.cfg.base_bits.to_le_bytes());
-        out.extend_from_slice(&self.cfg.tagged_bits.to_le_bytes());
-        out.extend_from_slice(&self.cfg.tag_bits.to_le_bytes());
-        for hl in self.cfg.history_lengths {
-            out.extend_from_slice(&hl.to_le_bytes());
+        for w in config_words(&self.cfg) {
+            out.extend_from_slice(&w.to_le_bytes());
         }
         out.extend_from_slice(&self.ghist.to_le_bytes());
         out.extend_from_slice(&self.tick.to_le_bytes());
@@ -263,50 +269,32 @@ impl TagePredictor {
         out
     }
 
-    /// Rebuilds a predictor from a [`TagePredictor::state_bytes`] image.
-    /// Returns `None` if the image is truncated, has a bad magic number,
-    /// an implausible configuration, or trailing bytes.
-    pub fn from_state_bytes(b: &[u8]) -> Option<Self> {
-        let mut off = 0usize;
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let s = b.get(off..off + n)?;
-            off += n;
-            Some(s)
-        };
-        let magic = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        if magic != TAGE_STATE_MAGIC {
-            return None;
+    /// Rebuilds a predictor of geometry `cfg` from a
+    /// [`TagePredictor::state_bytes`] image. The image's configuration must
+    /// be `cfg`, checked before anything is allocated, and every counter in
+    /// the range the predictor keeps it in.
+    pub fn from_state_bytes(cfg: TageConfig, b: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(b);
+        r.magic(TAGE_STATE_MAGIC)?;
+        for want in config_words(&cfg) {
+            ensure(r.u32("config")? == want, "config")?;
         }
-        let base_bits = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        let tagged_bits = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        let tag_bits = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        if base_bits > 24 || tagged_bits > 24 || tag_bits == 0 || tag_bits > 16 {
-            return None;
-        }
-        let mut history_lengths = [0u32; 4];
-        for hl in &mut history_lengths {
-            *hl = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        }
-        let cfg = TageConfig { base_bits, tagged_bits, tag_bits, history_lengths };
         let mut bp = TagePredictor::new(cfg);
-        bp.ghist = u128::from_le_bytes(take(16)?.try_into().ok()?);
-        bp.tick = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        bp.lookups = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        bp.mispredicts = u64::from_le_bytes(take(8)?.try_into().ok()?);
-        bp.base.copy_from_slice(take(1 << base_bits)?);
-        for t in 0..4 {
-            for i in 0..1usize << tagged_bits {
-                let tag = u16::from_le_bytes(take(2)?.try_into().ok()?);
-                let ctr = take(1)?[0] as i8;
-                let useful = take(1)?[0];
-                bp.tables[t][i] = TaggedEntry { tag, ctr, useful };
-            }
+        bp.ghist = r.u128("ghist")?;
+        bp.tick = r.u64("tick")?;
+        bp.lookups = r.u64("lookups")?;
+        bp.mispredicts = r.u64("mispredicts")?;
+        bp.base.copy_from_slice(r.take(1 << cfg.base_bits, "base")?);
+        ensure(bp.base.iter().all(|&c| c <= 3), "base")?;
+        for e in bp.tables.iter_mut().flatten() {
+            let (tag, ctr, useful) = (r.u16("tag")?, r.u8("ctr")? as i8, r.u8("useful")?);
+            let fits = u64::from(tag) < 1 << cfg.tag_bits && (-4..=3).contains(&ctr);
+            ensure(fits && useful <= 3, "tagged entry")?;
+            *e = TaggedEntry { tag, ctr, useful };
         }
-        bp.loop_pred = crate::loop_pred::LoopPredictor::from_state(b, &mut off)?;
-        if off != b.len() {
-            return None;
-        }
-        Some(bp)
+        bp.loop_pred.load_state(&mut r)?;
+        r.finish()?;
+        Ok(bp)
     }
 
     /// Number of predictions made.
@@ -419,7 +407,8 @@ mod tests {
         run_pattern(&mut bp, 0x20, &pattern, 200);
         run_pattern(&mut bp, 0x60, &[true, false], 300);
         let bytes = bp.state_bytes();
-        let mut restored = TagePredictor::from_state_bytes(&bytes).expect("image parses");
+        let mut restored =
+            TagePredictor::from_state_bytes(TageConfig::default(), &bytes).expect("image parses");
         assert_eq!(restored.state_bytes(), bytes, "re-serialization is byte-identical");
         assert_eq!(restored.lookups(), bp.lookups());
         assert_eq!(restored.mispredicts(), bp.mispredicts());
@@ -438,16 +427,33 @@ mod tests {
 
     #[test]
     fn corrupt_state_images_are_rejected() {
+        let cfg = TageConfig::default();
         let bp = TagePredictor::default();
         let bytes = bp.state_bytes();
-        assert!(TagePredictor::from_state_bytes(&bytes[1..]).is_none());
-        assert!(TagePredictor::from_state_bytes(&bytes[..bytes.len() - 1]).is_none());
+        assert!(TagePredictor::from_state_bytes(cfg, &bytes[1..]).is_err());
+        assert!(TagePredictor::from_state_bytes(cfg, &bytes[..bytes.len() - 1]).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(TagePredictor::from_state_bytes(&trailing).is_none());
+        assert!(TagePredictor::from_state_bytes(cfg, &trailing).is_err());
         let mut bad_magic = bytes;
         bad_magic[0] ^= 0xFF;
-        assert!(TagePredictor::from_state_bytes(&bad_magic).is_none());
+        assert!(TagePredictor::from_state_bytes(cfg, &bad_magic).is_err());
+        // Images of any other geometry are rejected from the header alone,
+        // including those whose history folding would never terminate.
+        let mut history_lengths = cfg.history_lengths;
+        history_lengths[3] += 1;
+        for other in [
+            TageConfig { tag_bits: 1, ..cfg },
+            TageConfig { tagged_bits: 0, ..cfg },
+            TageConfig { history_lengths, ..cfg },
+        ] {
+            let image = TagePredictor::new(other).state_bytes();
+            assert_eq!(
+                TagePredictor::from_state_bytes(cfg, &image).err(),
+                Some(DecodeError::Invalid { field: "config" }),
+                "{other:?}"
+            );
+        }
     }
 
     #[test]

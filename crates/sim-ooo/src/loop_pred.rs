@@ -6,6 +6,8 @@
 //! with fixed inner-loop lengths (e.g. NAS-CG's constant row degree),
 //! where the only misprediction left is the loop exit itself.
 
+use sim_isa::bytes::{ensure, DecodeError, Reader};
+
 /// One loop-table entry.
 #[derive(Clone, Copy, Debug, Default)]
 struct LoopEntry {
@@ -75,7 +77,7 @@ impl LoopPredictor {
     }
 
     /// Serializes the table for a sampling checkpoint (little-endian,
-    /// appended to `out`); [`LoopPredictor::from_state`] restores it.
+    /// appended to `out`); [`LoopPredictor::load_state`] restores it.
     pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.index_bits.to_le_bytes());
         for e in &self.entries {
@@ -87,31 +89,19 @@ impl LoopPredictor {
         }
     }
 
-    /// Rebuilds a predictor from a [`LoopPredictor::save_state`] image,
-    /// consuming bytes from `b` at `*off`. `None` on a malformed image.
-    pub(crate) fn from_state(b: &[u8], off: &mut usize) -> Option<Self> {
-        let mut take = |n: usize| -> Option<&[u8]> {
-            let s = b.get(*off..*off + n)?;
-            *off += n;
-            Some(s)
-        };
-        let index_bits = u32::from_le_bytes(take(4)?.try_into().ok()?);
-        if index_bits > 16 {
-            return None;
+    /// Restores a [`LoopPredictor::save_state`] image from `r` into this
+    /// table, whose size the image must match.
+    pub(crate) fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        ensure(r.u32("loop index_bits")? == self.index_bits, "loop index_bits")?;
+        for e in &mut self.entries {
+            e.tag = r.u16("loop tag")?;
+            e.trip = r.u32("loop trip")?;
+            e.current = r.u32("loop current")?;
+            e.confidence = r.u8("loop confidence")?;
+            e.valid = r.bool("loop valid")?;
+            ensure(e.confidence <= 3, "loop confidence")?;
         }
-        let mut lp = LoopPredictor::new(index_bits);
-        for e in &mut lp.entries {
-            e.tag = u16::from_le_bytes(take(2)?.try_into().ok()?);
-            e.trip = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            e.current = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            e.confidence = take(1)?[0];
-            e.valid = match take(1)?[0] {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-        }
-        Some(lp)
+        Ok(())
     }
 
     /// Trains on the actual outcome.

@@ -15,12 +15,13 @@
 //!   ([`sim_ooo::TagePredictor::state_bytes`]).
 //!
 //! The byte format follows the repository's checkpoint convention: a
-//! magic-prefixed little-endian image with exact-length validation, plus
-//! a version word so future layout changes fail loudly instead of
-//! misparsing.
+//! magic-prefixed little-endian image read through
+//! [`sim_isa::bytes::Reader`], plus a version word so future layout
+//! changes fail loudly instead of misparsing.
 //!
 //! [`emit_checkpoints`]: crate::emit_checkpoints
 
+use sim_isa::bytes::{put_blob, DecodeError, Reader};
 use sim_isa::{CpuCheckpoint, MemoryCheckpoint};
 
 /// `"DVRP"`: magic prefix of a serialized [`PeriodCheckpoint`].
@@ -49,95 +50,6 @@ pub struct PeriodCheckpoint {
     pub warm_bp: Vec<u8>,
 }
 
-/// Why a [`PeriodCheckpoint::decode`] rejected a byte image.
-///
-/// Each variant names the first structural violation encountered, so a
-/// worker fed a torn or mismatched checkpoint file can report *what* is
-/// wrong instead of a bare parse failure.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CheckpointDecodeError {
-    /// The image does not start with [`PERIOD_CKPT_MAGIC`] (or is too
-    /// short to hold it) — not a period checkpoint at all.
-    BadMagic {
-        /// The word actually found, when the image held four bytes.
-        found: Option<u32>,
-    },
-    /// The layout version is not [`PERIOD_CKPT_VERSION`]; written by an
-    /// incompatible build.
-    UnknownVersion {
-        /// The version word in the image.
-        found: u32,
-    },
-    /// The image ended before the named field was complete — a torn
-    /// write or truncated file.
-    Truncated {
-        /// Which field ran out of bytes.
-        field: &'static str,
-    },
-    /// Bytes remain after the last field; the image is longer than one
-    /// checkpoint.
-    TrailingBytes {
-        /// How many bytes were left over.
-        extra: usize,
-    },
-    /// An embedded CPU or memory image failed its own validation.
-    BadEmbedded {
-        /// Which embedded image was rejected.
-        field: &'static str,
-    },
-}
-
-impl std::fmt::Display for CheckpointDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointDecodeError::BadMagic { found: Some(w) } => {
-                write!(f, "bad checkpoint magic {w:#010x} (want {PERIOD_CKPT_MAGIC:#010x})")
-            }
-            CheckpointDecodeError::BadMagic { found: None } => {
-                write!(f, "image too short to hold the checkpoint magic")
-            }
-            CheckpointDecodeError::UnknownVersion { found } => {
-                write!(f, "unknown checkpoint version {found} (want {PERIOD_CKPT_VERSION})")
-            }
-            CheckpointDecodeError::Truncated { field } => {
-                write!(f, "checkpoint truncated inside `{field}`")
-            }
-            CheckpointDecodeError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing byte(s) after the checkpoint image")
-            }
-            CheckpointDecodeError::BadEmbedded { field } => {
-                write!(f, "embedded `{field}` image failed validation")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckpointDecodeError {}
-
-fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn take<'a>(b: &'a [u8], off: &mut usize, n: usize) -> Option<&'a [u8]> {
-    let s = b.get(*off..off.checked_add(n)?)?;
-    *off += n;
-    Some(s)
-}
-
-fn take_u32(b: &[u8], off: &mut usize) -> Option<u32> {
-    Some(u32::from_le_bytes(take(b, off, 4)?.try_into().ok()?))
-}
-
-fn take_u64(b: &[u8], off: &mut usize) -> Option<u64> {
-    Some(u64::from_le_bytes(take(b, off, 8)?.try_into().ok()?))
-}
-
-fn take_blob<'a>(b: &'a [u8], off: &mut usize) -> Option<&'a [u8]> {
-    let len = take_u64(b, off)?;
-    take(b, off, usize::try_from(len).ok()?)
-}
-
 impl PeriodCheckpoint {
     /// Serializes to the versioned little-endian image.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -157,38 +69,20 @@ impl PeriodCheckpoint {
     /// structural violation on failure: bad magic, unknown version,
     /// truncation (which field ran dry), trailing bytes, or an embedded
     /// image that fails its own validation.
-    pub fn decode(b: &[u8]) -> Result<Self, CheckpointDecodeError> {
-        use CheckpointDecodeError as E;
-        let mut off = 0usize;
-        let magic = take_u32(b, &mut off).ok_or(E::BadMagic { found: None })?;
-        if magic != PERIOD_CKPT_MAGIC {
-            return Err(E::BadMagic { found: Some(magic) });
-        }
-        let version = take_u32(b, &mut off).ok_or(E::Truncated { field: "version" })?;
-        if version != PERIOD_CKPT_VERSION {
-            return Err(E::UnknownVersion { found: version });
-        }
-        let index = take_u64(b, &mut off).ok_or(E::Truncated { field: "index" })?;
-        let measure_at = take_u64(b, &mut off).ok_or(E::Truncated { field: "measure_at" })?;
-        let cpu =
-            CpuCheckpoint::from_bytes(take_blob(b, &mut off).ok_or(E::Truncated { field: "cpu" })?)
-                .ok_or(E::BadEmbedded { field: "cpu" })?;
-        let mem = MemoryCheckpoint::from_bytes(
-            take_blob(b, &mut off).ok_or(E::Truncated { field: "mem" })?,
-        )
-        .ok_or(E::BadEmbedded { field: "mem" })?;
-        let warm_mem = take_blob(b, &mut off).ok_or(E::Truncated { field: "warm_mem" })?.to_vec();
-        let warm_bp = take_blob(b, &mut off).ok_or(E::Truncated { field: "warm_bp" })?.to_vec();
-        if off != b.len() {
-            return Err(E::TrailingBytes { extra: b.len() - off });
-        }
+    pub fn decode(b: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(b);
+        r.magic(PERIOD_CKPT_MAGIC)?;
+        r.version(PERIOD_CKPT_VERSION)?;
+        let index = r.u64("index")?;
+        let measure_at = r.u64("measure_at")?;
+        let cpu = CpuCheckpoint::from_bytes(r.blob("cpu")?)
+            .map_err(|_| DecodeError::BadEmbedded { field: "cpu" })?;
+        let mem = MemoryCheckpoint::from_bytes(r.blob("mem")?)
+            .map_err(|_| DecodeError::BadEmbedded { field: "mem" })?;
+        let warm_mem = r.blob("warm_mem")?.to_vec();
+        let warm_bp = r.blob("warm_bp")?.to_vec();
+        r.finish()?;
         Ok(PeriodCheckpoint { index, measure_at, cpu, mem, warm_mem, warm_bp })
-    }
-
-    /// [`PeriodCheckpoint::decode`] with the reason discarded — kept for
-    /// callers that only branch on success.
-    pub fn from_bytes(b: &[u8]) -> Option<Self> {
-        Self::decode(b).ok()
     }
 }
 
@@ -229,7 +123,7 @@ mod tests {
     fn roundtrip_is_byte_identical() {
         let ck = sample_checkpoint();
         let bytes = ck.to_bytes();
-        let back = PeriodCheckpoint::from_bytes(&bytes).expect("image parses");
+        let back = PeriodCheckpoint::decode(&bytes).expect("image parses");
         assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.index, 3);
         assert_eq!(back.measure_at, 12_345);
@@ -238,19 +132,19 @@ mod tests {
     #[test]
     fn corrupt_images_are_rejected() {
         let bytes = sample_checkpoint().to_bytes();
-        assert!(PeriodCheckpoint::from_bytes(&bytes[1..]).is_none(), "bad magic");
-        assert!(PeriodCheckpoint::from_bytes(&bytes[..bytes.len() - 1]).is_none(), "truncated");
+        assert!(PeriodCheckpoint::decode(&bytes[1..]).is_err(), "bad magic");
+        assert!(PeriodCheckpoint::decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(PeriodCheckpoint::from_bytes(&trailing).is_none(), "trailing bytes");
+        assert!(PeriodCheckpoint::decode(&trailing).is_err(), "trailing bytes");
         let mut wrong_version = bytes;
         wrong_version[4] ^= 0xFF;
-        assert!(PeriodCheckpoint::from_bytes(&wrong_version).is_none(), "unknown version");
+        assert!(PeriodCheckpoint::decode(&wrong_version).is_err(), "unknown version");
     }
 
     #[test]
     fn decode_names_the_violation() {
-        use CheckpointDecodeError as E;
+        use DecodeError as E;
         let bytes = sample_checkpoint().to_bytes();
         let fail = |b: &[u8]| PeriodCheckpoint::decode(b).expect_err("image must not parse");
 
@@ -305,7 +199,7 @@ mod tests {
 
     #[test]
     fn decode_error_display_is_actionable() {
-        use CheckpointDecodeError as E;
+        use DecodeError as E;
         assert!(E::BadMagic { found: Some(0x1234) }.to_string().contains("0x00001234"));
         assert!(E::UnknownVersion { found: 7 }.to_string().contains("version 7"));
         assert!(E::Truncated { field: "cpu" }.to_string().contains("`cpu`"));

@@ -23,7 +23,9 @@ use std::fmt;
 
 use sim_isa::{Cpu, ExecError, Program, SparseMemory};
 use sim_mem::{HierarchyConfig, MemStats, MemoryHierarchy};
-use sim_ooo::{CoreConfig, CoreStats, OooCore, RunaheadEngine, SimError, TagePredictor};
+use sim_ooo::{
+    CoreConfig, CoreStats, OooCore, RunaheadEngine, SimError, TageConfig, TagePredictor,
+};
 
 use crate::checkpoint::PeriodCheckpoint;
 use crate::config::{Placement, SampleConfig};
@@ -277,11 +279,12 @@ where
 
     let mut mem = SparseMemory::restore_from(base_mem, &ck.mem);
     let cpu = Cpu::from_checkpoint(&ck.cpu);
-    let mut hier = MemoryHierarchy::from_warm_state(hier_cfg, &ck.warm_mem).ok_or_else(|| {
-        SampleError::Checkpoint(format!("period {}: invalid warm hierarchy image", ck.index))
+    let mut hier = MemoryHierarchy::from_warm_state(hier_cfg, &ck.warm_mem).map_err(|e| {
+        SampleError::Checkpoint(format!("period {}: invalid warm hierarchy image: {e}", ck.index))
     })?;
-    let bp = TagePredictor::from_state_bytes(&ck.warm_bp).ok_or_else(|| {
-        SampleError::Checkpoint(format!("period {}: invalid warm predictor image", ck.index))
+    // Emit warms, and the detailed core runs, the default predictor geometry.
+    let bp = TagePredictor::from_state_bytes(TageConfig::default(), &ck.warm_bp).map_err(|e| {
+        SampleError::Checkpoint(format!("period {}: invalid warm predictor image: {e}", ck.index))
     })?;
 
     let mut core = OooCore::with_state(core_cfg, cpu, bp);
@@ -494,7 +497,7 @@ mod tests {
             .rev()
             .map(|ck| {
                 let bytes = ck.to_bytes();
-                let back = PeriodCheckpoint::from_bytes(&bytes).expect("checkpoint parses");
+                let back = PeriodCheckpoint::decode(&bytes).expect("checkpoint parses");
                 assert_eq!(back.to_bytes(), bytes);
                 measure_period(
                     &prog,

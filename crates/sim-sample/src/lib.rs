@@ -78,9 +78,7 @@ mod stats;
 mod warm;
 mod wire;
 
-pub use checkpoint::{
-    CheckpointDecodeError, PeriodCheckpoint, PERIOD_CKPT_MAGIC, PERIOD_CKPT_VERSION,
-};
+pub use checkpoint::{PeriodCheckpoint, PERIOD_CKPT_MAGIC, PERIOD_CKPT_VERSION};
 pub use config::{Placement, SampleConfig};
 pub use driver::{
     emit_checkpoints, measure_period, merge_periods, run_sampled, EmitResult, PeriodResult,

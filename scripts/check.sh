@@ -111,6 +111,18 @@ fi
 echo "$oob_out" | grep -q 'confirmed-oob: 2 of 2' \
     || { echo "static errors not dynamically confirmed:"; echo "$oob_out"; exit 1; }
 
+echo "== one byte reader: binary decoders read through sim_isa::bytes =="
+# Checkpoint, warm-image and report decoders read through the checked
+# sim_isa::bytes::Reader, whose every read is bounds-checked and names its
+# field. Outside it, from_le_bytes may appear only in SparseMemory::read (a
+# memory load, not a decoder), in the FxHash mixer, and in the std-only
+# sim-sweep crate.
+stray="$(grep -rn 'from_le_bytes' crates/*/src \
+    | grep -v -e '^crates/sim-isa/src/bytes\.rs:' -e '^crates/sim-isa/src/fxhash\.rs:' \
+        -e '^crates/sim-sweep/' -e '^crates/sim-isa/src/mem\.rs:[0-9]*: *u64::from_le_bytes(buf)$' \
+    || true)"
+[ -z "$stray" ] || { echo "from_le_bytes outside sim_isa::bytes:"; echo "$stray"; exit 1; }
+
 echo "== report-determinism: no host-order maps or wall clock in serializers =="
 # Report renderers/serializers must be byte-stable across hosts: FxHashMap
 # with sorted output vectors only (no std HashMap iteration order), and no
