@@ -13,10 +13,7 @@
 
 use dvr_core::PcSummary;
 use sim_isa::FxHashMap;
-use sim_lint::{
-    analyze_addresses_with, analyze_deps, analyze_intervals, find_loops, predict_coverage,
-    AddrClass, Cfg, CoveragePrediction, DefUseGraph, PredictedChain, SkipReason,
-};
+use sim_lint::{AddrClass, CoveragePrediction, PredictedChain, SkipReason, StaticModel};
 use workloads::{Benchmark, SizeClass};
 
 use crate::audit_core::{Divergence, Divergences};
@@ -212,18 +209,11 @@ impl AuditReport {
 /// simulation, and the diff.
 pub fn audit_benchmark(bench: Benchmark, size: SizeClass, seed: u64, instrs: u64) -> AuditReport {
     let wl = bench.build(None, size, seed);
-    let program = wl.prog.instrs().to_vec();
 
-    // Static side. The interval analysis sees the workload's initial
-    // memory image so read-only-region content bounds (and hence trip
-    // bounds for loops bounded by loaded values) are available.
-    let cfg = Cfg::build(&program);
-    let dfg = DefUseGraph::build(&cfg, &program);
-    let loops = find_loops(&cfg, &program);
-    let intervals = analyze_intervals(&wl.prog, Some(&wl.mem));
-    let addr = analyze_addresses_with(&cfg, &program, &dfg, &loops, Some(&intervals));
-    let deps = analyze_deps(&addr, &loops);
-    let prediction = predict_coverage(&cfg, &program, &loops, &addr, &deps);
+    // Static side. The model sees the workload's initial memory image so
+    // read-only-region content bounds (and hence trip bounds for loops
+    // bounded by loaded values) are available.
+    let StaticModel { loops, addr, coverage, .. } = StaticModel::build(&wl.prog, Some(&wl.mem));
 
     // Dynamic side.
     let sim_cfg = SimConfig::new(Technique::Dvr).with_max_instructions(instrs);
@@ -232,13 +222,13 @@ pub fn audit_benchmark(bench: Benchmark, size: SizeClass, seed: u64, instrs: u64
         summary.iter().map(|(&pc, s)| (pc, s.clone())).collect();
     dynamic.sort_by_key(|&(pc, _)| pc);
 
-    let divergences = diff(&prediction, &addr, &summary);
+    let divergences = diff(&coverage, &addr, &summary);
     AuditReport {
         bench: wl.name,
         seed,
         instrs,
         loops: loops.len(),
-        chains: prediction.chains,
+        chains: coverage.chains,
         dynamic,
         divergences,
     }

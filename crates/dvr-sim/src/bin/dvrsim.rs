@@ -501,8 +501,8 @@ fn lint_main(args: &[String]) -> Result<ExitCode, String> {
     }
 
     // Programs carry their initial memory image when built from the suite:
-    // the bounds verifier scans read-only regions for content bounds. A
-    // user .s kernel lints without an image (sound, less precise).
+    // the static model scans read-only regions for content bounds. A user
+    // .s kernel lints without an image (sound, less precise).
     let programs = match load_programs(all, bench, asm, size, seed) {
         Ok(p) if p.is_empty() => {
             return Err(format!("lint needs --all, --bench NAME, or --asm FILE.s\n\n{USAGE}"))
@@ -756,7 +756,7 @@ fn lint_taint_main(args: &[String]) -> Result<ExitCode, String> {
     };
     if attack || all {
         let wl = gather_attack(size, seed);
-        programs.push((wl.name, wl.prog, None));
+        programs.push((wl.name, wl.prog, Some(wl.mem)));
     }
     if programs.is_empty() {
         eprintln!("error: lint-taint needs --all, --bench NAME, --attack, or --asm FILE.s\n");
@@ -766,8 +766,8 @@ fn lint_taint_main(args: &[String]) -> Result<ExitCode, String> {
 
     let mut total_gadgets = 0usize;
     let mut total_warnings = 0usize;
-    for (name, prog, _) in &programs {
-        let r = sim_lint::analyze_taint(prog);
+    for (name, prog, mem) in &programs {
+        let r = sim_lint::analyze_taint(prog, mem.as_ref());
         if json {
             println!("{}", r.to_json(name, Some(prog)));
         } else {

@@ -17,7 +17,7 @@
 //! passes. FAIL means the static lint and the dynamic oracle disagree.
 
 use sim_isa::{FxHashMap, SecretTaint};
-use sim_lint::{analyze_taint, LeakKind};
+use sim_lint::{analyze_taint, LintKind};
 use sim_mem::TaintFill;
 use workloads::{gather_attack, Benchmark, SizeClass, Workload};
 
@@ -250,12 +250,12 @@ impl LeakAuditReport {
 /// the diff.
 pub fn leak_audit_workload(wl: &Workload, seed: u64, instrs: u64) -> LeakAuditReport {
     // Static side.
-    let taint = analyze_taint(&wl.prog);
+    let taint = analyze_taint(&wl.prog, Some(&wl.mem));
     let gadgets = taint.gadget_pcs();
     let mut warned: Vec<usize> = taint
         .leaks
         .iter()
-        .filter(|d| d.kind == LeakKind::SecretAddressedLoad)
+        .filter(|d| d.kind == LintKind::SecretAddressedLoad)
         .map(|d| d.pc)
         .collect();
     warned.sort_unstable();

@@ -365,6 +365,19 @@ pub fn analyze_intervals(prog: &Program, mem: Option<&SparseMemory>) -> AbsInt {
     let cfg = Cfg::build(instrs);
     let dfg = DefUseGraph::build(&cfg, instrs);
     let known = known_constants(instrs, &dfg);
+    intervals_over(prog, &cfg, &dfg, &known, mem)
+}
+
+/// [`analyze_intervals`] over a CFG, def-use graph and constants the
+/// caller already built for `prog`.
+pub(crate) fn intervals_over(
+    prog: &Program,
+    cfg: &Cfg,
+    dfg: &DefUseGraph,
+    known: &[Option<u64>],
+    mem: Option<&SparseMemory>,
+) -> AbsInt {
+    let instrs = prog.instrs();
     let regions: Vec<(u64, u64)> = prog.regions().iter().map(|&(_, b, l)| (b, l)).collect();
 
     // Region writability: attribute each store to the region its
@@ -373,7 +386,7 @@ pub fn analyze_intervals(prog: &Program, mem: Option<&SparseMemory>) -> AbsInt {
     let mut read_only = vec![true; regions.len()];
     for (pc, instr) in instrs.iter().enumerate() {
         let Instr::Store { addr, .. } = instr else { continue };
-        let target = const_use(&dfg, &known, pc, addr.base)
+        let target = const_use(dfg, known, pc, addr.base)
             .map(|b| b.wrapping_add(addr.offset as u64))
             .and_then(|t| regions.iter().position(|&(b, l)| t.wrapping_sub(b) < l));
         match target {
@@ -440,16 +453,8 @@ pub fn analyze_intervals(prog: &Program, mem: Option<&SparseMemory>) -> AbsInt {
     thresholds.sort_unstable();
     thresholds.dedup();
 
-    let engine = Engine {
-        instrs,
-        cfg: &cfg,
-        dfg: &dfg,
-        regions,
-        read_only,
-        content,
-        content_aligned,
-        thresholds,
-    };
+    let engine =
+        Engine { instrs, cfg, dfg, regions, read_only, content, content_aligned, thresholds };
     engine.run()
 }
 

@@ -360,7 +360,19 @@ pub fn analyze_addresses_with(
     intervals: Option<&AbsInt>,
 ) -> AddrAnalysis {
     let known = crate::dfg::known_constants(instrs, dfg);
+    addresses_over(cfg, instrs, dfg, known, loops, intervals)
+}
 
+/// [`analyze_addresses_with`] over constants the caller already propagated
+/// (`known`, which the result then owns as [`AddrAnalysis::known`]).
+pub(crate) fn addresses_over(
+    cfg: &Cfg,
+    instrs: &[Instr],
+    dfg: &DefUseGraph,
+    known: Vec<Option<u64>>,
+    loops: &[LoopInfo],
+    intervals: Option<&AbsInt>,
+) -> AddrAnalysis {
     // Classify per loop, innermost-first is irrelevant: each access is
     // classified against its own innermost loop only.
     let mut per_loop_ctx: Vec<LoopCtx> = loops

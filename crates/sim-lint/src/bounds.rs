@@ -3,9 +3,8 @@
 //! Programs declare their legal memory footprint with the
 //! `.region <name> <addr> <len>` directive (or
 //! [`Asm::region`](sim_isa::Asm::region)); this pass asks, for every
-//! reachable load and store, whether the interval analysis
-//! ([`analyze_intervals`](crate::analyze_intervals)) can prove the access
-//! stays inside one declared region:
+//! reachable load and store, whether the [`StaticModel`]'s interval
+//! analysis can prove the access stays inside one declared region:
 //!
 //! * **proven** — the address interval (widened by the access width) is
 //!   contained in a single region; no diagnostic.
@@ -18,85 +17,20 @@
 //!   prediction expects to spawn, because VR/DVR will replay it dozens of
 //!   lanes at a time under speculation — a statically unprovable gather is
 //!   exactly the access pattern that drags speculative traffic outside the
-//!   declared footprint (compare the gather-gadget escalation in
-//!   [`analyze_taint`](crate::analyze_taint)).
+//!   declared footprint. [`analyze_taint`](crate::analyze_taint)
+//!   escalates its gather gadgets from the same model's prediction.
 //!
 //! Programs that declare no regions produce an empty report: bounds
 //! checking is opt-in per workload, so the pass stays silent rather than
 //! flagging every access of an unannotated program.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use sim_isa::{Instr, Program, SparseMemory};
 
-use crate::absint::{analyze_intervals, Interval};
-use crate::addr::analyze_addresses_with;
-use crate::cfg::Cfg;
-use crate::deps::analyze_deps;
-use crate::dfg::DefUseGraph;
-use crate::diag::Severity;
-use crate::loops::find_loops;
-use crate::predict::predict_coverage;
-
-/// The kind of finding a [`BoundsDiagnostic`] reports.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum BoundsKind {
-    /// The access interval is disjoint from every declared region.
-    OutOfBoundsAccess,
-    /// The access interval cannot be proven inside one declared region.
-    UnprovenBounds,
-}
-
-impl BoundsKind {
-    /// Default severity (the unproven case may still be escalated, see
-    /// [`BoundsDiagnostic::severity`]).
-    pub fn severity(self) -> Severity {
-        match self {
-            BoundsKind::OutOfBoundsAccess => Severity::Error,
-            BoundsKind::UnprovenBounds => Severity::Warning,
-        }
-    }
-
-    /// Stable kebab-case name used in rendered diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            BoundsKind::OutOfBoundsAccess => "out-of-bounds-access",
-            BoundsKind::UnprovenBounds => "unproven-bounds",
-        }
-    }
-}
-
-impl fmt::Display for BoundsKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One bounds finding, anchored to the offending memory instruction.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BoundsDiagnostic {
-    /// What kind of finding this is.
-    pub kind: BoundsKind,
-    /// [`BoundsKind::severity`], except `unproven-bounds` on a load of an
-    /// expected-spawn Discovery chain, which is an error.
-    pub severity: Severity,
-    /// Program counter of the offending load or store.
-    pub pc: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl BoundsDiagnostic {
-    /// Renders the diagnostic, pointing at the workload source line when
-    /// the program was parsed from text.
-    pub fn render(&self, prog: Option<&Program>) -> String {
-        let loc = match prog.and_then(|p| p.source_line(self.pc)) {
-            Some(line) => format!("pc {} (line {})", self.pc, line),
-            None => format!("pc {}", self.pc),
-        };
-        format!("{}[{}] {}: {}", self.severity, self.kind.name(), loc, self.message)
-    }
-}
+use crate::absint::Interval;
+use crate::diag::{count, diags_json, json_str, Diagnostic, LintKind, Severity};
+use crate::model::StaticModel;
 
 /// Per-memory-op verdict.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -147,18 +81,18 @@ pub struct BoundsReport {
     /// Every reachable load/store, ascending by pc.
     pub ops: Vec<MemOpBounds>,
     /// All findings, ascending by pc.
-    pub diags: Vec<BoundsDiagnostic>,
+    pub diags: Vec<Diagnostic>,
 }
 
 impl BoundsReport {
     /// Number of error-severity findings.
     pub fn errors(&self) -> usize {
-        self.diags.iter().filter(|d| d.severity == Severity::Error).count()
+        count(&self.diags, Severity::Error)
     }
 
     /// Number of warning-severity findings.
     pub fn warnings(&self) -> usize {
-        self.diags.iter().filter(|d| d.severity == Severity::Warning).count()
+        count(&self.diags, Severity::Warning)
     }
 
     /// Whether the program has no error-severity bounds findings.
@@ -179,11 +113,9 @@ impl BoundsReport {
     /// Serializes the report as one flat JSON object (for `dvrsim lint
     /// --bounds --json`). Hand-rolled to keep the analyzer dependency-free.
     pub fn to_json(&self, name: &str, prog: Option<&Program>) -> String {
-        use std::fmt::Write;
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let mut out = format!(
             "{{\"program\":\"{}\",\"errors\":{},\"warnings\":{},\"proven\":{},\"ops\":[",
-            escape(name),
+            json_str(name),
             self.errors(),
             self.warnings(),
             self.proven(),
@@ -205,33 +137,17 @@ impl BoundsReport {
                 o.in_spawn_chain,
             );
         }
-        out.push_str("],\"diags\":[");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let line = prog
-                .and_then(|p| p.source_line(d.pc))
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"line\":{},\"message\":\"{}\"}}",
-                d.kind.name(),
-                d.severity,
-                d.pc,
-                line,
-                escape(&d.message)
-            );
-        }
-        out.push_str("]}");
+        out.push_str("],\"diags\":");
+        diags_json(&mut out, &self.diags, prog);
+        out.push('}');
         out
     }
 }
 
 /// Runs the bounds verifier over `prog`. `mem` (the workload's initial
-/// memory image) feeds read-only-region content bounds to the interval
-/// analysis; passing `None` weakens precision but stays sound.
+/// memory image) feeds read-only-region content bounds to the
+/// [`StaticModel`]'s interval analysis; passing `None` weakens precision
+/// but stays sound.
 ///
 /// Programs with no `.region` declarations always produce an empty report.
 pub fn check_bounds(prog: &Program, mem: Option<&SparseMemory>) -> BoundsReport {
@@ -240,14 +156,7 @@ pub fn check_bounds(prog: &Program, mem: Option<&SparseMemory>) -> BoundsReport 
     if regions.is_empty() || instrs.is_empty() {
         return BoundsReport::default();
     }
-
-    let cfg = Cfg::build(instrs);
-    let dfg = DefUseGraph::build(&cfg, instrs);
-    let loops = find_loops(&cfg, instrs);
-    let intervals = analyze_intervals(prog, mem);
-    let addr = analyze_addresses_with(&cfg, instrs, &dfg, &loops, Some(&intervals));
-    let deps = analyze_deps(&addr, &loops);
-    let coverage = predict_coverage(&cfg, instrs, &loops, &addr, &deps);
+    let StaticModel { intervals, coverage, .. } = StaticModel::build(prog, mem);
 
     // Loads a spawned subthread would replay speculatively: the root and
     // every dependent of each expected-spawn chain.
@@ -293,40 +202,37 @@ pub fn check_bounds(prog: &Program, mem: Option<&SparseMemory>) -> BoundsReport 
         let verdict = match (containing, disjoint) {
             (Some(region), _) => BoundsVerdict::Proven { region },
             (None, true) => {
-                report.diags.push(BoundsDiagnostic {
-                    kind: BoundsKind::OutOfBoundsAccess,
-                    severity: Severity::Error,
+                report.diags.push(Diagnostic::new(
+                    LintKind::OutOfBoundsAccess,
                     pc,
-                    message: format!(
+                    format!(
                         "{} of address {addr_iv} (width {width}) lies outside every \
                          declared region",
                         if is_load { "load" } else { "store" },
                     ),
-                });
+                ));
                 BoundsVerdict::OutOfBounds
             }
             (None, false) => {
-                let severity = if in_spawn_chain {
-                    Severity::Error
-                } else {
-                    BoundsKind::UnprovenBounds.severity()
-                };
                 let escalation = if in_spawn_chain {
                     "; a Discovery chain expected to spawn replays this load speculatively \
                      across a full vector of lanes"
                 } else {
                     ""
                 };
-                report.diags.push(BoundsDiagnostic {
-                    kind: BoundsKind::UnprovenBounds,
-                    severity,
+                let mut d = Diagnostic::new(
+                    LintKind::UnprovenBounds,
                     pc,
-                    message: format!(
+                    format!(
                         "cannot prove {} of address {addr_iv} (width {width}) stays inside \
                          a declared region{escalation}",
                         if is_load { "load" } else { "store" },
                     ),
-                });
+                );
+                if in_spawn_chain {
+                    d.severity = Severity::Error;
+                }
+                report.diags.push(d);
                 BoundsVerdict::Unproven
             }
         };
@@ -388,7 +294,7 @@ mod tests {
         .unwrap();
         let r = check_bounds(&p, None);
         assert_eq!(r.errors(), 1);
-        assert_eq!(r.diags[0].kind, BoundsKind::OutOfBoundsAccess);
+        assert_eq!(r.diags[0].kind, LintKind::OutOfBoundsAccess);
         assert_eq!(r.diags[0].pc, 1);
         assert_eq!(r.op_at(1).unwrap().verdict, BoundsVerdict::OutOfBounds);
     }
@@ -413,7 +319,7 @@ mod tests {
         assert!(r.is_clean(), "warning only: {:?}", r.diags);
         assert_eq!(r.warnings(), 1, "{:?}", r.diags);
         let d = r.diags.iter().find(|d| d.pc == 4).unwrap();
-        assert_eq!(d.kind, BoundsKind::UnprovenBounds);
+        assert_eq!(d.kind, LintKind::UnprovenBounds);
         assert_eq!(d.severity, Severity::Warning);
     }
 
@@ -447,7 +353,7 @@ mod tests {
         let r = check_bounds(&p, Some(&mem));
         assert!(!r.is_clean());
         let d = r.diags.iter().find(|d| d.pc == 5).expect("gather flagged");
-        assert_eq!(d.kind, BoundsKind::UnprovenBounds);
+        assert_eq!(d.kind, LintKind::UnprovenBounds);
         assert_eq!(d.severity, Severity::Error);
         assert!(d.message.contains("Discovery chain"), "{}", d.message);
         assert!(r.op_at(5).unwrap().in_spawn_chain);
@@ -469,5 +375,8 @@ mod tests {
         assert!(j.contains("\"program\":\"t\""), "{j}");
         assert!(j.contains("\"verdict\":\"out-of-bounds\""), "{j}");
         assert!(j.contains("\"kind\":\"out-of-bounds-access\""), "{j}");
+        // A TAB and a quote in the name (a `--asm` path) stay valid JSON.
+        let j = r.to_json("a\tb\"c", Some(&p));
+        assert!(j.contains(r#""program":"a\u0009b\"c""#), "{j}");
     }
 }

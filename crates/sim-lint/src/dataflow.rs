@@ -1,9 +1,10 @@
-//! Dataflow analyses over the CFG: dominators, reachability, and a
-//! reaching-definitions variant that tracks may-uninitialized registers.
+//! Dataflow analyses over the CFG: dominators, reachability, and the
+//! may-uninitialized reads the def-use graph's entry definition reaches.
 
 use sim_isa::Instr;
 
 use crate::cfg::Cfg;
+use crate::dfg::DefUseGraph;
 
 /// A dense bitset over block indices (programs are small; a few words).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -108,70 +109,25 @@ pub fn dominators(cfg: &Cfg) -> Vec<BlockSet> {
 
 /// Result of the may-uninitialized analysis.
 pub struct UninitAnalysis {
-    /// Per-block entry state: bit `r` set means register `r` may still be
-    /// unwritten on some path reaching the block.
-    pub entry: Vec<u16>,
     /// `(pc, reg_index)` pairs where a possibly-unwritten register is read,
     /// deduplicated and sorted by pc then register.
     pub reads: Vec<(usize, usize)>,
 }
 
-fn transfer(instrs: &[Instr], start: usize, end: usize, mut mask: u16) -> u16 {
-    for instr in &instrs[start..end] {
-        if let Some(rd) = instr.dst() {
-            mask &= !rd.bit();
-        }
-    }
-    mask
-}
-
-/// Forward may-analysis over 16-bit register masks: a register is
-/// "may-uninit" at a point if the virtual all-registers-uninitialized
-/// definition at the entry reaches it along some path. The union meet makes
-/// this the classic reaching-definitions formulation restricted to that one
-/// pseudo-definition per register.
+/// A register is "may-uninit" at a read when the virtual entry definition
+/// (registers are architecturally zero) reaches it along some path — the
+/// uses whose [`DefUseGraph`] reaching set has
+/// [`entry`](crate::DefSet::entry). Reads in unreachable code see no
+/// definition at all and stay silent.
 pub fn may_uninit(cfg: &Cfg, instrs: &[Instr]) -> UninitAnalysis {
-    let n = cfg.len();
-    let mut entry = vec![0u16; n];
-    if n == 0 {
-        return UninitAnalysis { entry, reads: Vec::new() };
-    }
-    entry[0] = u16::MAX;
-    let mut work: Vec<usize> = (0..n).collect();
-    while let Some(b) = work.pop() {
-        let out = transfer(instrs, cfg.blocks[b].start, cfg.blocks[b].end, entry[b]);
-        for &s in &cfg.blocks[b].succs {
-            let merged = entry[s] | out;
-            if merged != entry[s] {
-                entry[s] = merged;
-                if !work.contains(&s) {
-                    work.push(s);
-                }
-            }
-        }
-    }
-
-    let reach = reachable(cfg);
-    let mut reads = Vec::new();
-    for (b, block) in cfg.blocks.iter().enumerate() {
-        if !reach.contains(b) {
-            continue;
-        }
-        let mut mask = entry[b];
-        for (off, instr) in instrs[block.start..block.end].iter().enumerate() {
-            for src in instr.srcs() {
-                if mask & src.bit() != 0 {
-                    reads.push((block.start + off, src.index()));
-                }
-            }
-            if let Some(rd) = instr.dst() {
-                mask &= !rd.bit();
-            }
-        }
-    }
+    let dfg = DefUseGraph::build(cfg, instrs);
+    let mut reads: Vec<(usize, usize)> = (0..dfg.len())
+        .flat_map(|pc| {
+            dfg.uses_at(pc).iter().filter(|u| u.defs.entry).map(move |u| (pc, u.reg.index()))
+        })
+        .collect();
     reads.sort_unstable();
-    reads.dedup();
-    UninitAnalysis { entry, reads }
+    UninitAnalysis { reads }
 }
 
 #[cfg(test)]
@@ -210,6 +166,12 @@ mod tests {
         let a = may_uninit(&cfg, &instrs);
         // r1 and r2 read uninitialized at pc 0; r1 is clean at pc 2.
         assert_eq!(a.reads, vec![(0, 1), (0, 2)]);
+        // Sorted by register, not by operand order.
+        let (cfg, instrs) = cfg_of("add r3, r2, r1\nhalt");
+        assert_eq!(may_uninit(&cfg, &instrs).reads, vec![(0, 1), (0, 2)]);
+        // Reads in unreachable code stay silent.
+        let (cfg, instrs) = cfg_of("jmp @2\nadd r3, r1, r1\nhalt");
+        assert_eq!(may_uninit(&cfg, &instrs).reads, Vec::<(usize, usize)>::new());
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Typed diagnostics produced by the analyzer.
+//! Typed diagnostics produced by every pass: the CFG lint, the secret-taint
+//! pass and the bounds verifier report through one [`Diagnostic`] type,
+//! rendered, counted and serialized here.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use sim_isa::Program;
 
@@ -41,14 +43,34 @@ pub enum LintKind {
     BadBranchTarget,
     /// A control-flow loop with no exit edge — the program can never halt.
     InfiniteLoop,
+    /// A conditional branch tests a secret-tainted register.
+    SecretDependentBranch,
+    /// A load (or store) forms its address from a secret-tainted register.
+    SecretAddressedLoad,
+    /// A secret-addressed dependent load inside a Discovery chain that the
+    /// coverage prediction expects VR/DVR to vectorize.
+    SpeculativeGatherGadget,
+    /// The access interval is disjoint from every declared region.
+    OutOfBoundsAccess,
+    /// The access interval cannot be proven inside one declared region.
+    UnprovenBounds,
 }
 
 impl LintKind {
-    /// The default severity for this kind of finding.
+    /// The default severity for this kind of finding. Of the leakage
+    /// transmitters only the gather gadget is an error, because it is the
+    /// one the runahead engine itself amplifies.
     pub fn severity(self) -> Severity {
         match self {
-            LintKind::UninitRead | LintKind::UnreachableBlock => Severity::Warning,
-            LintKind::BadBranchTarget | LintKind::InfiniteLoop => Severity::Error,
+            LintKind::UninitRead
+            | LintKind::UnreachableBlock
+            | LintKind::SecretDependentBranch
+            | LintKind::SecretAddressedLoad
+            | LintKind::UnprovenBounds => Severity::Warning,
+            LintKind::BadBranchTarget
+            | LintKind::InfiniteLoop
+            | LintKind::SpeculativeGatherGadget
+            | LintKind::OutOfBoundsAccess => Severity::Error,
         }
     }
 
@@ -59,6 +81,11 @@ impl LintKind {
             LintKind::UnreachableBlock => "unreachable-block",
             LintKind::BadBranchTarget => "bad-branch-target",
             LintKind::InfiniteLoop => "infinite-loop",
+            LintKind::SecretDependentBranch => "secret-dependent-branch",
+            LintKind::SecretAddressedLoad => "secret-addressed-load",
+            LintKind::SpeculativeGatherGadget => "speculative-gather-gadget",
+            LintKind::OutOfBoundsAccess => "out-of-bounds-access",
+            LintKind::UnprovenBounds => "unproven-bounds",
         }
     }
 }
@@ -69,7 +96,9 @@ impl LintKind {
 pub struct Diagnostic {
     /// What kind of defect this is.
     pub kind: LintKind,
-    /// How serious it is (see [`LintKind::severity`]).
+    /// [`LintKind::severity`], except `unproven-bounds` on a load of an
+    /// expected-spawn Discovery chain, which the bounds verifier escalates
+    /// to an error.
     pub severity: Severity,
     /// Program counter (instruction index) of the offending instruction.
     pub pc: usize,
@@ -107,12 +136,12 @@ pub struct LintReport {
 impl LintReport {
     /// Number of error-severity findings.
     pub fn errors(&self) -> usize {
-        self.diags.iter().filter(|d| d.severity == Severity::Error).count()
+        count(&self.diags, Severity::Error)
     }
 
     /// Number of warning-severity findings.
     pub fn warnings(&self) -> usize {
-        self.diags.iter().filter(|d| d.severity == Severity::Warning).count()
+        count(&self.diags, Severity::Warning)
     }
 
     /// Whether the program is free of error-severity findings.
@@ -123,33 +152,14 @@ impl LintReport {
     /// Serializes the report as one flat JSON object (for `dvrsim lint
     /// --json`). Hand-rolled to keep the analyzer dependency-free.
     pub fn to_json(&self, name: &str, prog: Option<&Program>) -> String {
-        use std::fmt::Write;
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let mut out = format!(
-            "{{\"program\":\"{}\",\"errors\":{},\"warnings\":{},\"diags\":[",
-            escape(name),
+            "{{\"program\":\"{}\",\"errors\":{},\"warnings\":{},\"diags\":",
+            json_str(name),
             self.errors(),
             self.warnings()
         );
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let line = prog
-                .and_then(|p| p.source_line(d.pc))
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"line\":{},\"message\":\"{}\"}}",
-                d.kind.name(),
-                d.severity,
-                d.pc,
-                line,
-                escape(&d.message)
-            );
-        }
-        out.push_str("],\"loops\":[");
+        diags_json(&mut out, &self.diags, prog);
+        out.push_str(",\"loops\":[");
         for (i, l) in self.loops.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -166,4 +176,48 @@ impl LintReport {
         out.push_str("]}");
         out
     }
+}
+
+/// Number of `diags` at `severity` — the one count behind every report's
+/// `errors` and `warnings`.
+pub(crate) fn count(diags: &[Diagnostic], severity: Severity) -> usize {
+    diags.iter().filter(|d| d.severity == severity).count()
+}
+
+/// `s` as the body of a JSON string: quotes and backslashes escaped, and
+/// control characters written as `\u00XX`.
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        let _ = match c {
+            '"' | '\\' => write!(out, "\\{c}"),
+            c if u32::from(c) < 0x20 => write!(out, "\\u{:04x}", u32::from(c)),
+            c => write!(out, "{c}"),
+        };
+    }
+    out
+}
+
+/// Appends `diags` to `out` as a JSON array of finding objects — the one
+/// writer behind every report's `to_json`.
+pub(crate) fn diags_json(out: &mut String, diags: &[Diagnostic], prog: Option<&Program>) {
+    out.push('[');
+    for (i, d) in diags.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let line = prog
+            .and_then(|p| p.source_line(d.pc))
+            .map_or_else(|| "null".to_string(), |l| l.to_string());
+        let _ = write!(
+            out,
+            "{{\"kind\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"line\":{},\"message\":\"{}\"}}",
+            d.kind.name(),
+            d.severity,
+            d.pc,
+            line,
+            json_str(&d.message)
+        );
+    }
+    out.push(']');
 }

@@ -20,6 +20,12 @@
 //! statically predict which loops vector runahead can cover
 //! ([`LoopClass`]).
 //!
+//! The deeper passes share one [`StaticModel`]: the CFG, def-use graph,
+//! constants, loops, intervals, address classes, dependences and the
+//! Discovery coverage prediction, built once per program. The secret-taint
+//! pass ([`analyze_taint`]) and the bounds verifier ([`check_bounds`]) read
+//! it and report through the same [`Diagnostic`] type.
+//!
 //! ## Example
 //!
 //! ```
@@ -55,6 +61,7 @@ mod deps;
 mod dfg;
 mod diag;
 mod loops;
+mod model;
 mod predict;
 mod taint;
 
@@ -67,20 +74,19 @@ pub use addr::{
     analyze_addresses, analyze_addresses_with, AddrAnalysis, AddrClass, LoopAddr, MemOp,
     MAX_CHASE_DEPTH,
 };
-pub use bounds::{
-    check_bounds, BoundsDiagnostic, BoundsKind, BoundsReport, BoundsVerdict, MemOpBounds,
-};
+pub use bounds::{check_bounds, BoundsReport, BoundsVerdict, MemOpBounds};
 pub use cfg::{Block, Cfg};
 pub use dataflow::{dominators, may_uninit, reachable, BlockSet, UninitAnalysis};
 pub use deps::{analyze_deps, dependents_of, refine_rmw, AliasEdge, AliasReason, LoopDeps};
 pub use dfg::{const_of_defs, const_use, known_constants, DefSet, DefUseGraph, UseSite};
 pub use diag::{Diagnostic, LintKind, LintReport, Severity};
 pub use loops::{find_loops, LoopClass, LoopInfo};
+pub use model::StaticModel;
 pub use predict::{
     predict_coverage, CoveragePrediction, PredictedChain, SkipReason, DETECTOR_SLOTS,
     MIN_TRIPS_TO_SPAWN,
 };
-pub use taint::{analyze_taint, LeakDiagnostic, LeakKind, TaintReport};
+pub use taint::{analyze_taint, TaintReport};
 
 /// Analyzes a program and returns every diagnostic plus the loop
 /// classification. Equivalent to [`analyze_instrs`] on `prog.instrs()`.

@@ -13,7 +13,7 @@
 //!   registers carry taint; leaks through the cache-line it touches.
 //! * **speculative-gather-gadget** (error, the highest severity) — a
 //!   secret-addressed load that is *also* a dependent load of a Discovery
-//!   chain [`predict_coverage`](crate::predict_coverage) expects to spawn:
+//!   chain the [`StaticModel`]'s coverage prediction expects to spawn:
 //!   VR/DVR will gather it dozens of lanes at a time under speculation,
 //!   with no architectural instruction ever touching the secret-indexed
 //!   line (the attack class of Karuppanan & Mirbagher Ajorpaz).
@@ -28,90 +28,17 @@
 //! — the dynamic taint oracle (`dvrsim leak-audit`) exists to catch what
 //! this pass cannot see.
 
-use std::fmt;
+use sim_isa::{Instr, Program, Reg, SparseMemory};
 
-use sim_isa::{Instr, Program, Reg};
-
-use crate::addr::analyze_addresses;
-use crate::cfg::Cfg;
-use crate::deps::analyze_deps;
 use crate::dfg::{const_use, DefUseGraph};
-use crate::diag::Severity;
-use crate::loops::find_loops;
-use crate::predict::predict_coverage;
-
-/// The kind of leakage transmitter a [`LeakDiagnostic`] reports.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum LeakKind {
-    /// A conditional branch tests a secret-tainted register.
-    SecretDependentBranch,
-    /// A load (or store) forms its address from a secret-tainted register.
-    SecretAddressedLoad,
-    /// A secret-addressed dependent load inside a Discovery chain that the
-    /// coverage prediction expects VR/DVR to vectorize.
-    SpeculativeGatherGadget,
-}
-
-impl LeakKind {
-    /// Default severity: the gather gadget is the one the runahead engine
-    /// itself amplifies, so only it is error-severity.
-    pub fn severity(self) -> Severity {
-        match self {
-            LeakKind::SecretDependentBranch | LeakKind::SecretAddressedLoad => Severity::Warning,
-            LeakKind::SpeculativeGatherGadget => Severity::Error,
-        }
-    }
-
-    /// Stable kebab-case name used in rendered diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            LeakKind::SecretDependentBranch => "secret-dependent-branch",
-            LeakKind::SecretAddressedLoad => "secret-addressed-load",
-            LeakKind::SpeculativeGatherGadget => "speculative-gather-gadget",
-        }
-    }
-}
-
-impl fmt::Display for LeakKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One leakage finding, anchored to the transmitting instruction.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LeakDiagnostic {
-    /// What kind of transmitter this is.
-    pub kind: LeakKind,
-    /// How serious it is (see [`LeakKind::severity`]).
-    pub severity: Severity,
-    /// Program counter of the transmitting instruction.
-    pub pc: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl LeakDiagnostic {
-    fn new(kind: LeakKind, pc: usize, message: String) -> Self {
-        LeakDiagnostic { kind, severity: kind.severity(), pc, message }
-    }
-
-    /// Renders the diagnostic, pointing at the workload source line when
-    /// the program was parsed from text.
-    pub fn render(&self, prog: Option<&Program>) -> String {
-        let loc = match prog.and_then(|p| p.source_line(self.pc)) {
-            Some(line) => format!("pc {} (line {})", self.pc, line),
-            None => format!("pc {}", self.pc),
-        };
-        format!("{}[{}] {}: {}", self.severity, self.kind.name(), loc, self.message)
-    }
-}
+use crate::diag::{count, diags_json, json_str, Diagnostic, LintKind, Severity};
+use crate::model::StaticModel;
 
 /// Result of [`analyze_taint`].
 #[derive(Clone, Debug, Default)]
 pub struct TaintReport {
     /// All findings, sorted by program counter then kind.
-    pub leaks: Vec<LeakDiagnostic>,
+    pub leaks: Vec<Diagnostic>,
     /// Definition sites (pcs) whose value may carry secret taint, ascending.
     pub tainted_defs: Vec<usize>,
     /// The secret-source loads (pcs that provably read a declared secret
@@ -122,12 +49,12 @@ pub struct TaintReport {
 impl TaintReport {
     /// Number of error-severity findings (gather gadgets).
     pub fn errors(&self) -> usize {
-        self.leaks.iter().filter(|d| d.severity == Severity::Error).count()
+        count(&self.leaks, Severity::Error)
     }
 
     /// Number of warning-severity findings.
     pub fn warnings(&self) -> usize {
-        self.leaks.iter().filter(|d| d.severity == Severity::Warning).count()
+        count(&self.leaks, Severity::Warning)
     }
 
     /// Whether the program has no speculative gather gadgets.
@@ -139,7 +66,7 @@ impl TaintReport {
     pub fn gadget_pcs(&self) -> Vec<usize> {
         self.leaks
             .iter()
-            .filter(|d| d.kind == LeakKind::SpeculativeGatherGadget)
+            .filter(|d| d.kind == LintKind::SpeculativeGatherGadget)
             .map(|d| d.pc)
             .collect()
     }
@@ -148,36 +75,17 @@ impl TaintReport {
     /// lint-taint --json`). Hand-rolled to keep the analyzer
     /// dependency-free.
     pub fn to_json(&self, name: &str, prog: Option<&Program>) -> String {
-        use std::fmt::Write;
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let mut out = format!(
             "{{\"program\":\"{}\",\"gadgets\":{},\"warnings\":{},\"sources\":{:?},\
-             \"tainted_defs\":{:?},\"leaks\":[",
-            escape(name),
+             \"tainted_defs\":{:?},\"leaks\":",
+            json_str(name),
             self.errors(),
             self.warnings(),
             self.sources,
             self.tainted_defs,
         );
-        for (i, d) in self.leaks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let line = prog
-                .and_then(|p| p.source_line(d.pc))
-                .map(|l| l.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"line\":{},\"message\":\"{}\"}}",
-                d.kind.name(),
-                d.severity,
-                d.pc,
-                line,
-                escape(&d.message)
-            );
-        }
-        out.push_str("]}");
+        diags_json(&mut out, &self.leaks, prog);
+        out.push('}');
         out
     }
 }
@@ -199,20 +107,19 @@ fn static_region(
     const_use(dfg, known, pc, addr.base).map(|b| b.wrapping_add(addr.offset as u64))
 }
 
-/// Runs the secret-taint pass over `prog`.
+/// Runs the secret-taint pass over `prog`. `mem` (the workload's initial
+/// memory image) reaches the coverage prediction through the
+/// [`StaticModel`], so a loop whose bound is read from memory escalates
+/// exactly as [`check_bounds`](crate::check_bounds) and the Discovery
+/// audit predict; passing `None` weakens precision but stays sound.
 ///
 /// Programs with no `.secret` declarations always produce an empty report.
-pub fn analyze_taint(prog: &Program) -> TaintReport {
+pub fn analyze_taint(prog: &Program, mem: Option<&SparseMemory>) -> TaintReport {
     let instrs = prog.instrs();
     if prog.secrets().is_empty() || instrs.is_empty() {
         return TaintReport::default();
     }
-    let cfg = Cfg::build(instrs);
-    let dfg = DefUseGraph::build(&cfg, instrs);
-    let loops = find_loops(&cfg, instrs);
-    let addr = analyze_addresses(&cfg, instrs, &dfg, &loops);
-    let deps = analyze_deps(&addr, &loops);
-    let coverage = predict_coverage(&cfg, instrs, &loops, &addr, &deps);
+    let StaticModel { dfg, addr, coverage, .. } = StaticModel::build(prog, mem);
 
     // May-taint bit per definition site, plus the set of region bases that
     // tainted stores have written. Both grow monotonically, so the nested
@@ -269,8 +176,8 @@ pub fn analyze_taint(prog: &Program) -> TaintReport {
     for (pc, instr) in instrs.iter().enumerate() {
         match *instr {
             Instr::Branch { rs, .. } if use_tainted(&dfg, &tainted, pc, rs) => {
-                leaks.push(LeakDiagnostic::new(
-                    LeakKind::SecretDependentBranch,
+                leaks.push(Diagnostic::new(
+                    LintKind::SecretDependentBranch,
                     pc,
                     "branch condition carries secret taint (control channel)".to_string(),
                 ));
@@ -287,8 +194,8 @@ pub fn analyze_taint(prog: &Program) -> TaintReport {
                     .iter()
                     .find(|c| c.expect_spawn && c.dependents.iter().any(|&(dpc, _)| dpc == pc));
                 match gadget {
-                    Some(c) => leaks.push(LeakDiagnostic::new(
-                        LeakKind::SpeculativeGatherGadget,
+                    Some(c) => leaks.push(Diagnostic::new(
+                        LintKind::SpeculativeGatherGadget,
                         pc,
                         format!(
                             "secret-addressed {what} is a dependent load of the Discovery \
@@ -297,8 +204,8 @@ pub fn analyze_taint(prog: &Program) -> TaintReport {
                             c.stride_pc, c.stride
                         ),
                     )),
-                    None => leaks.push(LeakDiagnostic::new(
-                        LeakKind::SecretAddressedLoad,
+                    None => leaks.push(Diagnostic::new(
+                        LintKind::SecretAddressedLoad,
                         pc,
                         format!("{what} address carries secret taint (cache channel)"),
                     )),
@@ -320,7 +227,7 @@ mod tests {
     use sim_isa::parse_program;
 
     fn taint(text: &str) -> TaintReport {
-        analyze_taint(&parse_program(text).unwrap())
+        analyze_taint(&parse_program(text).unwrap(), None)
     }
 
     /// `x = B[S[i]]` over a declared-secret S with enough iterations for
@@ -358,7 +265,7 @@ mod tests {
         assert_eq!(r.gadget_pcs(), vec![5], "the B[S[i]] load is the gadget");
         assert_eq!(r.errors(), 1);
         assert!(!r.is_clean());
-        let d = r.leaks.iter().find(|d| d.kind == LeakKind::SpeculativeGatherGadget).unwrap();
+        let d = r.leaks.iter().find(|d| d.kind == LintKind::SpeculativeGatherGadget).unwrap();
         assert!(d.message.contains("rooted at pc 4"), "{}", d.message);
         assert!(d.render(None).starts_with("error[speculative-gather-gadget] pc 5"));
     }
@@ -371,7 +278,7 @@ mod tests {
         assert_eq!(r.gadget_pcs(), Vec::<usize>::new());
         assert_eq!(r.errors(), 0);
         let d = r.leaks.iter().find(|d| d.pc == 5).unwrap();
-        assert_eq!(d.kind, LeakKind::SecretAddressedLoad);
+        assert_eq!(d.kind, LintKind::SecretAddressedLoad);
     }
 
     #[test]
@@ -380,7 +287,7 @@ mod tests {
             ".secret 0x1000 8\n\
              li r1, 0x1000\nld8 r2, [r1 + 0]\nbnz r2, @4\nnop\nhalt",
         );
-        assert!(r.leaks.iter().any(|d| d.kind == LeakKind::SecretDependentBranch && d.pc == 2));
+        assert!(r.leaks.iter().any(|d| d.kind == LintKind::SecretDependentBranch && d.pc == 2));
         assert!(r.is_clean(), "a branch alone is not a gadget");
     }
 
@@ -395,7 +302,7 @@ mod tests {
              ld8 r4, [r8 + 0]\nld8 r5, [r9 + r4<<3 + 0]\nhalt",
         );
         assert!(r.tainted_defs.contains(&6), "reload of secret-written region is tainted");
-        assert!(r.leaks.iter().any(|d| d.kind == LeakKind::SecretAddressedLoad && d.pc == 7));
+        assert!(r.leaks.iter().any(|d| d.kind == LintKind::SecretAddressedLoad && d.pc == 7));
     }
 
     #[test]
@@ -409,11 +316,14 @@ mod tests {
     #[test]
     fn gather_attack_workload_is_flagged_as_gadget() {
         let wl = workloads::gather_attack(workloads::SizeClass::Test, 42);
-        let r = analyze_taint(&wl.prog);
+        let r = analyze_taint(&wl.prog, Some(&wl.mem));
         assert!(!r.sources.is_empty(), "the striding S[i] load is a provable secret source");
         assert!(!r.is_clean(), "B[S[i]] must be an error-severity gadget");
         assert_eq!(r.gadget_pcs().len(), 1, "exactly one gather gadget: the B[S[i]] load");
         let benign = workloads::Benchmark::Camel.build(None, workloads::SizeClass::Test, 42);
-        assert!(analyze_taint(&benign.prog).leaks.is_empty(), "no secrets declared, no report");
+        assert!(
+            analyze_taint(&benign.prog, Some(&benign.mem)).leaks.is_empty(),
+            "no secrets declared, no report"
+        );
     }
 }

@@ -123,6 +123,15 @@ stray="$(grep -rn 'from_le_bytes' crates/*/src \
     || true)"
 [ -z "$stray" ] || { echo "from_le_bytes outside sim_isa::bytes:"; echo "$stray"; exit 1; }
 
+echo "== one prediction: every lint pass and audit reads sim_lint::StaticModel =="
+# The taint lint, the bounds lint and the Discovery audit escalate from one
+# coverage prediction, which StaticModel::build computes once per program.
+# Outside it, predict_coverage( may appear only where it is defined.
+stray="$(grep -rn 'predict_coverage(' crates/*/src \
+    | grep -v -e '^crates/sim-lint/src/predict\.rs:' -e '^crates/sim-lint/src/model\.rs:' \
+    || true)"
+[ -z "$stray" ] || { echo "predict_coverage outside the static model:"; echo "$stray"; exit 1; }
+
 echo "== report-determinism: no host-order maps or wall clock in serializers =="
 # Report renderers/serializers must be byte-stable across hosts: FxHashMap
 # with sorted output vectors only (no std HashMap iteration order), and no

@@ -1,7 +1,8 @@
 //! Static-vs-dynamic audit tests — Discovery coverage, secret leakage and
 //! bounds. Every workload's report is pinned by a golden file with zero
 //! unexplained divergences; the attack kernel's gadget is confirmed under
-//! both runahead engines and never under the baseline; the out-of-bounds
+//! both runahead engines and never under the baseline, while a secret
+//! gather too short to spawn is a warning in every pass; the out-of-bounds
 //! kernel is flagged statically and both escapes are confirmed
 //! dynamically; recording the Discovery trace is timing-neutral — an
 //! observed run's `SimReport` serializes byte-identically to a plain one
@@ -15,11 +16,14 @@ mod common;
 use std::process::Command;
 
 use common::observe_neutrally;
+use dvr_sim::sim_lint::check_bounds;
 use dvr_sim::{
     audit_benchmark, bounds_audit_attack, bounds_audit_benchmark, bounds_audit_oob,
-    leak_audit_attack, leak_audit_benchmark, simulate_observed, SimConfig, Technique,
+    leak_audit_attack, leak_audit_benchmark, leak_audit_workload, simulate_observed, SimConfig,
+    Technique,
 };
-use workloads::{Benchmark, SizeClass};
+use sim_isa::SparseMemory;
+use workloads::{Benchmark, SizeClass, Workload};
 
 /// The parameters the golden files were generated under (the audit
 /// subcommands' defaults).
@@ -156,6 +160,52 @@ fn leak_audit_json_is_well_formed_and_consistent() {
     // A secret-free benchmark reports the skipped dynamic side as null.
     let clean = leak_audit_benchmark(Benchmark::Bfs, SIZE, SEED, INSTRS);
     assert!(clean.to_json().contains("\"fills\":null"), "{}", clean.to_json());
+}
+
+#[test]
+fn gather_too_short_to_spawn_is_warned_not_a_gadget() {
+    // `x = B[T[i]]` over a secret T, but the loop bound is loaded from
+    // N[0] = 3: only the memory image shows the loop is too short for
+    // Discovery to spawn. Every pass reads that one prediction, so the
+    // gather is a warning, the bounds lint marks no spawn chain, and the
+    // leak audit has nothing to explain away.
+    let prog = sim_isa::parse_program(
+        ".secret 8192 64
+         .region T 8192 64
+         .region B 16384 4096
+         .region N 4096 8
+         li r1, 4096
+         ld8 r4, [r1 + 0]
+         li r2, 0
+         li r3, 8192
+         li r8, 16384
+         top:
+         ld8 r5, [r3 + r2<<3 + 0]
+         ld8 r6, [r8 + r5<<3 + 0]
+         addi r2, r2, 1
+         slt r7, r2, r4
+         bnz r7, top
+         halt",
+    )
+    .unwrap();
+    let mut mem = SparseMemory::new();
+    mem.write_u64(4096, 3);
+    for k in 0..8 {
+        mem.write_u64(8192 + 8 * k, 3 * k);
+    }
+    let wl = Workload {
+        name: "short-gather".to_string(),
+        prog,
+        mem,
+        description: "secret gather whose trip count lives in memory".to_string(),
+        regions: vec![("T".into(), 8192), ("B".into(), 16384), ("N".into(), 4096)],
+    };
+    let r = leak_audit_workload(&wl, SEED, INSTRS);
+    assert_eq!(r.gadgets, Vec::<usize>::new(), "\n{}", r.render());
+    assert_eq!(r.warned, vec![6], "\n{}", r.render());
+    assert_eq!(r.divergences.len(), 0, "\n{}", r.render());
+    let bounds = check_bounds(&wl.prog, Some(&wl.mem));
+    assert!(bounds.ops.iter().all(|o| !o.in_spawn_chain), "{:?}", bounds.ops);
 }
 
 #[test]
