@@ -552,6 +552,7 @@ fn failed_report(cell: &Cell, workload_name: &str, err: SimError) -> SimReport {
         engine: EngineSummary::default(),
         outcome: RunOutcome::Failed(err),
         sanitizer: None,
+        work: Default::default(),
     }
 }
 

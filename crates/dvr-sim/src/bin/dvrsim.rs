@@ -68,9 +68,11 @@ options:
   --watchdog N          cycles without a commit before the run is declared
                         deadlocked (0 disables; default 2000000)
   --sanitize            run the cycle-model invariant sanitizer (summary on
-                        stderr; stdout/JSON output is byte-identical)
+                        stderr; stdout is byte-identical apart from the
+                        --verbose work line, as it steps every cycle)
   --verbose             per-run engine detail, prefetch timeliness, demand-hit
-                        levels and prefetch accuracy
+                        levels, prefetch accuracy and the cycle loop's work
+                        (cycles stepped and skipped, issue candidates)
   --json                emit one JSON object per run (stdout)
 
 the `lint` subcommand statically analyzes assembled programs (CFG, dataflow,
@@ -437,6 +439,8 @@ fn print_report(r: &SimReport, base_ipc: Option<f64>, verbose: bool) {
             pct(h[3]),
             pct(inflight)
         );
+        // The cycle loop's own work (a sanitized run steps every cycle).
+        println!("               work: {}", r.work);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Multi-programmed multi-core simulation.
 //!
 //! Builds on three substrates: the deterministic discrete-event scheduler
-//! ([`sim_multi::Scheduler`]), the per-cycle core step API
+//! ([`sim_multi::Scheduler`]), the core step API
 //! ([`sim_ooo::OooCore::step_cycle`]), and the shared-L3/DRAM state
 //! ([`sim_mem::SharedLlc`]). Each core of a [`MixSpec`] runs its own
 //! workload with private L1/L2 in front of one shared L3 and one shared
@@ -46,7 +46,8 @@ use crate::runner::{digest_check, AnyEngine};
 const LLC_SWEEP_PERIOD: u64 = 4096;
 
 /// One core of a mix driven as a scheduler [`Component`]: owns the step
-/// session and ticks [`OooCore::step_cycle`] once per event.
+/// session and calls [`OooCore::step_cycle`] once per event, waking again
+/// at the next cycle in which the core can act.
 ///
 /// Also used by the single-core [`crate::simulate`] path (n = 1), which is
 /// how the refactor keeps one code path for both.
@@ -114,8 +115,11 @@ impl Component for CoreComponent<'_> {
         let Some(session) = self.session.as_mut() else {
             return Tick::Done;
         };
+        debug_assert_eq!(self.core.cycle(), now, "a core steps cycle tick + 1");
         match self.core.step_cycle(self.prog, self.mem, self.hier, &mut *self.engine, session) {
-            Ok(Step::Running) => Tick::Reschedule(now + 1),
+            // The core steps cycle `tick + 1` at each tick, and a step leaves
+            // it on the cycle before the next one it can act in.
+            Ok(Step::Running) => Tick::Reschedule(self.core.cycle()),
             Ok(Step::Done) => {
                 self.retire();
                 Tick::Done
@@ -509,6 +513,7 @@ pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig
             engine: engines[i].summary(),
             outcome,
             sanitizer,
+            work: core.work(),
         });
     }
 

@@ -1,7 +1,7 @@
 //! Simulation results.
 
 use sim_mem::{MemStats, PrefetchSource};
-use sim_ooo::{CoreStats, SanitizeReport, SimError};
+use sim_ooo::{CoreStats, SanitizeReport, SimError, WorkCounters};
 
 use crate::config::Technique;
 
@@ -123,6 +123,11 @@ pub struct SimReport {
     /// Deliberately **not** part of [`SimReport::to_json`]: sanitized and
     /// unsanitized runs must serialize byte-identically.
     pub sanitizer: Option<SanitizeReport>,
+    /// The work the core's cycle loop did ([`sim_ooo::OooCore::work`]);
+    /// zero for sampled and decoded reports. Like `sanitizer`, not part of
+    /// [`SimReport::to_json`] or the report codec: a sanitized run steps
+    /// every cycle, so its counts differ from a plain run's.
+    pub work: WorkCounters,
 }
 
 impl SimReport {
@@ -320,6 +325,7 @@ mod tests {
             engine: EngineSummary::default(),
             outcome: RunOutcome::Complete,
             sanitizer: None,
+            work: Default::default(),
         }
     }
 

@@ -266,8 +266,8 @@ fn run(workload: &Workload, cfg: &SimConfig, observe: bool) -> (SimReport, Obser
     }
 
     // One core on the event scheduler: the single-core run is the n = 1
-    // special case of the multi-core path (see `crate::multi`), and ticks
-    // cycle-for-cycle like the old inline loop.
+    // special case of the multi-core path (see `crate::multi`), and wakes
+    // at the same cycles as `OooCore::run`.
     let outcome = {
         let mut comp = CoreComponent::new(
             &mut core,
@@ -313,6 +313,7 @@ fn run(workload: &Workload, cfg: &SimConfig, observe: bool) -> (SimReport, Obser
         engine: engine_summary,
         outcome,
         sanitizer,
+        work: core.work(),
     };
     (report, observed)
 }

@@ -272,6 +272,7 @@ pub fn sampled_report_from(
         engine: EngineSummary::default(),
         outcome: RunOutcome::Complete,
         sanitizer: None,
+        work: Default::default(),
     };
     match result {
         Ok(run) => {

@@ -344,6 +344,7 @@ fn read_report(r: &mut Reader<'_>) -> Result<SimReport, DecodeError> {
         engine,
         outcome: RunOutcome::Complete,
         sanitizer: None,
+        work: Default::default(),
     })
 }
 
@@ -527,6 +528,7 @@ mod tests {
             },
             outcome: RunOutcome::Complete,
             sanitizer: None,
+            work: Default::default(),
         }
     }
 

@@ -74,9 +74,10 @@ pub struct SchedulerStats {
 ///
 /// `tick(now)` advances the component's local work at global tick `now`
 /// and reports when it next wants the clock. A cycle-accurate core
-/// reschedules at `now + 1`; a coarse observer (LLC invariant sweeps, a
-/// DMA engine) can sleep for thousands of ticks, which is the point of an
-/// event queue over a lock-step loop.
+/// reschedules at the next cycle in which it can act (`now + 1` while it
+/// is busy, later across idle cycles); a coarse observer (LLC invariant
+/// sweeps, a DMA engine) can sleep for thousands of ticks, which is the
+/// point of an event queue over a lock-step loop.
 pub trait Component {
     /// Advance to global tick `now`; say when to run next.
     fn tick(&mut self, now: u64) -> Tick;

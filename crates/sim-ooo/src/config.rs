@@ -50,10 +50,12 @@ pub struct CoreConfig {
     pub max_wall_ms: u64,
     /// Architectural-memory footprint cap in bytes. `0` = unlimited.
     pub mem_cap_bytes: u64,
-    /// Run the cycle-model invariant sanitizer: read-only structural checks
-    /// over the ROB/rename/LSQ each cycle plus amortized MSHR/cache sweeps,
-    /// reported through [`OooCore::sanitize_report`](crate::OooCore).
-    /// Checks are side-effect-free, so enabling this never changes timing.
+    /// Run the cycle-model invariant sanitizer: step every cycle instead of
+    /// skipping idle ones, with read-only structural checks over the
+    /// ROB/wakeup/rename/LSQ state each cycle plus amortized MSHR/cache
+    /// sweeps, reported through [`OooCore::sanitize_report`](crate::OooCore).
+    /// Skipping is exact and checks are side-effect-free, so enabling this
+    /// never changes timing.
     pub sanitize: bool,
 }
 

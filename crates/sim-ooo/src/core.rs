@@ -7,7 +7,8 @@
 //! [`MemoryHierarchy`], and branch-misprediction redirects (fetch stalls
 //! from resolution plus the 15-cycle front-end refill).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use sim_isa::{AluOp, Cpu, FxHashMap, Instr, MemAccess, Program, SparseMemory, NUM_REGS};
 use sim_mem::{
@@ -20,7 +21,7 @@ use crate::config::CoreConfig;
 use crate::engine::{ArchSnapshot, EngineCtx, RunaheadEngine};
 use crate::error::{DeadlockSnapshot, SimError};
 use crate::sanitize::SanitizeReport;
-use crate::stats::CoreStats;
+use crate::stats::{CoreStats, WorkCounters};
 
 /// A dynamic (fetched) instruction, carrying both functional outcomes and
 /// timing state.
@@ -42,16 +43,25 @@ pub struct DynInst {
     pub dst_value: Option<u64>,
     /// Whether the direction predictor mispredicted this branch.
     pub mispredicted: bool,
-    /// Producer sequence numbers for each source operand.
-    deps: [Option<u64>; 3],
-    /// Functional-unit class, computed once at fetch (the issue scan reads
-    /// it every cycle).
+    /// Producers this entry waits for: the in-flight writers of its source
+    /// operands, in [`Instr::srcs`] order, then (for a load) the youngest
+    /// older in-flight store to the same address at [`MEM_DEP`].
+    deps: [Option<u64>; 4],
+    /// Functional-unit class, computed once at fetch.
     class: FuClass,
     /// Issued to execution.
     issued: bool,
     /// Completion cycle (`u64::MAX` until issued).
     complete_at: u64,
+    /// Producers in `deps` that have not issued yet.
+    pending: u32,
+    /// Earliest cycle this entry may issue: the cycle after dispatch, or
+    /// the latest completion among its issued producers.
+    ready_at: u64,
 }
+
+/// Index in [`DynInst::deps`] of a load's store producer.
+const MEM_DEP: usize = 3;
 
 impl DynInst {
     /// Whether this is a load.
@@ -102,7 +112,7 @@ fn exec_latency(instr: &Instr) -> u64 {
 /// Live bookkeeping for an in-progress stepwise run: the state
 /// [`OooCore::run`] used to keep on its own stack (instruction target,
 /// wall-clock anchor, watchdog reference cycle), externalized so a
-/// discrete-event scheduler can interleave cores one cycle at a time.
+/// discrete-event scheduler can interleave cores step by step.
 /// Obtain one from [`OooCore::begin_run`]; feed it to every
 /// [`OooCore::step_cycle`] call for that run.
 #[derive(Debug)]
@@ -119,7 +129,8 @@ pub struct StepSession {
 /// Outcome of one [`OooCore::step_cycle`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Step {
-    /// The core wants another cycle.
+    /// The core wants another step, at cycle [`OooCore::cycle`] + 1 (the
+    /// step may have jumped over idle cycles to get there).
     Running,
     /// The instruction target was reached or the program halted and the
     /// pipeline drained; stop stepping this session.
@@ -165,15 +176,19 @@ pub struct OooCore {
     seq_next: u64,
     head_seq: u64,
     rob: VecDeque<DynInst>,
-    /// Completion calendar aligned with `rob` (same push/pop order):
-    /// `complete_at` once issued, `u64::MAX` before. Dependency checks walk
-    /// this compact table instead of the full [`DynInst`] entries.
-    sched: VecDeque<u64>,
-    /// Issue-queue scan list: `(seq, blocking)` where `blocking` memoizes
-    /// the producer that failed the last wakeup check (`u64::MAX` = none
-    /// known). While that producer is still incomplete the scan skips the
-    /// full dependency walk for this entry.
-    unissued: Vec<(u64, u64)>,
+    /// Unissued ROB entries in age order; the first `iq_size` of them form
+    /// the issue window.
+    unissued: VecDeque<u64>,
+    /// Unissued entries whose producers have all completed, in age order.
+    ready: Vec<u64>,
+    /// Unissued entries whose producers have all issued, keyed by
+    /// `(ready_at, seq)`: the wake calendar of the issue stage.
+    calendar: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Consumer lists, slot `seq & ring_mask` per ROB entry: the entries
+    /// waiting for that one to issue. The ring is larger than the ROB, so
+    /// live entries never share a slot.
+    consumers: Vec<Vec<u64>>,
+    ring_mask: u64,
     fetchq: VecDeque<DynInst>,
     rename: [Option<u64>; NUM_REGS],
     /// In-flight stores `(seq, addr, width)` for forwarding, in program order.
@@ -198,12 +213,17 @@ pub struct OooCore {
 
     /// Invariant-sanitizer ledger (populated when `cfg.sanitize` is set).
     san: SanitizeReport,
+    /// The idle span the sanitizer is checking (sanitized runs step every
+    /// cycle instead of jumping over it).
+    predicted_idle: Option<IdleSpan>,
     stats: CoreStats,
+    work: WorkCounters,
 }
 
 impl OooCore {
     /// Creates a core in its reset state.
     pub fn new(cfg: CoreConfig) -> Self {
+        let ring = (cfg.rob_size + 1).next_power_of_two();
         OooCore {
             cfg,
             cpu: Cpu::new(),
@@ -214,8 +234,11 @@ impl OooCore {
             seq_next: 0,
             head_seq: 0,
             rob: VecDeque::with_capacity(cfg.rob_size + 1),
-            sched: VecDeque::with_capacity(cfg.rob_size + 1),
-            unissued: Vec::with_capacity(cfg.rob_size + 1),
+            unissued: VecDeque::with_capacity(cfg.rob_size + 1),
+            ready: Vec::new(),
+            calendar: BinaryHeap::new(),
+            consumers: vec![Vec::new(); ring],
+            ring_mask: ring as u64 - 1,
             fetchq: VecDeque::new(),
             rename: [None; NUM_REGS],
             pending_stores: VecDeque::new(),
@@ -230,7 +253,9 @@ impl OooCore {
             rob_full_counted_this_cycle: false,
             finished: false,
             san: SanitizeReport::default(),
+            predicted_idle: None,
             stats: CoreStats::default(),
+            work: WorkCounters::default(),
         }
     }
 
@@ -265,15 +290,22 @@ impl OooCore {
         &self.bp
     }
 
-    /// Current cycle.
+    /// Current cycle: the last one stepped, or the last one skipped when
+    /// the step jumped over idle cycles.
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
+    /// How much work the cycle loop has done so far.
+    pub fn work(&self) -> WorkCounters {
+        self.work
+    }
+
     /// Seals the core and opens a [`StepSession`] covering `max_instrs`
     /// committed instructions, for scheduler-driven execution: a
-    /// discrete-event harness calls [`OooCore::step_cycle`] once per tick
-    /// and [`OooCore::finish_run`] when the session reports [`Step::Done`].
+    /// discrete-event harness calls [`OooCore::step_cycle`] at the tick
+    /// before each cycle it asks for and [`OooCore::finish_run`] when the
+    /// session reports [`Step::Done`].
     /// [`OooCore::run`] is exactly this sequence, so a stepped core is
     /// cycle-identical to a looped one.
     ///
@@ -381,8 +413,8 @@ impl OooCore {
         result.map(|()| &self.stats)
     }
 
-    /// Steps the session to completion — the lock-step loop [`OooCore::run`]
-    /// always was, now expressed over [`OooCore::step_cycle`].
+    /// Steps the session to completion over [`OooCore::step_cycle`], which
+    /// jumps over the cycles in which no stage can act.
     fn drive<E: RunaheadEngine + ?Sized>(
         &mut self,
         prog: &Program,
@@ -399,15 +431,21 @@ impl OooCore {
         }
     }
 
-    /// Advances the core by exactly one cycle under an open [`StepSession`].
+    /// Steps the core through one cycle under an open [`StepSession`], then
+    /// jumps over the idle cycles that follow it.
     ///
-    /// This is the loop body of the original lock-step `run`, verbatim: the
-    /// pipeline walks stages in reverse order (commit → issue → dispatch →
-    /// fetch) so a value produced this cycle is consumed next cycle, then
-    /// polls faults, sanitizer sweeps, the forward-progress watchdog, and
-    /// the cycle/wall/memory budgets. A discrete-event scheduler calls this
-    /// once per `(tick, core)` event; interleaving cores between calls is
-    /// safe because all cross-core state lives in the shared LLC.
+    /// The pipeline walks stages in reverse order (commit → issue →
+    /// dispatch → fetch) so a value produced this cycle is consumed next
+    /// cycle, then polls faults, sanitizer sweeps, the forward-progress
+    /// watchdog, and the cycle/wall/memory budgets. Last, the core moves
+    /// [`OooCore::cycle`] to the cycle before the next one in which any
+    /// stage can act, adding what the skipped cycles would have added to
+    /// the per-cycle counters; the skip is exact, so the run is
+    /// cycle-identical to stepping every cycle (which sanitized runs do,
+    /// checking each predicted-idle cycle). A discrete-event scheduler
+    /// calls this at tick [`OooCore::cycle`] for each `(tick, core)` event;
+    /// interleaving cores between calls is safe because all cross-core
+    /// state lives in the shared LLC.
     ///
     /// Returns [`Step::Done`] when the session's instruction target is
     /// reached or the program has halted and drained; the caller must then
@@ -429,8 +467,10 @@ impl OooCore {
             return Ok(Step::Done);
         }
         self.cycle += 1;
+        self.work.stepped += 1;
         self.rob_full_counted_this_cycle = false;
         let committed_before = self.stats.committed;
+        let before = self.cfg.sanitize.then(|| self.activity());
 
         self.commit(hier);
         self.issue(prog, mem, hier, engine);
@@ -441,8 +481,8 @@ impl OooCore {
             return Err(SimError::InjectedFault(ev));
         }
 
-        if self.cfg.sanitize {
-            self.sanitize_cycle(hier);
+        if let Some(before) = before {
+            self.sanitize_cycle(hier, before);
             // The per-set cache sweeps walk every way; amortize them.
             if self.cycle & 0xFFF == 0 {
                 self.sanitize_deep(hier);
@@ -489,7 +529,101 @@ impl OooCore {
         if self.cpu.is_halted() && self.fetchq.is_empty() && self.rob.is_empty() {
             return Ok(Step::Done);
         }
+        // `run` and `run_segment` read `stats.cycles` from the cycle that
+        // reached the target, so the core never jumps past it.
+        if self.stats.committed < session.target {
+            let span = self.idle_span(session);
+            if !self.cfg.sanitize {
+                self.skip(span);
+            } else if self.predicted_idle.is_none_or(|p| p.until <= self.cycle + 1) {
+                self.predicted_idle = Some(span);
+            }
+        }
         Ok(Step::Running)
+    }
+
+    /// The cycles after this one in which no stage can act: nothing
+    /// commits, issues, dispatches or fetches, and the stall trigger stays
+    /// quiet. Nothing else changes in them either: the hierarchy and the
+    /// engines work from the timestamps the core hands them, so only the
+    /// core's per-cycle counters move, and [`IdleSpan`] says by how much.
+    fn idle_span(&self, session: &StepSession) -> IdleSpan {
+        let soon = self.cycle + 1;
+        let busy = IdleSpan { until: soon, window_full: false, blocked: (0, 0) };
+        // Issue: a ready entry inside the window issues next cycle (issuing
+        // moved the window); otherwise the calendar names the next wake.
+        let mut until = match self.ready.first() {
+            Some(&seq) if seq < self.window_end() => return busy,
+            _ => self.calendar.peek().map_or(u64::MAX, |&Reverse((at, _))| at),
+        };
+        // Dispatch: acts next cycle unless the window is full. A window
+        // full on the LQ or SQ alone leaves ROB room, so dispatch re-arms
+        // the stall trigger and it fires on every such cycle.
+        if let Some(front) = self.fetchq.front() {
+            let armed = self.stall_episode_armed || self.rob.len() < self.cfg.rob_size;
+            if !self.window_full(front) || (armed && self.head_waits_on_memory(soon)) {
+                return busy;
+            }
+        }
+        // Commit: the head retires once it completes and the engine lets
+        // commit go; until then each cycle past its completion counts as
+        // blocked by the engine.
+        let mut blocked = (0, 0);
+        if let Some(head) = self.rob.front().filter(|h| h.issued) {
+            until = until.min(head.complete_at.max(self.commit_block_until));
+            blocked = (head.complete_at, self.commit_block_until);
+        }
+        // Fetch: resumes when a redirect's refill ends.
+        if !self.cpu.is_halted()
+            && self.fetch_blocked_on.is_none()
+            && self.fetchq.len() < self.cfg.fetch_queue
+        {
+            until = until.min(self.fetch_stall_until);
+        }
+        // Deadlines: the watchdog, the cycle budget, and the wall-clock and
+        // footprint probes every 64 Ki cycles.
+        if self.cfg.watchdog_cycles != 0 {
+            until = until.min(session.last_commit_cycle.saturating_add(self.cfg.watchdog_cycles));
+        }
+        if self.cfg.max_cycles != 0 {
+            until = until.min(self.cfg.max_cycles);
+        }
+        until = until.min((self.cycle | 0xFFFF) + 1);
+        IdleSpan { until: until.max(soon), window_full: !self.fetchq.is_empty(), blocked }
+    }
+
+    /// Jumps over an idle span: adds what its cycles would have added to
+    /// the per-cycle counters and leaves the core on the cycle before
+    /// `span.until`.
+    fn skip(&mut self, span: IdleSpan) {
+        let from = self.cycle + 1;
+        if span.until <= from {
+            return;
+        }
+        let n = span.until - from;
+        if span.window_full {
+            self.stats.rob_full_stall_cycles += n;
+        }
+        self.stats.commit_blocked_engine_cycles += span.blocked_cycles(from, span.until);
+        if self.rob.len() < self.cfg.rob_size {
+            self.stall_episode_armed = true;
+        }
+        self.work.skipped += n;
+        self.cycle = span.until - 1;
+    }
+
+    /// What a stage changes when it acts, for the sanitizer's idle check.
+    fn activity(&self) -> Activity {
+        Activity {
+            committed: self.stats.committed,
+            dispatched: self.head_seq + self.rob.len() as u64,
+            fetched: self.seq_next,
+            halted: self.cpu.is_halted(),
+            unissued: self.unissued.len(),
+            stall_triggers: self.stats.full_rob_stall_events,
+            rob_full_cycles: self.stats.rob_full_stall_cycles,
+            blocked_cycles: self.stats.commit_blocked_engine_cycles,
+        }
     }
 
     /// The invariant-sanitizer ledger (populated when
@@ -517,27 +651,36 @@ impl OooCore {
 
     /// One read-only structural sweep of the pipeline. Every condition is
     /// computed from `&self` state; findings go to the ledger only, so the
-    /// sweep cannot perturb timing.
-    fn sanitize_cycle(&mut self, hier: &MemoryHierarchy) {
+    /// sweep cannot perturb timing. `before` is the [`Activity`] as the
+    /// cycle started, for checking a cycle the core predicted idle.
+    fn sanitize_cycle(&mut self, hier: &MemoryHierarchy, before: Activity) {
         // Take the ledger out so the checks below can borrow `self` freely.
         let mut san = std::mem::take(&mut self.san);
         let cycle = self.cycle;
 
-        // ROB / completion-calendar alignment and capacity.
-        san.check(self.rob.len() == self.sched.len(), || {
-            format!(
-                "cycle {cycle}: rob len {} != completion calendar len {}",
-                self.rob.len(),
-                self.sched.len()
-            )
-        });
+        // A cycle predicted idle changed nothing but the counters the skip
+        // would have added in bulk.
+        if let Some(span) = self.predicted_idle.filter(|p| cycle < p.until) {
+            let want = Activity {
+                rob_full_cycles: before.rob_full_cycles + span.window_full as u64,
+                blocked_cycles: before.blocked_cycles + span.blocked_cycles(cycle, cycle + 1),
+                ..before
+            };
+            let got = self.activity();
+            san.check(got == want, || {
+                format!(
+                    "cycle {cycle}: predicted idle until {}: expected {want:?}, got {got:?}",
+                    span.until
+                )
+            });
+        }
+
         san.check(self.rob.len() <= self.cfg.rob_size, || {
             format!("cycle {cycle}: rob holds {} > {} entries", self.rob.len(), self.cfg.rob_size)
         });
 
-        // Age ordering: sequence numbers are contiguous from the head, the
-        // calendar mirrors each entry's completion time, and nothing is
-        // "complete" without having issued.
+        // Age ordering: sequence numbers are contiguous from the head, and
+        // nothing is "complete" without having issued.
         let mut loads = 0usize;
         let mut stores = 0usize;
         let mut unissued_in_rob = 0usize;
@@ -546,12 +689,6 @@ impl OooCore {
                 format!(
                     "cycle {cycle}: rob[{i}] seq {} breaks age order (head seq {})",
                     di.seq, self.head_seq
-                )
-            });
-            san.check(self.sched[i] == di.complete_at, || {
-                format!(
-                    "cycle {cycle}: calendar[{i}] = {} but rob entry completes at {}",
-                    self.sched[i], di.complete_at
                 )
             });
             san.check(di.issued || di.complete_at == u64::MAX, || {
@@ -579,21 +716,25 @@ impl OooCore {
             )
         });
 
-        // The issue-queue scan list holds exactly the unissued ROB entries.
+        // The unissued list holds exactly the unissued ROB entries, in age
+        // order.
         san.check(unissued_in_rob == self.unissued.len(), || {
             format!(
-                "cycle {cycle}: {} unissued rob entries but {} scan-list entries",
+                "cycle {cycle}: {} unissued rob entries but {} unissued-list entries",
                 unissued_in_rob,
                 self.unissued.len()
             )
         });
-        for &(seq, _) in &self.unissued {
+        let mut prev: Option<u64> = None;
+        for &seq in &self.unissued {
             let idx = seq.wrapping_sub(self.head_seq) as usize;
-            let ok = seq >= self.head_seq && idx < self.rob.len() && !self.rob[idx].issued;
+            let ok = idx < self.rob.len() && !self.rob[idx].issued && prev.is_none_or(|p| p < seq);
             san.check(ok, || {
-                format!("cycle {cycle}: scan-list seq {seq} is not a live unissued entry")
+                format!("cycle {cycle}: unissued-list seq {seq} is not a live unissued entry")
             });
+            prev = Some(seq);
         }
+        self.sanitize_wakeup(&mut san);
 
         // Rename table points at live producers of the right register.
         for (r, slot) in self.rename.iter().enumerate() {
@@ -635,6 +776,88 @@ impl OooCore {
         // MSHR allocate/release balance.
         san.absorb(hier.check_invariants(cycle, false));
         self.san = san;
+    }
+
+    /// The wakeup bookkeeping: each unissued entry waits on producers, sits
+    /// in the calendar or is ready (exactly one of the three), its pending
+    /// count is the number of its producers that have not issued, its
+    /// store producer is the youngest older in-flight store to its address,
+    /// and the consumer lists hold exactly the pending waits.
+    fn sanitize_wakeup(&self, san: &mut SanitizeReport) {
+        // Plain loops and one ledger check in all: this runs on every
+        // sanitized cycle, in debug builds too.
+        let (cycle, head, len) = (self.cycle, self.head_seq, self.rob.len());
+        let mut places = vec![0u32; len];
+        let mut bad: Option<String> = None;
+        for &Reverse((at, seq)) in &self.calendar {
+            let i = seq.wrapping_sub(head) as usize;
+            if i < len && !self.rob[i].issued && self.rob[i].ready_at == at && at > cycle {
+                places[i] += 1;
+            } else {
+                bad.get_or_insert_with(|| format!("calendar entry ({at}, {seq}) is not a wake"));
+            }
+        }
+        let mut prev: Option<u64> = None;
+        for &seq in &self.ready {
+            let i = seq.wrapping_sub(head) as usize;
+            if i < len && !self.rob[i].issued && self.rob[i].ready_at <= cycle && prev < Some(seq) {
+                places[i] += 1;
+            } else {
+                bad.get_or_insert_with(|| {
+                    format!("ready-set seq {seq} is out of order or not ready")
+                });
+            }
+            prev = Some(seq);
+        }
+        let mut pending = 0usize;
+        for (i, di) in self.rob.iter().enumerate() {
+            if di.issued {
+                continue;
+            }
+            // Committed producers have issued; in-flight ones either issued
+            // (and bound `ready_at`) or are pending.
+            let (mut unissued, mut covered) = (0u32, true);
+            for k in 0..di.deps.len() {
+                let Some(p) = di.deps[k] else { continue };
+                let j = p.wrapping_sub(head) as usize;
+                if j < len {
+                    let producer = &self.rob[j];
+                    if producer.issued {
+                        covered &= producer.complete_at <= di.ready_at;
+                    } else {
+                        unissued += 1;
+                    }
+                }
+            }
+            let store = di.deps[MEM_DEP].filter(|&p| p.wrapping_sub(head) < len as u64);
+            let mut want_store = None;
+            if let Some(m) = di.mem.filter(|_| di.class == FuClass::Load) {
+                for &(seq, addr, _) in &self.pending_stores {
+                    if seq < di.seq && addr == m.addr {
+                        want_store = Some(seq);
+                    }
+                }
+            }
+            let ok = places[i] + (di.pending > 0) as u32 == 1
+                && di.pending == unissued
+                && covered
+                && store == want_store;
+            if !ok {
+                bad.get_or_insert_with(|| {
+                    format!(
+                        "seq {} (pending {} of {unissued} producers, store producer {store:?} \
+                         of {want_store:?}) is not in exactly one wakeup state",
+                        di.seq, di.pending
+                    )
+                });
+            }
+            pending += di.pending as usize;
+        }
+        let listed: usize = self.consumers.iter().map(Vec::len).sum();
+        if listed != pending {
+            bad.get_or_insert_with(|| format!("consumer lists hold {listed} waits for {pending}"));
+        }
+        san.check(bad.is_none(), || format!("cycle {cycle}: wakeup: {}", bad.unwrap_or_default()));
     }
 
     /// The amortized sweep: per-set cache consistency on top of the MSHR
@@ -682,7 +905,6 @@ impl OooCore {
                 break;
             }
             let di = self.rob.pop_front().expect("head exists");
-            self.sched.pop_front();
             self.head_seq += 1;
             if let Some(dst) = di.instr.dst() {
                 if self.rename[dst.index()] == Some(di.seq) {
@@ -723,6 +945,12 @@ impl OooCore {
         }
     }
 
+    /// Issues the oldest ready entries inside the window, up to the FU
+    /// limits and the issue width. The window is the oldest `iq_size`
+    /// unissued entries as the stage starts; an entry is ready once every
+    /// producer it waits on (register writers, and a load's older store to
+    /// the same address) has completed. Consumers learn of a producer when
+    /// it issues, so the stage looks only at ready entries.
     fn issue<E: RunaheadEngine + ?Sized>(
         &mut self,
         prog: &Program,
@@ -730,6 +958,13 @@ impl OooCore {
         hier: &mut MemoryHierarchy,
         engine: &mut E,
     ) {
+        while let Some(&Reverse((at, seq))) = self.calendar.peek() {
+            if at > self.cycle {
+                break;
+            }
+            self.calendar.pop();
+            insert_sorted(&mut self.ready, seq);
+        }
         let mut slots = self.cfg.issue_width;
         let mut alu = self.cfg.int_alu;
         let mut mul = self.cfg.int_mul;
@@ -737,34 +972,12 @@ impl OooCore {
         let mut ld = self.cfg.load_ports;
         let mut st = self.cfg.store_ports;
 
-        // Single compacting pass over the scan list: entries that stay
-        // unissued are written back at `w`, issued ones are dropped. All
-        // skip conditions below are side-effect-free, so the set of
-        // instructions issued each cycle — and therefore every timing
-        // outcome — is identical to checking them in any other order.
-        let len = self.unissued.len();
-        let mut r = 0;
-        let mut w = 0;
-        let mut scanned = 0;
-        while r < len && scanned < self.cfg.iq_size && slots > 0 {
-            scanned += 1;
-            let (seq, blocking) = self.unissued[r];
+        let window_end = self.window_end();
+        let mut i = 0;
+        while slots > 0 && i < self.ready.len() && self.ready[i] < window_end {
+            let seq = self.ready[i];
+            self.work.issue_candidates += 1;
             let idx = (seq - self.head_seq) as usize;
-
-            // Wakeup filter: while the producer that blocked this entry on
-            // the previous scan is still incomplete, the full dependency
-            // walk cannot pass — skip without touching the ROB entry.
-            if blocking != u64::MAX
-                && blocking >= self.head_seq
-                && self.sched[(blocking - self.head_seq) as usize] > self.cycle
-            {
-                self.unissued[w] = (seq, blocking);
-                w += 1;
-                r += 1;
-                continue;
-            }
-
-            // Check functional-unit availability for this class.
             let class = self.rob[idx].class;
             let unit = match class {
                 FuClass::Alu => &mut alu,
@@ -774,38 +987,16 @@ impl OooCore {
                 FuClass::Store => &mut st,
             };
             if *unit == 0 {
-                self.unissued[w] = (seq, blocking);
-                w += 1;
-                r += 1;
+                i += 1;
                 continue;
-            }
-
-            if let Some(dep) = self.first_unready_dep(idx) {
-                self.unissued[w] = (seq, dep);
-                w += 1;
-                r += 1;
-                continue;
-            }
-
-            // Loads: memory-dependence check against older in-flight stores.
-            let mut forward = false;
-            if class == FuClass::Load {
-                match self.store_dependence(seq, self.rob[idx].mem.expect("load access").addr) {
-                    StoreDep::None => {}
-                    StoreDep::Forward => forward = true,
-                    StoreDep::NotReady => {
-                        self.unissued[w] = (seq, blocking);
-                        w += 1;
-                        r += 1;
-                        continue;
-                    }
-                }
             }
 
             // Issue it.
             *unit -= 1;
             slots -= 1;
-            r += 1;
+            self.ready.remove(i);
+            let pos = self.unissued.binary_search(&seq).expect("a ready entry is unissued");
+            self.unissued.remove(pos);
             let cycle = self.cycle;
             let di = &mut self.rob[idx];
             di.issued = true;
@@ -815,7 +1006,7 @@ impl OooCore {
             let complete_at = if class == FuClass::Load {
                 let m = m.expect("load access");
                 self.stats.loads += 1;
-                if forward {
+                if self.forwards(seq, m.addr) {
                     self.stats.store_forwards += 1;
                     cycle + 1
                 } else {
@@ -851,50 +1042,50 @@ impl OooCore {
             };
             let di = &mut self.rob[idx];
             di.complete_at = complete_at;
-            self.sched[idx] = complete_at;
 
             // A resolving mispredicted branch redirects fetch.
             if di.mispredicted && self.fetch_blocked_on == Some(seq) {
                 self.fetch_stall_until = complete_at + self.cfg.frontend_penalty;
                 self.fetch_blocked_on = None;
             }
-        }
-        if r > w {
-            self.unissued.copy_within(r..len, w);
-            self.unissued.truncate(w + (len - r));
+            self.wake_consumers(seq, complete_at);
         }
     }
 
-    /// First source operand whose producer has not completed, if any
-    /// (`None` means the instruction is ready to issue).
-    fn first_unready_dep(&self, idx: usize) -> Option<u64> {
-        for dep in self.rob[idx].deps.iter().flatten() {
-            if *dep >= self.head_seq && self.sched[(*dep - self.head_seq) as usize] > self.cycle {
-                return Some(*dep);
-            }
-        }
-        None
+    /// Seq one past the issue window: the oldest unissued entry outside the
+    /// first `iq_size` (`u64::MAX` when all of them fit).
+    fn window_end(&self) -> u64 {
+        self.unissued.get(self.cfg.iq_size).copied().unwrap_or(u64::MAX)
     }
 
-    fn store_dependence(&self, load_seq: u64, addr: u64) -> StoreDep {
-        // Scan youngest-first for the most recent older store to this address.
-        for (sseq, saddr, _) in self.pending_stores.iter().rev() {
-            if *sseq >= load_seq {
-                continue;
-            }
-            if *saddr == addr {
-                let idx = (*sseq - self.head_seq) as usize;
-                return if self.sched[idx] <= self.cycle {
-                    StoreDep::Forward
+    /// Hands an issued producer's completion time to the entries waiting on
+    /// it. One whose last producer this was enters the calendar, or the
+    /// ready set if the producer completes this very cycle.
+    fn wake_consumers(&mut self, producer: u64, complete_at: u64) {
+        let slot = (producer & self.ring_mask) as usize;
+        let mut consumers = std::mem::take(&mut self.consumers[slot]);
+        for &seq in &consumers {
+            let di = &mut self.rob[(seq - self.head_seq) as usize];
+            di.ready_at = di.ready_at.max(complete_at);
+            di.pending -= 1;
+            if di.pending == 0 {
+                if di.ready_at <= self.cycle {
+                    insert_sorted(&mut self.ready, seq);
                 } else {
-                    StoreDep::NotReady
-                };
+                    self.calendar.push(Reverse((di.ready_at, seq)));
+                }
             }
         }
-        if self.retired_index.contains_key(&addr) {
-            return StoreDep::Forward;
-        }
-        StoreDep::None
+        consumers.clear();
+        self.consumers[slot] = consumers;
+    }
+
+    /// Whether a load of `addr` takes its data from an older store: an
+    /// in-flight one (the load waited for it as a producer, so it has
+    /// completed) or one still in the post-commit store buffer.
+    fn forwards(&self, load_seq: u64, addr: u64) -> bool {
+        self.pending_stores.iter().any(|&(seq, a, _)| seq < load_seq && a == addr)
+            || self.retired_index.contains_key(&addr)
     }
 
     fn dispatch<E: RunaheadEngine + ?Sized>(
@@ -909,19 +1100,8 @@ impl OooCore {
         }
         let mut n = 0;
         while n < self.cfg.width {
-            if self.fetchq.is_empty() {
-                break;
-            }
-            let next_is_load = self.fetchq.front().is_some_and(DynInst::is_load);
-            let next_is_store = self.fetchq.front().is_some_and(DynInst::is_store);
-            // The instruction window is full when the ROB — or, for
-            // load-heavy code, the LQ/SQ — cannot accept the next
-            // instruction. All three back-pressure dispatch and constitute
-            // the classic runahead trigger when a load miss blocks the head.
-            let window_full = self.rob.len() >= self.cfg.rob_size
-                || (next_is_load && self.loads_in_rob >= self.cfg.lq_size)
-                || (next_is_store && self.stores_in_rob >= self.cfg.sq_size);
-            if window_full {
+            let Some(next) = self.fetchq.front() else { break };
+            if self.window_full(next) {
                 self.note_window_full(prog, mem, hier, engine);
                 break;
             }
@@ -929,6 +1109,10 @@ impl OooCore {
             let mut di = self.fetchq.pop_front().expect("nonempty");
             for (k, r) in di.instr.srcs().enumerate() {
                 di.deps[k] = self.rename[r.index()];
+            }
+            if let Some(m) = di.mem.filter(|_| di.is_load()) {
+                let store = self.pending_stores.iter().rev().find(|&&(_, a, _)| a == m.addr);
+                di.deps[MEM_DEP] = store.map(|&(seq, _, _)| seq);
             }
             if let Some(dst) = di.instr.dst() {
                 self.rename[dst.index()] = Some(di.seq);
@@ -953,11 +1137,47 @@ impl OooCore {
                 engine.on_dispatch(&mut ctx, &di);
             }
 
-            self.unissued.push((di.seq, u64::MAX));
-            self.sched.push_back(u64::MAX);
+            self.register(&mut di);
+            self.unissued.push_back(di.seq);
             self.rob.push_back(di);
             n += 1;
         }
+    }
+
+    /// Whether the instruction window cannot take `next`: the ROB — or,
+    /// for load-heavy code, the LQ/SQ — is full. All three back-pressure
+    /// dispatch and constitute the classic runahead trigger when a load
+    /// miss blocks the head.
+    fn window_full(&self, next: &DynInst) -> bool {
+        self.rob.len() >= self.cfg.rob_size
+            || (next.is_load() && self.loads_in_rob >= self.cfg.lq_size)
+            || (next.is_store() && self.stores_in_rob >= self.cfg.sq_size)
+    }
+
+    /// Counts a dispatching entry's unissued producers and puts it on
+    /// their consumer lists; an entry without one goes into the calendar.
+    fn register(&mut self, di: &mut DynInst) {
+        di.ready_at = self.cycle + 1;
+        di.pending = 0;
+        for &p in di.deps.iter().flatten() {
+            let producer = &self.rob[(p - self.head_seq) as usize];
+            if producer.issued {
+                di.ready_at = di.ready_at.max(producer.complete_at);
+            } else {
+                di.pending += 1;
+                self.consumers[(p & self.ring_mask) as usize].push(di.seq);
+            }
+        }
+        if di.pending == 0 {
+            self.calendar.push(Reverse((di.ready_at, di.seq)));
+        }
+    }
+
+    /// The classic runahead trigger's condition at cycle `at`: a
+    /// *long-latency* load blocks the head (an L2-hit blip does not send
+    /// the core into runahead).
+    fn head_waits_on_memory(&self, at: u64) -> bool {
+        self.rob.front().is_some_and(|h| h.is_load() && h.issued && h.complete_at > at + 30)
     }
 
     fn note_window_full<E: RunaheadEngine + ?Sized>(
@@ -971,14 +1191,10 @@ impl OooCore {
             self.stats.rob_full_stall_cycles += 1;
             self.rob_full_counted_this_cycle = true;
         }
-        let Some(head) = self.rob.front() else { return };
-        // The classic runahead trigger: a *long-latency* load blocks the
-        // head (an L2-hit blip does not send the core into runahead).
-        let head_pending_load = head.is_load() && head.issued && head.complete_at > self.cycle + 30;
-        if head_pending_load && self.stall_episode_armed {
+        if self.stall_episode_armed && self.head_waits_on_memory(self.cycle) {
             self.stall_episode_armed = false;
             self.stats.full_rob_stall_events += 1;
-            let head_complete = head.complete_at;
+            let head_complete = self.rob.front().expect("a load blocks the head").complete_at;
             let mut ctx = EngineCtx {
                 cycle: self.cycle,
                 prog,
@@ -1026,10 +1242,12 @@ impl OooCore {
                         src_values,
                         dst_value: step.dst_value,
                         mispredicted: false,
-                        deps: [None; 3],
+                        deps: [None; 4],
                         class: fu_class(&step.instr),
                         issued: false,
                         complete_at: u64::MAX,
+                        pending: 0,
+                        ready_at: u64::MAX,
                     };
                     self.seq_next += 1;
                     let mut stop = false;
@@ -1056,14 +1274,45 @@ impl OooCore {
     }
 }
 
+/// Inserts `seq` into an age-ordered list.
+fn insert_sorted(list: &mut Vec<u64>, seq: u64) {
+    let pos = list.partition_point(|&s| s < seq);
+    list.insert(pos, seq);
+}
+
+/// Cycles after the current one in which no stage can act: the skip
+/// jumps to `until`, and the sanitizer checks each of them instead.
+#[derive(Clone, Copy, Debug)]
+struct IdleSpan {
+    /// The first cycle in which a stage may act again.
+    until: u64,
+    /// Dispatch is held by a full window: each idle cycle is a full-window
+    /// stall cycle.
+    window_full: bool,
+    /// Idle cycles in `[blocked.0, blocked.1)` count as commit blocked by
+    /// the engine: the head has completed but the engine holds commit.
+    blocked: (u64, u64),
+}
+
+impl IdleSpan {
+    /// Idle cycles in `[from, to)` on which commit is blocked by the engine.
+    fn blocked_cycles(&self, from: u64, to: u64) -> u64 {
+        to.min(self.blocked.1).saturating_sub(from.max(self.blocked.0))
+    }
+}
+
+/// What a stage changes when it acts, plus the two counters an idle cycle
+/// moves: the sanitizer compares them across each predicted-idle cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum StoreDep {
-    /// No older in-flight store to this address.
-    None,
-    /// An older store has executed: forward its data.
-    Forward,
-    /// An older store to the same address has not executed yet.
-    NotReady,
+struct Activity {
+    committed: u64,
+    dispatched: u64,
+    fetched: u64,
+    halted: bool,
+    unissued: usize,
+    stall_triggers: u64,
+    rob_full_cycles: u64,
+    blocked_cycles: u64,
 }
 
 #[cfg(test)]
@@ -1267,26 +1516,31 @@ mod tests {
         asm.addi(Reg::R2, Reg::R2, 1);
         asm.halt();
         let prog = asm.finish().unwrap();
-        let mut mem = SparseMemory::new();
-        let cfg = CoreConfig { watchdog_cycles: 10_000, ..CoreConfig::default() };
-        let mut core = OooCore::new(cfg);
-        let fault = Some(sim_mem::FaultConfig::seeded(1).with_drop(1));
-        let mut hier =
-            MemoryHierarchy::new(HierarchyConfig { fault, ..HierarchyConfig::default() });
-        let err = core
-            .run(&prog, &mut mem, &mut hier, &mut NullEngine, 1_000_000)
-            .expect_err("dropped response must wedge the pipeline");
-        let crate::SimError::Deadlock(snap) = err else {
-            panic!("expected Deadlock, got {err:?}");
+        let deadlock = |sanitize: bool| {
+            let mut mem = SparseMemory::new();
+            let cfg = CoreConfig { watchdog_cycles: 10_000, sanitize, ..CoreConfig::default() };
+            let mut core = OooCore::new(cfg);
+            let fault = Some(sim_mem::FaultConfig::seeded(1).with_drop(1));
+            let mut hier =
+                MemoryHierarchy::new(HierarchyConfig { fault, ..HierarchyConfig::default() });
+            let err = core
+                .run(&prog, &mut mem, &mut hier, &mut NullEngine, 1_000_000)
+                .expect_err("dropped response must wedge the pipeline");
+            let crate::SimError::Deadlock(snap) = err else {
+                panic!("expected Deadlock, got {err:?}");
+            };
+            // Partial stats stay coherent after the failure.
+            assert_eq!(core.stats().cycles, snap.cycle);
+            snap
         };
-        assert!(snap.cycle >= 10_000);
-        assert!(snap.cycle - snap.last_commit_cycle >= 10_000);
+        let snap = deadlock(false);
+        // The idle skip stops exactly at the watchdog deadline.
+        assert_eq!(snap.cycle, snap.last_commit_cycle + 10_000);
         assert!(snap.rob_len >= 1);
         let head = snap.rob_head.as_deref().expect("a load blocks the head");
         assert!(head.contains("Load"), "head should be the wedged load: {head}");
         assert!(snap.mshrs_in_use >= 1, "the dropped miss still holds its MSHR");
-        // Partial stats stay coherent after the failure.
-        assert_eq!(core.stats().cycles, snap.cycle);
+        assert_eq!(deadlock(true), snap, "a sanitized run steps every cycle to the same deadlock");
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use engine::{ArchSnapshot, EngineCtx, NullEngine, RunaheadEngine};
 pub use error::{DeadlockSnapshot, SimError};
 pub use loop_pred::LoopPredictor;
 pub use sanitize::SanitizeReport;
-pub use stats::CoreStats;
+pub use stats::{CoreStats, WorkCounters};

@@ -1,14 +1,16 @@
 //! The cycle-model invariant sanitizer's violation ledger.
 //!
-//! When [`CoreConfig::sanitize`](crate::CoreConfig) is set, the core runs
-//! read-only structural checks every cycle (ROB age-ordering and calendar
-//! alignment, rename-table validity, LSQ counter balance, MSHR
-//! allocate/release balance) plus amortized per-set cache sweeps, and the
-//! runner diffs the timing core's architectural state against a fresh
-//! functional replay (prefetch-is-timing-only). Findings land here; the
-//! simulation itself is never perturbed — every check takes `&self` on the
-//! structures it inspects and results go to this ledger only, so reports
-//! stay byte-identical with the sanitizer on or off.
+//! When [`CoreConfig::sanitize`](crate::CoreConfig) is set, the core steps
+//! every cycle instead of jumping over idle ones and runs read-only
+//! structural checks on each (ROB age-ordering, the issue stage's wakeup
+//! bookkeeping, that a cycle predicted idle changed nothing, rename-table
+//! validity, LSQ counter balance, MSHR allocate/release balance) plus
+//! amortized per-set cache sweeps, and the runner diffs the timing core's
+//! architectural state against a fresh functional replay
+//! (prefetch-is-timing-only). Findings land here; the simulation itself is
+//! never perturbed — every check takes `&self` on the structures it
+//! inspects and results go to this ledger only, so reports stay
+//! byte-identical with the sanitizer on or off.
 
 /// Counts of invariant checks run and violations found, with the first few
 /// violation messages retained for diagnosis.

@@ -1,5 +1,7 @@
 //! Core-level statistics.
 
+use std::fmt;
+
 /// Counters accumulated by [`OooCore`](crate::OooCore) over a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CoreStats {
@@ -92,6 +94,30 @@ impl CoreStats {
         } else {
             1000.0 * self.branch_mispredicts as f64 / self.committed as f64
         }
+    }
+}
+
+/// How much work the core's cycle loop did, as opposed to what it
+/// simulated: the counts [`OooCore::work`](crate::OooCore::work) returns.
+/// They are deterministic, so a change that stops skipping idle cycles
+/// shows up as a diff rather than as a slower clock.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct WorkCounters {
+    /// Cycles stepped through every pipeline stage.
+    pub stepped: u64,
+    /// Cycles jumped over because no stage could act in them.
+    pub skipped: u64,
+    /// Ready entries the issue stage examined.
+    pub issue_candidates: u64,
+}
+
+impl fmt::Display for WorkCounters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} cycles stepped, {} skipped, {} issue candidates",
+            self.stepped, self.skipped, self.issue_candidates
+        )
     }
 }
 

@@ -156,6 +156,36 @@ sane="$(cargo run -q -p dvr-sim --bin dvrsim -- --bench NAS-IS --size test \
     --technique dvr --instrs 20000 --json --sanitize | strip_clock)"
 [ "$plain" = "$sane" ] || { echo "sanitized JSON diverged from plain run"; exit 1; }
 
+echo "== event-driven core: work counters match the golden, stepping matches skipping =="
+# The core jumps over cycles in which no stage can act. Its work counts are
+# deterministic, so a change that quietly stops skipping diffs against
+# tests/golden/work_counters.txt (cells are bench[/input]:technique). A
+# sanitized run steps every cycle and must print the same JSON; Camel under
+# VR covers the engine's commit-block path.
+cargo build -q --release -p dvr-sim --bin dvrsim
+dvrsim=target/release/dvrsim
+cell_args() {
+  local bench="${1%%:*}"
+  case "$bench" in
+    */*) echo "--bench ${bench%%/*} --input ${bench#*/} --technique ${1##*:}" ;;
+    *) echo "--bench $bench --technique ${1##*:}" ;;
+  esac
+}
+work="$(for cell in hj8:ooo camel:vr nas-is:dvr bfs/ur:oracle; do
+  # shellcheck disable=SC2046
+  line="$("$dvrsim" $(cell_args "$cell") --size test --instrs 20000 --verbose | grep -o 'work: .*')"
+  echo "$cell $line"
+done)"
+diff -u tests/golden/work_counters.txt <(echo "$work") \
+    || { echo "work counters drifted from tests/golden/work_counters.txt"; exit 1; }
+for cell in hj8:ooo camel:vr; do
+  # shellcheck disable=SC2046
+  plain="$("$dvrsim" $(cell_args "$cell") --size test --instrs 20000 --json | strip_clock)"
+  # shellcheck disable=SC2046
+  sane="$("$dvrsim" $(cell_args "$cell") --size test --instrs 20000 --json --sanitize | strip_clock)"
+  [ "$plain" = "$sane" ] || { echo "$cell: stepping (sanitized) JSON diverged from skipping"; exit 1; }
+done
+
 echo "== sanitize smoke: one figure cell under the sanitizer =="
 san_err="$(cargo run -q -p bench --bin figures -- fig9 --size test --instrs 10000 \
     --sanitize 2>&1 >/dev/null)"

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the whole stack (ISA → core → hierarchy →
 //! engines → workloads) driven through the public `dvr-sim` API.
 
-use dvr_sim::{simulate, SimConfig, Technique};
+use dvr_sim::sweep::ALL_TECHNIQUES;
+use dvr_sim::{simulate, MixSpec, SimConfig, SimReport, Technique};
 use workloads::{Benchmark, GraphInput, SizeClass};
 
 const INSTRS: u64 = 40_000;
@@ -80,6 +81,68 @@ fn timing_never_perturbs_architectural_results() {
             );
         }
     }
+}
+
+#[test]
+fn idle_skip_matches_stepping_for_every_technique() {
+    // A plain run jumps over the cycles in which no stage can act; a
+    // sanitized run steps through each of them and checks that nothing
+    // happened. The two must report the same bytes.
+    let strip = |mut r: SimReport| {
+        r.host_seconds = 0.0;
+        r.to_json()
+    };
+    let cells = [
+        (Benchmark::Hj8, None),
+        (Benchmark::Camel, None),
+        (Benchmark::Bfs, Some(GraphInput::Ur)),
+        (Benchmark::NasIs, None),
+    ];
+    for (bench, input) in cells {
+        let wl = bench.build(input, SizeClass::Test, 42);
+        for t in ALL_TECHNIQUES {
+            let cfg = SimConfig::new(t).with_max_instructions(10_000);
+            let plain = simulate(&wl, &cfg);
+            let sane = simulate(&wl, &cfg.with_sanitize(true));
+            let what = format!("{} under {}", wl.name, t.name());
+            let ledger = sane.sanitizer.as_ref().expect("sanitizer ledger attached");
+            assert!(ledger.is_clean(), "{what}: {} {:?}", ledger.summary(), ledger.first);
+            assert_eq!(sane.work.skipped, 0, "{what}: a sanitized run steps every cycle");
+            if t == Technique::Baseline {
+                assert!(plain.work.skipped > 0, "{what}: no idle cycle was skipped");
+            }
+            assert_eq!(
+                strip(plain),
+                strip(sane),
+                "{what}: skipping idle cycles changed the report"
+            );
+        }
+    }
+}
+
+#[test]
+fn work_counters_match_the_golden_file() {
+    // The cycle loop's work is deterministic, so a change that stops
+    // skipping idle cycles or examines more issue candidates diffs here,
+    // where a wall-clock bound would flake. `scripts/check.sh` diffs the
+    // same lines from `dvrsim --verbose`. Cells are `bench[/input]:technique`.
+    let got: String = ["hj8:ooo", "camel:vr", "nas-is:dvr", "bfs/ur:oracle"]
+        .into_iter()
+        .map(|cell| {
+            let core = MixSpec::parse(cell, Technique::Baseline).expect("valid cell").cores[0];
+            let wl = core.bench.build(core.input, SizeClass::Test, 42);
+            let r = simulate(&wl, &SimConfig::new(core.technique).with_max_instructions(20_000));
+            format!("{cell} work: {}\n", r.work)
+        })
+        .collect();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/work_counters.txt");
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{path}: {e} (BLESS=1 to generate)"));
+    assert_eq!(got, want, "work counters drifted; BLESS=1 to re-bless after review");
 }
 
 #[test]
