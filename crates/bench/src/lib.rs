@@ -4,8 +4,7 @@
 //! listed by name in [`EXPERIMENTS`]; each declares its cells once as a
 //! grid ([`Ctx::run_grid`]). The `figures` binary drives
 //! [`run_experiment_full`]; `--svg DIR` additionally renders each figure as
-//! a chart via [`chart::Chart`]. The Criterion benches reuse the same
-//! experiment code on reduced inputs.
+//! a chart via [`chart::Chart`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

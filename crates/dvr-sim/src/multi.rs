@@ -504,7 +504,7 @@ pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig
             technique: cfg.technique,
             workload: wl.name.clone(),
             ipc: core_stats.ipc(),
-            mlp: hier.mshr_busy_integral() as f64 / cycles as f64,
+            mlp: hier.mshr_busy_integral(core_stats.cycles) as f64 / cycles as f64,
             simulated_instructions: core_stats.committed,
             host_seconds: 0.0,
             sampling: None,

@@ -304,7 +304,7 @@ fn run(workload: &Workload, cfg: &SimConfig, observe: bool) -> (SimReport, Obser
         technique: cfg.technique,
         workload: workload.name.clone(),
         ipc: core_stats.ipc(),
-        mlp: hier.mshr_busy_integral() as f64 / cycles as f64,
+        mlp: hier.mshr_busy_integral(core_stats.cycles) as f64 / cycles as f64,
         simulated_instructions: core_stats.committed,
         host_seconds: t0.elapsed().as_secs_f64(),
         sampling: None,

@@ -10,27 +10,28 @@
 //! [`SamplingSummary`] with the variance and 95% confidence interval.
 //!
 //! Because each period is measured from its own checkpoint, the measure
-//! phase fans out: [`simulate_sampled_threads`] dispatches periods
-//! across in-process worker threads, and
-//! [`measure_periods_via_workers`] dispatches them to `dvrsim
-//! sample-worker` processes under the sweep supervisor. All paths merge
-//! through [`sim_sample::merge_periods`], so the resulting reports are
-//! byte-identical (modulo wall-clock fields).
+//! phase fans out: [`simulate_sampled_threads`] measures periods on
+//! in-process worker threads as the emitter hands them over, and
+//! [`measure_periods_via_workers`] dispatches collected checkpoints to
+//! `dvrsim sample-worker` processes under the sweep supervisor. All paths
+//! merge through [`sim_sample::merge_periods`], so the resulting reports
+//! are byte-identical (modulo wall-clock fields).
 
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
 
+use sim_isa::SparseMemory;
 use sim_ooo::{RunaheadEngine, SimError};
 use sim_sample::{
-    emit_checkpoints, measure_period, merge_periods, EmitResult, PeriodCheckpoint, PeriodResult,
-    SampleConfig, SampleError, SampledRun,
+    emit_checkpoints, measure_period, merge_periods, shared_copy, stream_checkpoints, EmitResult,
+    PeriodCheckpoint, PeriodResult, SampleConfig, SampleError, SampledRun,
 };
 use sim_sweep::{Supervisor, SweepOptions};
 use workloads::Workload;
 
 use crate::config::SimConfig;
 use crate::report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
-use crate::runner::{try_parallel_map, AnyEngine};
+use crate::runner::{resolve_threads, try_parallel_map, AnyEngine};
 use crate::sweep::SweepCell;
 
 /// Builds a fresh runahead engine for one detailed interval — the same
@@ -88,7 +89,9 @@ pub fn sample_emit(
 ///
 /// Work is distributed by [`try_parallel_map`]'s atomic work-stealing
 /// index; results come back in period order regardless of which thread
-/// measured what, so the downstream merge is deterministic.
+/// measured what, so the downstream merge is deterministic. Every period
+/// restores from one shared copy of the workload image, taken once per
+/// call.
 ///
 /// # Errors
 ///
@@ -102,46 +105,92 @@ pub fn measure_emitted(
     threads: usize,
 ) -> Result<Vec<PeriodResult>, SampleError> {
     let scfg = scfg.with_max_instructions(cfg.max_instructions);
+    measure_from(workload, cfg, &scfg, &shared_copy(&workload.mem), checkpoints, 0, threads)
+}
+
+/// Measures `checkpoints`, the emitted checkpoints from position `first`
+/// on, restoring each from `base`; a panicking cell is reported by its
+/// position among all emitted checkpoints. `scfg` already carries the
+/// region of interest.
+fn measure_from(
+    workload: &Workload,
+    cfg: &SimConfig,
+    scfg: &SampleConfig,
+    base: &SparseMemory,
+    checkpoints: &[PeriodCheckpoint],
+    first: usize,
+    threads: usize,
+) -> Result<Vec<PeriodResult>, SampleError> {
     let results = try_parallel_map(checkpoints.len(), threads, |i| {
-        measure_period(
-            &workload.prog,
-            &workload.mem,
-            cfg.core,
-            cfg.hierarchy,
-            &scfg,
-            &checkpoints[i],
-            || engine_factory(cfg),
-        )
+        measure_period(&workload.prog, base, cfg.core, cfg.hierarchy, scfg, &checkpoints[i], || {
+            engine_factory(cfg)
+        })
     });
     let mut periods = Vec::with_capacity(results.len());
     for r in results {
         match r {
             Ok(Ok(p)) => periods.push(p),
             Ok(Err(e)) => return Err(e),
-            Err(cell) => return Err(SampleError::Worker(cell.to_string())),
+            Err(mut cell) => {
+                cell.index += first;
+                return Err(SampleError::Worker(cell.to_string()));
+            }
         }
     }
     Ok(periods)
 }
 
 /// Runs one workload sampled with the measure phase fanned across
-/// `threads` in-process workers, returning the merged [`SampledRun`].
+/// `threads` in-process workers (0 = all available cores), returning the
+/// merged [`SampledRun`].
+///
+/// Periods are measured as they are emitted, in batches of `threads`, and
+/// each checkpoint is dropped once measured, so at most `threads` periods
+/// are alive at once. A fast-forward fault anywhere in the region of
+/// interest still takes precedence over a period's failure, as in
+/// [`sim_sample::run_sampled`].
 ///
 /// `threads == 1` runs inline and is the sequential reference; every
 /// other value produces a bit-identical result.
 ///
 /// # Errors
 ///
-/// The first emit or measure failure ([`SampleError`]).
+/// The emit failure, or else the first failing period by index
+/// ([`SampleError`]).
 pub fn run_sampled_threads(
     workload: &Workload,
     cfg: &SimConfig,
     scfg: &SampleConfig,
     threads: usize,
 ) -> Result<SampledRun, SampleError> {
-    let emit = sample_emit(workload, cfg, scfg)?;
-    let periods = measure_emitted(workload, cfg, scfg, &emit.checkpoints, threads)?;
-    Ok(merge_periods(periods, emit.total_retired, emit.halted))
+    let scfg = scfg.with_max_instructions(cfg.max_instructions);
+    let base = shared_copy(&workload.mem);
+    let batch_len = resolve_threads(threads).max(1);
+    let mut batch = Vec::with_capacity(batch_len);
+    let mut measured = Ok(Vec::new());
+    let flush = |batch: &mut Vec<PeriodCheckpoint>,
+                 measured: &mut Result<Vec<PeriodResult>, SampleError>| {
+        if let Ok(periods) = measured {
+            match measure_from(workload, cfg, &scfg, &base, batch, periods.len(), threads) {
+                Ok(done) => periods.extend(done),
+                Err(e) => *measured = Err(e),
+            }
+        }
+        batch.clear();
+    };
+    let (total_retired, halted) =
+        stream_checkpoints(&workload.prog, &base, cfg.hierarchy, &scfg, |ck| {
+            // After a failure the pass still runs to the end of the region,
+            // so that a later fast-forward fault takes precedence.
+            if measured.is_ok() {
+                batch.push(ck);
+                if batch.len() == batch_len {
+                    flush(&mut batch, &mut measured);
+                }
+            }
+        })?;
+    flush(&mut batch, &mut measured);
+    Ok(merge_periods(measured?, total_retired, halted))
 }
 
 /// The `dvrsim sample-worker` command line that measures periods of
@@ -416,6 +465,29 @@ mod tests {
             s.ipc_mean,
             s.ipc_ci95
         );
+    }
+
+    #[test]
+    fn a_failed_period_reports_the_same_bytes_on_every_path() {
+        // No OoO period of this cell fits in 2 000 cycles.
+        let wl = Benchmark::NasIs.build(None, SizeClass::Test, 1);
+        let cfg = SimConfig::new(Technique::Baseline)
+            .with_max_instructions(200_000)
+            .with_cycle_budget(2_000);
+        let json = |mut r: SimReport| {
+            r.host_seconds = 0.0;
+            r.to_json()
+        };
+        let streamed = json(simulate_sampled(&wl, &cfg, &scfg()));
+        assert!(streamed.contains("\"outcome\":\"cycle_budget_exceeded\""), "{streamed}");
+        let threaded = json(simulate_sampled_threads(&wl, &cfg, &scfg(), 4));
+        let result = sample_emit(&wl, &cfg, &scfg()).and_then(|emit| {
+            let periods = measure_emitted(&wl, &cfg, &scfg(), &emit.checkpoints, 4)?;
+            Ok(merge_periods(periods, emit.total_retired, emit.halted))
+        });
+        let collected = json(sampled_report_from(&wl, &cfg, &scfg(), result));
+        assert_eq!(streamed, threaded);
+        assert_eq!(streamed, collected);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::bytes::{ensure, DecodeError, Reader};
 use crate::fxhash::FxHashMap;
@@ -14,6 +15,61 @@ const PAGE_MASK: u64 = (PAGE_SIZE - 1) as u64;
 /// a real entry: it would need page number `u32::MAX` *and* slot
 /// `u32::MAX`, and only pages below `u32::MAX` are ever cached.
 const NO_CACHE: u64 = u64::MAX;
+
+/// One 4 KiB page payload: owned by this image, or shared copy-on-write
+/// with other images and checkpoints.
+#[derive(Clone)]
+enum Page {
+    /// Written in place; `Clone` deep-copies it.
+    Owned(Box<[u8; PAGE_SIZE]>),
+    /// Immutable and reference-counted; `Clone` shares it, and the first
+    /// write through [`Page::writable`] copies it into an owned page.
+    Shared(Arc<[u8; PAGE_SIZE]>),
+}
+
+impl Page {
+    #[inline]
+    fn bytes(&self) -> &[u8; PAGE_SIZE] {
+        match self {
+            Page::Owned(b) => b,
+            Page::Shared(a) => a,
+        }
+    }
+
+    /// The page for writing. An owned page costs one match; a shared page
+    /// is first copied, once, so the write path never touches a reference
+    /// count.
+    #[inline]
+    fn writable(&mut self) -> &mut [u8; PAGE_SIZE] {
+        if let Page::Shared(_) = self {
+            self.unshare();
+        }
+        match self {
+            Page::Owned(b) => b,
+            Page::Shared(_) => unreachable!("shared page was just copied"),
+        }
+    }
+
+    /// Replaces a shared page by an owned copy. Kept out of line so the
+    /// write path's frame stays small: a page is unshared at most once per
+    /// share.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) {
+        if let Page::Shared(a) = self {
+            *self = Page::Owned(Box::new(**a));
+        }
+    }
+
+    /// The page as a shared payload: a reference-count increment if it is
+    /// already shared, otherwise one copy.
+    fn to_shared(&self) -> Arc<[u8; PAGE_SIZE]> {
+        match self {
+            Page::Owned(b) => Arc::new(**b),
+            Page::Shared(a) => Arc::clone(a),
+        }
+    }
+}
 
 /// A flat 64-bit byte-addressed memory, allocated in 4 KiB pages on first
 /// touch. Unwritten bytes read as zero.
@@ -30,6 +86,13 @@ const NO_CACHE: u64 = u64::MAX;
 /// refresh it while the type stays `Sync` for sharing built workloads
 /// across simulation threads.
 ///
+/// A slot holds an owned page or a shared one. Pages are owned until
+/// [`SparseMemory::share`] freezes them; after that, `Clone` costs a
+/// reference-count increment per page instead of a 4 KiB copy, and each
+/// image copies a page back into an owned one on its first write to it.
+/// An image that never calls `share` behaves and costs exactly as a plain
+/// owned image: writes never touch an atomic.
+///
 /// # Example
 ///
 /// ```
@@ -42,7 +105,7 @@ const NO_CACHE: u64 = u64::MAX;
 #[derive(Default)]
 pub struct SparseMemory {
     /// Page payloads, indexed by slot.
-    slots: Vec<Box<[u8; PAGE_SIZE]>>,
+    slots: Vec<Page>,
     /// Page number → slot index.
     map: FxHashMap<u64, u32>,
     /// Last successful translation, packed `page << 32 | slot`.
@@ -53,6 +116,7 @@ impl Clone for SparseMemory {
     fn clone(&self) -> Self {
         // Slot indices are position-based, so the cached translation stays
         // valid in the clone; the atomic itself cannot be derived `Clone`.
+        // Owned pages are deep-copied, shared ones shared.
         SparseMemory {
             slots: self.slots.clone(),
             map: self.map.clone(),
@@ -91,7 +155,7 @@ impl SparseMemory {
     pub fn checksum(&self) -> u64 {
         let mut sum = 0u64;
         for (&page, &slot) in &self.map {
-            let bytes = &self.slots[slot as usize];
+            let bytes = self.slots[slot as usize].bytes();
             if bytes.iter().all(|&b| b == 0) {
                 continue;
             }
@@ -122,25 +186,50 @@ impl SparseMemory {
 
     #[inline]
     fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE]> {
-        self.slot_of(addr >> PAGE_SHIFT).map(|s| &*self.slots[s])
+        self.slot_of(addr >> PAGE_SHIFT).map(|s| self.slots[s].bytes())
     }
 
-    #[inline]
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        let page = addr >> PAGE_SHIFT;
-        let slot = match self.slot_of(page) {
+    /// The slot holding `page`, allocated (as an owned zero page) on first
+    /// touch.
+    #[inline(always)]
+    fn slot_index(&mut self, page: u64) -> usize {
+        match self.slot_of(page) {
             Some(s) => s,
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Box::new([0u8; PAGE_SIZE]));
-                self.map.insert(page, s);
-                if page < u32::MAX as u64 {
-                    *self.last.get_mut() = page << 32 | s as u64;
-                }
-                s as usize
+            None => self.alloc_slot(page),
+        }
+    }
+
+    #[cold]
+    fn alloc_slot(&mut self, page: u64) -> usize {
+        let s = self.slots.len() as u32;
+        self.slots.push(Page::Owned(Box::new([0u8; PAGE_SIZE])));
+        self.map.insert(page, s);
+        if page < u32::MAX as u64 {
+            *self.last.get_mut() = page << 32 | s as u64;
+        }
+        s as usize
+    }
+
+    /// The page holding `addr`, ready for writing. Out of line, with the
+    /// translation inlined, so that `write` stays small enough to inline
+    /// into `write_u64` and its siblings with a constant width: a store
+    /// is then one call and one move, as for an all-owned image.
+    #[inline(never)]
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        let slot = self.slot_index(addr >> PAGE_SHIFT);
+        self.slots[slot].writable()
+    }
+
+    /// Turns every owned page into a shared one, so that clones of this
+    /// image, and checkpoints taken from it, share its pages instead of
+    /// copying them. Costs one copy per owned page; pages already shared
+    /// are left as they are. Contents are unchanged.
+    pub fn share(&mut self) {
+        for slot in &mut self.slots {
+            if let Page::Owned(b) = slot {
+                *slot = Page::Shared(Arc::new(**b));
             }
-        };
-        &mut self.slots[slot]
+        }
     }
 
     /// Reads one byte.
@@ -247,17 +336,24 @@ impl SparseMemory {
     /// still present in `self`). Pages absent from `base` compare against
     /// zeros, so a checkpoint against `SparseMemory::new()` captures every
     /// non-zero page.
+    ///
+    /// A page that shares its payload with `base`'s page is skipped without
+    /// a byte comparison; a changed page that is already shared is captured
+    /// by reference, so after [`SparseMemory::share`] a checkpoint copies
+    /// nothing.
     pub fn checkpoint_delta(&self, base: &SparseMemory) -> MemoryCheckpoint {
         let zero = [0u8; PAGE_SIZE];
-        let mut pages: Vec<(u64, Box<[u8; PAGE_SIZE]>)> = Vec::new();
+        let mut pages: Vec<(u64, Arc<[u8; PAGE_SIZE]>)> = Vec::new();
         for (&page, &slot) in &self.map {
-            let cur: &[u8; PAGE_SIZE] = &self.slots[slot as usize];
-            let was: &[u8; PAGE_SIZE] = match base.map.get(&page) {
-                Some(&s) => &base.slots[s as usize],
-                None => &zero,
-            };
-            if cur[..] != was[..] {
-                pages.push((page, Box::new(*cur)));
+            let cur = &self.slots[slot as usize];
+            let was = base.map.get(&page).map(|&s| &base.slots[s as usize]);
+            if let (Page::Shared(a), Some(Page::Shared(b))) = (cur, was) {
+                if Arc::ptr_eq(a, b) {
+                    continue;
+                }
+            }
+            if cur.bytes()[..] != was.map_or(&zero, Page::bytes)[..] {
+                pages.push((page, cur.to_shared()));
             }
         }
         // Map iteration order is nondeterministic; sort so serialized
@@ -269,10 +365,15 @@ impl SparseMemory {
     /// Reconstructs the checkpointed memory: a clone of `base` with the
     /// delta's pages applied. Inverse of [`SparseMemory::checkpoint_delta`]
     /// (for a delta taken against the same `base`).
+    ///
+    /// The delta's pages are installed shared, and the clone of a shared
+    /// `base` shares its pages, so restoring copies no page until the
+    /// restored image writes to it.
     pub fn restore_from(base: &SparseMemory, delta: &MemoryCheckpoint) -> SparseMemory {
         let mut mem = base.clone();
         for (page, bytes) in &delta.pages {
-            *mem.page_mut(page << PAGE_SHIFT) = **bytes;
+            let slot = mem.slot_index(*page);
+            mem.slots[slot] = Page::Shared(Arc::clone(bytes));
         }
         mem
     }
@@ -281,10 +382,13 @@ impl SparseMemory {
 /// A sparse dirty-page delta of a [`SparseMemory`] against a base image —
 /// the memory half of an architectural checkpoint. Serializable and
 /// deterministic (pages are stored in ascending page-number order).
+///
+/// Pages are immutable and shared: cloning a checkpoint, taking one from a
+/// shared image, and restoring from one copy no page payload.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MemoryCheckpoint {
     /// `(page_number, page_bytes)` pairs, sorted by page number.
-    pages: Vec<(u64, Box<[u8; PAGE_SIZE]>)>,
+    pages: Vec<(u64, Arc<[u8; PAGE_SIZE]>)>,
 }
 
 /// Version/magic tag prefixed to serialized memory checkpoints.
@@ -315,14 +419,14 @@ impl MemoryCheckpoint {
         r.magic(MEM_CKPT_MAGIC)?;
         // An untrusted count sizes no allocation: pages push as they parse.
         let n = r.u64("pages")?;
-        let mut pages: Vec<(u64, Box<[u8; PAGE_SIZE]>)> = Vec::new();
+        let mut pages: Vec<(u64, Arc<[u8; PAGE_SIZE]>)> = Vec::new();
         for _ in 0..n {
             let page = r.u64("page")?;
             ensure(page <= u64::MAX >> PAGE_SHIFT, "page")?;
             ensure(pages.last().is_none_or(|&(last, _)| last < page), "page")?;
-            let mut payload = Box::new([0u8; PAGE_SIZE]);
+            let mut payload = [0u8; PAGE_SIZE];
             payload.copy_from_slice(r.take(PAGE_SIZE, "page bytes")?);
-            pages.push((page, payload));
+            pages.push((page, Arc::new(payload)));
         }
         r.finish()?;
         Ok(MemoryCheckpoint { pages })
@@ -493,6 +597,112 @@ mod tests {
         assert_eq!(restored.read_u64(0x1000), 1);
         assert_eq!(restored.read_u64(0x20_0000), 99);
         assert_eq!(restored.read_u64(0x50_0000), 7);
+    }
+
+    #[test]
+    fn shared_clones_never_see_each_others_writes() {
+        let mut a = SparseMemory::new();
+        a.write_u64(0x2000, 7);
+        a.write_u64(0x2ff8, 8); // last word of the same page
+        a.write_u64(0x3000, 9); // the page after it
+        a.share();
+        let mut b = a.clone();
+
+        // The same page, written on each side.
+        b.write_u64(0x2000, 70);
+        a.write_u64(0x2008, 71);
+        assert_eq!((a.read_u64(0x2000), a.read_u64(0x2008)), (7, 71));
+        assert_eq!((b.read_u64(0x2000), b.read_u64(0x2008)), (70, 0));
+
+        // A page first touched after the share.
+        a.write_u64(0x9000, 5);
+        b.write_u64(0xa000, 6);
+        assert_eq!((a.read_u64(0x9000), a.read_u64(0xa000)), (5, 0));
+        assert_eq!((b.read_u64(0x9000), b.read_u64(0xa000)), (0, 6));
+
+        // A write that straddles the two shared pages.
+        b.write_u64(0x2ffc, 0x1122_3344_5566_7788);
+        assert_eq!(b.read_u64(0x2ffc), 0x1122_3344_5566_7788);
+        assert_eq!(a.read_u64(0x2ff8), 8);
+        assert_eq!(a.read_u64(0x3000), 9);
+        a.write_u64(0x2ffc, 0x99);
+        assert_eq!(b.read_u64(0x2ffc), 0x1122_3344_5566_7788);
+
+        // A second share and clone keeps both lines of descent apart.
+        b.share();
+        let mut c = b.clone();
+        c.write_u8(0x2000, 0xee);
+        assert_eq!(b.read_u64(0x2000), 70);
+        assert_eq!(a.read_u64(0x2000), 7);
+        assert_eq!(c.read_u8(0x2000), 0xee);
+    }
+
+    /// A base image and a run derived from it, with every kind of page a
+    /// delta distinguishes: unchanged, changed, rewritten with its original
+    /// bytes, new and non-zero, and new but all zero.
+    fn evolve(mut run: SparseMemory) -> SparseMemory {
+        run.write_u64(0x20_0000, 99); // change a base page
+        run.write_u64(0x30_0000, 3); // rewrite a base page with its own bytes
+        run.write_u64(0x50_0000, 7); // a new non-zero page
+        run.write_u64(0x9000, 0); // a new all-zero page
+        run.write_u64(0x3ffc, 0xabcd_ef01_2345_6789); // straddle into page 4
+        run
+    }
+
+    fn base_image() -> SparseMemory {
+        let mut base = SparseMemory::new();
+        base.write_u64(0x1000, 1);
+        base.write_u64(0x20_0000, 2);
+        base.write_u64(0x30_0000, 3);
+        base.write_u64(0x3000, 4);
+        base
+    }
+
+    #[test]
+    fn shared_delta_matches_a_delta_of_deep_copies() {
+        let base = base_image();
+        let owned_run = evolve(base.clone());
+        let owned = owned_run.checkpoint_delta(&base);
+        // Changed page, new non-zero page, and both straddled pages (page 4
+        // is new): the rewritten page and the all-zero page stay out.
+        assert_eq!(owned.page_count(), 4);
+
+        let mut shared_base = base.clone();
+        shared_base.share();
+        let mut shared_run = evolve(shared_base.clone());
+        let before_share = shared_run.checkpoint_delta(&shared_base);
+        shared_run.share();
+        let after_share = shared_run.checkpoint_delta(&shared_base);
+        assert_eq!(before_share.to_bytes(), owned.to_bytes());
+        assert_eq!(after_share.to_bytes(), owned.to_bytes());
+
+        // An untouched shared image has an empty delta against its base,
+        // and a shared run against an owned base finds the same pages.
+        assert_eq!(shared_base.clone().checkpoint_delta(&shared_base).page_count(), 0);
+        assert_eq!(shared_run.checkpoint_delta(&base).to_bytes(), owned.to_bytes());
+    }
+
+    #[test]
+    fn restore_from_a_shared_base_matches_an_owned_one() {
+        let base = base_image();
+        let run = evolve(base.clone());
+        let delta = run.checkpoint_delta(&base);
+        let mut shared_base = base.clone();
+        shared_base.share();
+
+        let owned = SparseMemory::restore_from(&base, &delta);
+        let mut shared = SparseMemory::restore_from(&shared_base, &delta);
+        assert_eq!(shared.checksum(), owned.checksum());
+        assert_eq!(shared.checksum(), run.checksum());
+        for addr in [0x1000, 0x20_0000, 0x30_0000, 0x3000, 0x3ffc, 0x50_0000, 0x9000, 0x7000] {
+            assert_eq!(shared.read_u64(addr), owned.read_u64(addr), "{addr:#x}");
+        }
+
+        // Writing the restored image leaves the base and the delta intact.
+        shared.write_u64(0x20_0000, 1234);
+        shared.write_u64(0x1000, 5678);
+        assert_eq!(shared_base.read_u64(0x1000), 1);
+        assert_eq!(SparseMemory::restore_from(&shared_base, &delta).read_u64(0x20_0000), 99);
     }
 
     #[test]

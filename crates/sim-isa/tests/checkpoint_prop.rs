@@ -63,3 +63,65 @@ proptest! {
         prop_assert_eq!(digest(&cpu, &mem), digest(&ref_cpu, &ref_mem), "{}", wl.name);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Interleaving writes with `share()` calls changes nothing a reader
+    /// can see: the checkpoint against a shared base is byte-identical to
+    /// the checkpoint of a memory that never shared, restoring it gives
+    /// the same image, and no clone taken along the way sees later writes.
+    ///
+    /// Each step is `(page, offset, value, op)`: `op` 0 shares the image,
+    /// 1 shares it and keeps a clone, and 2–5 write `value` with width 1,
+    /// 2, 4 or 8 at `page << 12 | offset`. Small values make rewrites of a
+    /// page's original bytes, and all-zero pages, common.
+    #[test]
+    fn shared_pages_checkpoint_and_restore_like_never_shared_memory(
+        base_writes in prop::collection::vec((0u64..6, 0u64..4096, 0u64..4), 0..12),
+        steps in prop::collection::vec((0u64..8, 0u64..4096, 0u64..4, 0usize..6), 1..48),
+    ) {
+        let mut plain_base = SparseMemory::new();
+        for (page, off, value) in base_writes {
+            plain_base.write_u64(page << 12 | off, value);
+        }
+        let mut shared_base = plain_base.clone();
+        shared_base.share();
+
+        let mut plain = plain_base.clone();
+        let mut shared = shared_base.clone();
+        let mut forks = Vec::new();
+        for (page, off, value, op) in steps {
+            match op {
+                0 => shared.share(),
+                1 => {
+                    shared.share();
+                    forks.push((shared.clone(), plain.checksum()));
+                }
+                _ => {
+                    let width = 1 << (op - 2);
+                    plain.write(page << 12 | off, width, value);
+                    shared.write(page << 12 | off, width, value);
+                }
+            }
+        }
+
+        let want = plain.checkpoint_delta(&plain_base);
+        prop_assert_eq!(shared.checkpoint_delta(&shared_base).to_bytes(), want.to_bytes());
+        shared.share();
+        let got = shared.checkpoint_delta(&shared_base);
+        prop_assert_eq!(got.to_bytes(), want.to_bytes());
+
+        let from_plain = SparseMemory::restore_from(&plain_base, &want);
+        let from_shared = SparseMemory::restore_from(&shared_base, &got);
+        prop_assert_eq!(from_shared.checksum(), from_plain.checksum());
+        prop_assert_eq!(from_shared.checksum(), plain.checksum());
+        for addr in (0..8u64 << 12).step_by(8) {
+            prop_assert_eq!(from_shared.read_u64(addr), plain.read_u64(addr), "{:#x}", addr);
+        }
+        prop_assert_eq!(shared_base.checksum(), plain_base.checksum());
+        for (fork, sum) in &forks {
+            prop_assert_eq!(fork.checksum(), *sum);
+        }
+    }
+}

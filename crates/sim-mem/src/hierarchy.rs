@@ -334,9 +334,11 @@ impl MemoryHierarchy {
         &self.stats
     }
 
-    /// MSHR occupancy integral so far (for MLP = integral / cycles).
-    pub fn mshr_busy_integral(&self) -> u64 {
-        self.mshr.busy_integral()
+    /// MSHR occupancy integral up to cycle `until`, the cycle the run
+    /// stopped at (for MLP = integral / cycles); see
+    /// [`MshrFile::busy_integral`].
+    pub fn mshr_busy_integral(&self, until: u64) -> u64 {
+        self.mshr.busy_integral(until)
     }
 
     /// Number of MSHRs in use at `cycle`.
@@ -974,7 +976,7 @@ mod tests {
         assert_eq!(m.stats().demand_stores, 0);
         assert_eq!(m.stats().dram_demand, 0);
         assert_eq!(m.mshrs_in_use(0), 0);
-        assert_eq!(m.mshr_busy_integral(), 0);
+        assert_eq!(m.mshr_busy_integral(0), 0);
         assert_eq!(m.dram_calendar_depth(), 0);
         // A warmed line hits in the L1 at cycle 0 — no residual latency.
         let a = m.load(0, 0x7000, AccessClass::Demand);
@@ -1010,7 +1012,7 @@ mod tests {
         assert_eq!(r.warm_state_bytes(), bytes);
         // Restored hierarchy starts with clean dynamic state...
         assert_eq!(r.stats().demand_loads, 0);
-        assert_eq!(r.mshr_busy_integral(), 0);
+        assert_eq!(r.mshr_busy_integral(0), 0);
         assert_eq!(r.dram_calendar_depth(), 0);
         // ...and identical demand behavior from the warm tags.
         let a = m.load(0, 999 * 192, AccessClass::Demand);

@@ -1,5 +1,7 @@
 //! Miss-status holding registers (MSHRs) for the L1-D cache.
 
+use crate::fault::NEVER_COMPLETES;
+
 /// A file of MSHRs tracking outstanding L1-D misses.
 ///
 /// Capacity-limits memory-level parallelism: a miss cannot leave the core
@@ -31,7 +33,12 @@ pub struct MshrFile {
     /// Live entries: `(completion_cycle, is_prefetch)`. Entries with
     /// `end <= now` are free for reuse.
     ends: Vec<(u64, bool)>,
+    /// Occupancy of entries with a known completion cycle.
     busy_integral: u64,
+    /// Start cycles of entries whose response was dropped by fault
+    /// injection: they never complete, so a reader charges them only up
+    /// to the cycle it asks about.
+    stuck_since: Vec<u64>,
     allocations: u64,
     peak: usize,
 }
@@ -60,6 +67,7 @@ impl MshrFile {
             prefetch_cap: prefetch_cap.max(1),
             ends: Vec::with_capacity(capacity),
             busy_integral: 0,
+            stuck_since: Vec::new(),
             allocations: 0,
             peak: 0,
         }
@@ -129,11 +137,16 @@ impl MshrFile {
     }
 
     /// Records an allocated entry's `(start, end)` lifetime, updating the
-    /// occupancy integral.
+    /// occupancy integral. An `end` at or past the never-completing cycle
+    /// of a dropped response holds the entry for the rest of the run.
     pub fn commit(&mut self, start: u64, end: u64, is_prefetch: bool) {
         debug_assert!(end >= start);
         self.allocations += 1;
-        self.busy_integral += end - start;
+        if end >= NEVER_COMPLETES {
+            self.stuck_since.push(start);
+        } else {
+            self.busy_integral += end - start;
+        }
         // Reuse a completed slot if possible.
         if let Some(slot) = self.ends.iter_mut().find(|(e, _)| *e <= start) {
             *slot = (end, is_prefetch);
@@ -149,10 +162,14 @@ impl MshrFile {
         self.peak = self.peak.max(used);
     }
 
-    /// Total MSHR-cycles of occupancy accumulated (for Figure 9's
-    /// MSHRs-per-cycle average, divide by elapsed cycles).
-    pub fn busy_integral(&self) -> u64 {
-        self.busy_integral
+    /// Total MSHR-cycles of occupancy accumulated by cycle `until`, the
+    /// cycle the run stopped at (for Figure 9's MSHRs-per-cycle average,
+    /// divide by elapsed cycles). An entry whose response never arrives is
+    /// charged from its start up to `until`, not to its never-completing
+    /// end.
+    pub fn busy_integral(&self, until: u64) -> u64 {
+        let stuck: u64 = self.stuck_since.iter().map(|&s| until.saturating_sub(s)).sum();
+        self.busy_integral + stuck
     }
 
     /// Total entries allocated over the run.
@@ -172,8 +189,12 @@ impl MshrFile {
     /// Used at sampling interval boundaries: entry completion times are
     /// absolute cycles of the previous interval's clock and would otherwise
     /// block the next interval's cycle-0 restart for its entire length.
+    ///
+    /// Entries whose response was dropped are released too, and stop
+    /// accruing occupancy.
     pub fn quiesce(&mut self) {
         self.ends.clear();
+        self.stuck_since.clear();
     }
 
     /// Read-only allocate/release balance check for the `--sanitize` mode:
@@ -231,7 +252,7 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.commit(0, 10, false);
         m.commit(5, 25, true);
-        assert_eq!(m.busy_integral(), 10 + 20);
+        assert_eq!(m.busy_integral(25), 10 + 20);
         assert_eq!(m.allocations(), 2);
     }
 

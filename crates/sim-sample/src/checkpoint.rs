@@ -1,6 +1,6 @@
 //! Versioned per-period checkpoints for checkpoint-parallel sampling.
 //!
-//! Phase 1 of the sampling pipeline ([`emit_checkpoints`]) serializes one
+//! Phase 1 of the sampling pipeline ([`stream_checkpoints`]) takes one
 //! [`PeriodCheckpoint`] per period at the point where that period's
 //! detailed warmup begins. A checkpoint is everything phase 2 needs to
 //! measure the period in isolation — in another thread, or another
@@ -19,7 +19,7 @@
 //! [`sim_isa::bytes::Reader`], plus a version word so future layout
 //! changes fail loudly instead of misparsing.
 //!
-//! [`emit_checkpoints`]: crate::emit_checkpoints
+//! [`stream_checkpoints`]: crate::stream_checkpoints
 
 use sim_isa::bytes::{put_blob, DecodeError, Reader};
 use sim_isa::{CpuCheckpoint, MemoryCheckpoint};

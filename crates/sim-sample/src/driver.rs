@@ -2,10 +2,12 @@
 //!
 //! Sampling is a two-phase pipeline:
 //!
-//! 1. **Emit** ([`emit_checkpoints`]): one functional fast-forward pass
+//! 1. **Emit** ([`stream_checkpoints`]): one functional fast-forward pass
 //!    over the whole region of interest, warming cache tags and
-//!    branch-predictor tables as it goes, which serializes a
-//!    [`PeriodCheckpoint`] at every period's warmup start.
+//!    branch-predictor tables as it goes, which takes a
+//!    [`PeriodCheckpoint`] at every period's warmup start and hands it to
+//!    a consumer at once. [`emit_checkpoints`] is the consumer that
+//!    collects them all.
 //! 2. **Measure** ([`measure_period`]): every (warmup + measured)
 //!    interval restores its checkpoint into a fresh engine and runs
 //!    independently of every other period — in this thread, a worker
@@ -15,8 +17,13 @@
 //! into a [`SampledRun`]; because each period is a pure function of its
 //! checkpoint, the merged result is byte-identical no matter where or in
 //! what order the periods ran. [`run_sampled`] composes the three steps
-//! serially and is the reference against which every parallel dispatch
-//! is checked.
+//! serially, measuring each period as it is emitted, and is the reference
+//! against which every parallel dispatch is checked.
+//!
+//! Memory images are copy-on-write ([`SparseMemory::share`]): the live
+//! image forks from a shared copy of the workload image, a checkpoint
+//! shares the pages written in its own period, and a period restores from
+//! the shared base without copying it.
 
 use std::error::Error;
 use std::fmt;
@@ -162,8 +169,40 @@ fn delta(after: &CoreStats, before: &CoreStats) -> CoreStats {
     }
 }
 
+/// Phase 1, collected: runs [`stream_checkpoints`] from a shared copy of
+/// `base_mem` and returns every checkpoint, in period order.
+///
+/// # Errors
+///
+/// As [`stream_checkpoints`].
+pub fn emit_checkpoints(
+    prog: &Program,
+    base_mem: &SparseMemory,
+    hier_cfg: HierarchyConfig,
+    scfg: &SampleConfig,
+) -> Result<EmitResult, SampleError> {
+    let base = shared_copy(base_mem);
+    let mut checkpoints = Vec::new();
+    let (total_retired, halted) =
+        stream_checkpoints(prog, &base, hier_cfg, scfg, |ck| checkpoints.push(ck))?;
+    Ok(EmitResult { checkpoints, total_retired, halted })
+}
+
+/// A copy of `mem` whose pages are all shared, for use as the base image
+/// of [`stream_checkpoints`] and [`measure_period`]: forking from it and
+/// restoring from it then copy no page.
+pub fn shared_copy(mem: &SparseMemory) -> SparseMemory {
+    let mut base = mem.clone();
+    base.share();
+    base
+}
+
 /// Phase 1: one functional fast-forward pass over the region of interest
-/// that emits a [`PeriodCheckpoint`] at every period's warmup start.
+/// that takes a [`PeriodCheckpoint`] at every period's warmup start and
+/// hands it to `on_checkpoint` at once, in period order. Returns
+/// `(total_retired, halted)`: the instructions the pass retired (the whole
+/// region of interest, or less if the program halted first) and whether
+/// the program halted inside it.
 ///
 /// The pass warms cache tags and branch-predictor tables continuously —
 /// including through the windows the detailed phase will re-execute — so
@@ -173,19 +212,30 @@ fn delta(after: &CoreStats, before: &CoreStats) -> CoreStats {
 /// [`SplitMix64`] stream in the same order for every placement policy,
 /// so checkpoint positions are deterministic.
 ///
+/// The live image forks from `base`, and every checkpoint is a delta
+/// against it. With a shared `base` ([`shared_copy`]) the fork copies no
+/// page and each checkpoint copies only the pages written in its own
+/// period; any other `base` gives the same checkpoints, at the cost of
+/// copying.
+///
 /// # Errors
 ///
 /// [`SampleError::Config`] for inconsistent configurations, otherwise
-/// the first fast-forward fault.
-pub fn emit_checkpoints(
+/// the first fast-forward fault, even if it comes after checkpoints were
+/// handed out.
+pub fn stream_checkpoints<F>(
     prog: &Program,
-    base_mem: &SparseMemory,
+    base: &SparseMemory,
     hier_cfg: HierarchyConfig,
     scfg: &SampleConfig,
-) -> Result<EmitResult, SampleError> {
+    mut on_checkpoint: F,
+) -> Result<(u64, bool), SampleError>
+where
+    F: FnMut(PeriodCheckpoint),
+{
     scfg.validate().map_err(SampleError::Config)?;
 
-    let mut mem = base_mem.clone();
+    let mut mem = base.clone();
     let mut cpu = Cpu::new();
     let mut bp = TagePredictor::default();
     let mut hier = MemoryHierarchy::new(hier_cfg);
@@ -198,7 +248,6 @@ pub fn emit_checkpoints(
     let slack = scfg.period - scfg.warmup - scfg.interval;
     let systematic_off = scfg.warmup + rng.next_below(slack + 1);
 
-    let mut checkpoints = Vec::new();
     for k in 0..scfg.periods() {
         if cpu.is_halted() {
             break;
@@ -225,11 +274,14 @@ pub fn emit_checkpoints(
                 break;
             }
         }
-        checkpoints.push(PeriodCheckpoint {
+        // Freeze this period's writes so the checkpoint shares them; the
+        // live image copies a page again only when it next writes to it.
+        mem.share();
+        on_checkpoint(PeriodCheckpoint {
             index: k,
             measure_at,
             cpu: cpu.checkpoint(),
-            mem: mem.checkpoint_delta(base_mem),
+            mem: mem.checkpoint_delta(base),
             warm_mem: hier.warm_state_bytes(),
             warm_bp: bp.state_bytes(),
         });
@@ -243,13 +295,15 @@ pub fn emit_checkpoints(
         cpu.run_warming(prog, &mut mem, todo, &mut sink)?;
     }
 
-    Ok(EmitResult { checkpoints, total_retired: cpu.retired(), halted: cpu.is_halted() })
+    Ok((cpu.retired(), cpu.is_halted()))
 }
 
 /// Phase 2: measures one period from its checkpoint, independently of
 /// every other period.
 ///
-/// Restores the architectural state, warm hierarchy, and warm predictor
+/// Restores the architectural state (`base_mem` with `ck`'s memory delta
+/// applied; with a shared base, see [`shared_copy`], no page is copied
+/// until the period writes it), warm hierarchy, and warm predictor
 /// from `ck`, runs the discarded detailed warmup and then the measured
 /// interval on one detailed core (via resumable segments, so measurement
 /// starts from the warm pipeline the warmup filled), and returns the
@@ -308,11 +362,11 @@ where
     // zero budget means the region of interest ended before the interval.
     let budget = scfg.interval.min(roi.saturating_sub(core.functional_retired()));
     if warm_snap.committed >= warmup_budget && budget > 0 {
-        let integral_before = hier.mshr_busy_integral();
+        let integral_before = hier.mshr_busy_integral(warm_snap.cycles);
         res.start_retired = core.functional_retired();
         core.run_segment(prog, &mut mem, &mut hier, engine.as_mut(), budget)?;
         res.core = delta(core.stats(), &warm_snap);
-        res.mshr_integral = hier.mshr_busy_integral() - integral_before;
+        res.mshr_integral = hier.mshr_busy_integral(core.stats().cycles) - integral_before;
         res.measured = true;
     }
     hier.quiesce();
@@ -362,15 +416,16 @@ pub fn merge_periods(
 }
 
 /// Runs `prog` sampled: emits every period checkpoint in one functional
-/// pass, measures each period from its checkpoint, and merges the
-/// results, per [`SampleConfig`].
+/// pass, measures each period from its checkpoint as soon as it is
+/// emitted, and merges the results, per [`SampleConfig`].
 ///
-/// This is the sequential composition of [`emit_checkpoints`],
+/// This is the sequential composition of [`stream_checkpoints`],
 /// [`measure_period`], and [`merge_periods`] — the reference semantics
 /// that thread- and process-parallel dispatchers must reproduce
 /// byte-identically. Only the fraction inside detailed (warmup +
-/// measured) windows pays cycle-level cost. `make_engine` supplies a
-/// fresh runahead engine per period.
+/// measured) windows pays cycle-level cost, and only one checkpoint is
+/// alive at a time. `make_engine` supplies a fresh runahead engine per
+/// period.
 ///
 /// Everything is deterministic: same program, configs, and seed produce a
 /// bit-identical [`SampledRun`] regardless of host, thread count, or
@@ -378,8 +433,10 @@ pub fn merge_periods(
 ///
 /// # Errors
 ///
-/// [`SampleError::Config`] for inconsistent configurations, otherwise the
-/// first fast-forward, checkpoint, or detailed-interval failure.
+/// [`SampleError::Config`] for inconsistent configurations; otherwise a
+/// fast-forward fault anywhere in the region of interest, and failing
+/// that the first period (by index) whose checkpoint or detailed interval
+/// failed.
 pub fn run_sampled<F>(
     prog: &Program,
     base_mem: &SparseMemory,
@@ -391,20 +448,19 @@ pub fn run_sampled<F>(
 where
     F: FnMut() -> Box<dyn RunaheadEngine>,
 {
-    let emit = emit_checkpoints(prog, base_mem, hier_cfg, scfg)?;
-    let mut periods = Vec::with_capacity(emit.checkpoints.len());
-    for ck in &emit.checkpoints {
-        periods.push(measure_period(
-            prog,
-            base_mem,
-            core_cfg,
-            hier_cfg,
-            scfg,
-            ck,
-            &mut make_engine,
-        )?);
-    }
-    Ok(merge_periods(periods, emit.total_retired, emit.halted))
+    let base = shared_copy(base_mem);
+    let mut measured = Ok(Vec::new());
+    let (total_retired, halted) = stream_checkpoints(prog, &base, hier_cfg, scfg, |ck| {
+        // After a failure the pass still runs to the end of the region, so
+        // that a later fast-forward fault takes precedence.
+        if let Ok(periods) = &mut measured {
+            match measure_period(prog, &base, core_cfg, hier_cfg, scfg, &ck, &mut make_engine) {
+                Ok(p) => periods.push(p),
+                Err(e) => measured = Err(e),
+            }
+        }
+    })?;
+    Ok(merge_periods(measured?, total_retired, halted))
 }
 
 #[cfg(test)]
@@ -589,6 +645,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SampleError::Config(_)));
+    }
+
+    #[test]
+    fn a_failed_period_fails_the_streamed_run() {
+        // Every period fails its detailed warmup on the cycle budget; the
+        // pass still runs to the end of the region, then reports it.
+        let (prog, mem) = strided_loop();
+        let starved = CoreConfig { max_cycles: 10, ..CoreConfig::default() };
+        let err = run_sampled(&prog, &mem, starved, HierarchyConfig::default(), &scfg(), || {
+            Box::new(NullEngine)
+        })
+        .unwrap_err();
+        assert!(matches!(err, SampleError::Sim(SimError::CycleBudgetExceeded { .. })), "{err}");
     }
 
     #[test]

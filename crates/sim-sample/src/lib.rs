@@ -11,13 +11,16 @@
 //! the exact run to report measured error.
 //!
 //! Sampling is *checkpoint-parallel*: one functional pass
-//! ([`emit_checkpoints`]) serializes a versioned [`PeriodCheckpoint`] at
-//! every period's warmup start, then each period is measured
+//! ([`stream_checkpoints`]) takes a versioned [`PeriodCheckpoint`] at
+//! every period's warmup start and hands it on at once
+//! ([`emit_checkpoints`] collects them all), then each period is measured
 //! independently from its checkpoint ([`measure_period`]) — in this
 //! thread, a worker thread, or a worker process answering with the
 //! integer JSON payload of [`PeriodResult::to_json`] — and
 //! [`merge_periods`] recombines the results into a [`SampledRun`] that
-//! is byte-identical regardless of where the periods ran.
+//! is byte-identical regardless of where the periods ran. Checkpoints
+//! and restored images share memory pages with one copy of the workload
+//! image ([`shared_copy`]), so neither copies the image.
 //!
 //! The subsystem is built from cross-layer hooks added alongside it:
 //!
@@ -81,8 +84,8 @@ mod wire;
 pub use checkpoint::{PeriodCheckpoint, PERIOD_CKPT_MAGIC, PERIOD_CKPT_VERSION};
 pub use config::{Placement, SampleConfig};
 pub use driver::{
-    emit_checkpoints, measure_period, merge_periods, run_sampled, EmitResult, PeriodResult,
-    SampleError, SampledRun,
+    emit_checkpoints, measure_period, merge_periods, run_sampled, shared_copy, stream_checkpoints,
+    EmitResult, PeriodResult, SampleError, SampledRun,
 };
 pub use rng::SplitMix64;
 pub use stats::{student_t_975, IntervalStat, SampledReport};

@@ -255,6 +255,30 @@ seq_out="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench bfs --size tes
     --instrs 60000 --no-exact --json | strip_clock)"
 [ "$worker_out" = "$seq_out" ] || { echo "worker-backed sample diverged from sequential"; exit 1; }
 
+echo "== sample-parallel: engine techniques byte-identical across --threads 1/4 and --jobs 2 =="
+# The stages above sample Baseline only. Every technique builds a fresh
+# engine per period; --threads 4 measures periods in batches as they are
+# emitted, and --jobs 2 measures collected checkpoints in worker
+# processes. Both must print the sequential run's bytes.
+for bench in camel hj8 nas-is; do
+  e1="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench "$bench" --technique all \
+      --size test --instrs 60000 --no-exact --json --threads 1 | strip_clock)"
+  for combo in "--threads 4" "--jobs 2"; do
+    # shellcheck disable=SC2086
+    ej="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench "$bench" --technique all \
+        --size test --instrs 60000 --no-exact --json $combo | strip_clock)"
+    diff -u <(echo "$e1") <(echo "$ej") \
+        || { echo "$bench: engine sampling diverged for $combo"; exit 1; }
+  done
+done
+# figures --sample drives the streamed in-process driver from the CLI.
+f1="$(cargo run -q -p bench --bin figures -- fig9 --size test --instrs 60000 --sample \
+    --sample-threads 1 2>/dev/null)"
+f4="$(cargo run -q -p bench --bin figures -- fig9 --size test --instrs 60000 --sample \
+    --sample-threads 4 2>/dev/null)"
+diff -u <(echo "$f1") <(echo "$f4") \
+    || { echo "figures fig9 --sample diverged across --sample-threads 1/4"; exit 1; }
+
 echo "== sample-parallel: wall-clock trajectory line (BENCH json) =="
 # On a single-core host the speedup probes self-skip: the stderr line then
 # reads "sample probe: skipped..." and the JSON field carries the

@@ -39,6 +39,23 @@ fn watchdog_fires_on_a_dropped_response_with_a_diagnostic_snapshot() {
     assert!(j.starts_with('{') && j.ends_with('}'));
 }
 
+/// A dropped response holds its MSHR until the run stops, and no longer:
+/// MLP stays within the MSHR count instead of charging the entry to its
+/// never-completing end.
+#[test]
+fn dropped_responses_charge_mlp_only_until_the_run_stops() {
+    let wl = Benchmark::Hj8.build(None, SizeClass::Test, 42);
+    let cfg = SimConfig::new(Technique::Baseline)
+        .with_max_instructions(20_000)
+        .with_faults(FaultConfig::seeded(3).with_drop(50))
+        .with_watchdog_cycles(5_000);
+    let r = simulate(&wl, &cfg);
+    assert_eq!(r.outcome.kind(), "deadlock", "{:?}", r.outcome);
+    assert!(r.mem.injected_drops >= 1, "the drop must be accounted");
+    let mshrs = cfg.hierarchy.mshrs as f64;
+    assert!(r.mlp > 0.0 && r.mlp <= mshrs, "mlp {} outside (0, {mshrs}]", r.mlp);
+}
+
 /// A fatal injected fault surfaces as a typed error with the faulting
 /// line, and partial statistics remain coherent.
 #[test]

@@ -8,9 +8,9 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use dvr_sim::{
-    measure_periods_via_workers, sample_emit, sample_worker_args, sampled_report_from,
-    simulate_sampled, simulate_sampled_threads, Placement, SampleConfig, SampleError, SimConfig,
-    SimReport, SweepCell, Technique,
+    measure_emitted, measure_periods_via_workers, sample_emit, sample_worker_args,
+    sampled_report_from, simulate_sampled, simulate_sampled_threads, Placement, SampleConfig,
+    SampleError, SimConfig, SimReport, SweepCell, Technique,
 };
 use proptest::prelude::*;
 use sim_sample::merge_periods;
@@ -39,15 +39,19 @@ fn normalized_json(mut r: SimReport) -> String {
 /// The worker command line the orchestrator builds for this cell,
 /// pointed at the freshly built `dvrsim` binary under test.
 fn worker_args(b: Benchmark, t: Technique, scfg: &SampleConfig) -> Vec<String> {
+    worker_args_at(b, t, SizeClass::Small, INSTRS, scfg)
+}
+
+/// [`worker_args`] for a cell of another size and region of interest.
+fn worker_args_at(
+    b: Benchmark,
+    t: Technique,
+    size: SizeClass,
+    instrs: u64,
+    scfg: &SampleConfig,
+) -> Vec<String> {
     let input = b.is_gap().then_some(GraphInput::Kr);
-    let cell = SweepCell {
-        bench: b,
-        input,
-        technique: t,
-        size: SizeClass::Small,
-        seed: 42,
-        instrs: INSTRS,
-    };
+    let cell = SweepCell { bench: b, input, technique: t, size, seed: 42, instrs };
     sample_worker_args(Path::new(env!("CARGO_BIN_EXE_dvrsim")), &cell, scfg)
 }
 
@@ -102,6 +106,38 @@ fn all_three_dispatch_paths_are_byte_identical_on_every_benchmark() {
             normalized_json(sampled_via_workers(wl, b, &cfg, &scfg, 2, &format!("all13-{i}")));
         assert_eq!(seq, threaded, "{}: threads diverged from sequential", wl.name);
         assert_eq!(seq, procs, "{}: worker processes diverged from sequential", wl.name);
+    }
+}
+
+/// The streamed in-process driver under the runahead engines: for VR, DVR
+/// and PRE on four engine-heavy benchmarks, the streamed sequential run,
+/// the streamed 4-thread run (six periods: a batch of four, then two),
+/// the collected emit-then-measure path, and the worker processes all
+/// produce byte-identical reports.
+#[test]
+fn streamed_collected_and_worker_paths_agree_under_the_engines() {
+    const ROI: u64 = 120_000;
+    let scfg = SampleConfig::default();
+    for b in [Benchmark::Hj8, Benchmark::Camel, Benchmark::NasIs, Benchmark::Bfs] {
+        let wl = b.build(b.is_gap().then_some(GraphInput::Kr), SizeClass::Test, 42);
+        for t in [Technique::Vr, Technique::Dvr, Technique::Pre] {
+            let cfg = SimConfig::new(t).with_max_instructions(ROI);
+            let streamed = normalized_json(simulate_sampled(&wl, &cfg, &scfg));
+            let threaded = normalized_json(simulate_sampled_threads(&wl, &cfg, &scfg, 4));
+            let result = sample_emit(&wl, &cfg, &scfg).and_then(|emit| {
+                let periods = measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, 1)?;
+                Ok(merge_periods(periods, emit.total_retired, emit.halted))
+            });
+            let collected = normalized_json(sampled_report_from(&wl, &cfg, &scfg, result));
+            let argv = worker_args_at(b, t, SizeClass::Test, ROI, &scfg);
+            let tag = format!("engines-{}-{}", b.name(), t.name());
+            let procs = normalized_json(sampled_via(&wl, &argv, &cfg, &scfg, 2, &tag));
+            let label = format!("{}/{}", wl.name, t.name());
+            assert!(streamed.contains("\"outcome\":\"complete\""), "{label}: {streamed}");
+            assert_eq!(streamed, threaded, "{label}: 4 threads diverged from streamed");
+            assert_eq!(streamed, collected, "{label}: collected path diverged from streamed");
+            assert_eq!(streamed, procs, "{label}: worker processes diverged from streamed");
+        }
     }
 }
 
