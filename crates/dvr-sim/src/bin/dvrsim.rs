@@ -15,13 +15,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use dvr_sim::sweep::{parse_size_token, parse_technique_token, technique_token};
+use dvr_sim::sweep::{parse_size_token, parse_technique_token};
 use dvr_sim::{
-    evaluate_mix, measure_emitted, measure_periods_via_workers, parallel_map, sample_emit,
-    sample_worker_args, sampled_report_from, simulate, simulate_mix, FaultConfig, MixSpec,
-    Placement, SampleConfig, SampleError, SimConfig, SimReport, SweepCell, Technique,
+    evaluate_mix, parallel_map, simulate, simulate_mix, simulate_sampled_cells, FaultConfig,
+    Measure, MixSpec, Placement, SampleConfig, SampleError, SimConfig, SimReport, SweepCell,
+    Technique,
 };
-use sim_sample::merge_periods;
 use workloads::{gather_attack, Benchmark, GraphInput, SizeClass, Workload};
 
 const USAGE: &str = "\
@@ -111,13 +110,14 @@ command.
 
 the `sample` subcommand runs checkpoint-parallel sampled simulation: one
 functional fast-forward pass per benchmark emits a checkpoint at every
-period (shared across techniques), then each (warmup + measured) interval
-is measured independently — fanned across --threads in-process workers,
-or across --jobs spawned `dvrsim sample-worker` processes when --jobs > 0.
-Results merge deterministically, so output is byte-identical (modulo
-wall-clock fields) for every --threads/--jobs combination. Unless
---no-exact, an exact run of the same region is compared; a sampled mean
-whose 95% confidence interval misses the exact IPC fails the command.
+period and serves every technique, measuring each (warmup + measured)
+interval independently as the pass emits it, in batches — one period per
+--threads in-process worker, or per --jobs spawned `dvrsim sample-worker`
+process when --jobs > 0. Results merge deterministically, so output is
+byte-identical (modulo wall-clock fields) for every --threads/--jobs
+combination. Unless --no-exact, an exact run of the same region is
+compared; a sampled mean whose 95% confidence interval misses the exact
+IPC fails the command.
 
 the `sample-worker` subcommand is the internal worker of `sample --jobs`:
 it measures one period of the cell CELL-KEY (the key `sweep-worker` takes)
@@ -838,68 +838,32 @@ fn sample_main(args: &[String]) -> Result<ExitCode, String> {
     };
     scfg.with_max_instructions(instrs).validate()?;
 
-    // Sampled runs: the functional fast-forward pass is paid ONCE per
-    // benchmark — its emitted checkpoints seed the measure phase of every
-    // technique — and each technique's periods are measured either on
-    // in-process worker threads (--threads) or spawned sample-worker
-    // processes (--jobs > 0). Both paths merge deterministically, so the
-    // reports are byte-identical modulo wall-clock fields.
-    let gap_input = |b: Benchmark| b.is_gap().then(|| input.unwrap_or(GraphInput::Kr));
-    let mut cells: Vec<(Benchmark, Technique)> = Vec::new();
-    let mut sampled_reports: Vec<SimReport> = Vec::new();
-    let scratch_root = std::env::temp_dir().join(format!("dvrsim-sample-{}", std::process::id()));
-    for &b in &benches {
-        let wl = b.build(gap_input(b), size, seed);
-        let cfg0 = SimConfig::new(techniques[0]).with_max_instructions(instrs);
-        let t_emit = std::time::Instant::now();
-        let emit = sample_emit(&wl, &cfg0, &scfg);
-        let emit_secs = t_emit.elapsed().as_secs_f64();
-        for &technique in &techniques {
-            cells.push((b, technique));
-            let cfg = SimConfig::new(technique).with_max_instructions(instrs);
-            let t0 = std::time::Instant::now();
-            let result = match &emit {
-                Ok(emit) if jobs > 0 => {
-                    let cell =
-                        SweepCell { bench: b, input: gap_input(b), technique, size, seed, instrs };
-                    let scratch =
-                        scratch_root.join(format!("{}-{}", b.name(), technique_token(technique)));
-                    std::env::current_exe()
-                        .map_err(|e| {
-                            SampleError::Worker(format!("cannot locate the dvrsim binary: {e}"))
-                        })
-                        .and_then(|exe| {
-                            let argv = sample_worker_args(&exe, &cell, &scfg);
-                            measure_periods_via_workers(&argv, &emit.checkpoints, jobs, &scratch)
-                        })
-                        .map(|periods| merge_periods(periods, emit.total_retired, emit.halted))
-                }
-                Ok(emit) => measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, threads)
-                    .map(|periods| merge_periods(periods, emit.total_retired, emit.halted)),
-                // The shared emit failed; re-run it (deterministic) so each
-                // cell reports the real typed error.
-                Err(_) => sample_emit(&wl, &cfg, &scfg).and_then(|emit| {
-                    measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, threads)
-                        .map(|periods| merge_periods(periods, emit.total_retired, emit.halted))
-                }),
-            };
-            let mut report = sampled_report_from(&wl, &cfg, &scfg, result);
-            report.host_seconds = emit_secs / techniques.len() as f64 + t0.elapsed().as_secs_f64();
-            sampled_reports.push(report);
-        }
-    }
-    if jobs > 0 {
-        let _ = std::fs::remove_dir_all(&scratch_root);
-    }
+    // One functional pass per benchmark serves every technique; each batch
+    // of periods is measured on --threads or in --jobs worker processes.
+    let inputs = [input.unwrap_or(GraphInput::Kr)];
+    let cells = SweepCell::grid(&benches, &inputs, &techniques, size, seed, instrs);
+    let sampled_reports = if jobs > 0 {
+        let exe =
+            std::env::current_exe().map_err(|e| format!("cannot locate the dvrsim binary: {e}"))?;
+        let scratch = std::env::temp_dir().join(format!("dvrsim-sample-{}", std::process::id()));
+        let reports = simulate_sampled_cells(
+            &cells,
+            &scfg,
+            Measure::Workers { exe: &exe, jobs, scratch: &scratch },
+        );
+        let _ = std::fs::remove_dir_all(&scratch);
+        reports
+    } else {
+        simulate_sampled_cells(&cells, &scfg, Measure::Threads(threads))
+    };
 
     // Exact-comparison runs stay cell-parallel: they share nothing.
     let exacts: Vec<Option<SimReport>> = if no_exact {
         (0..cells.len()).map(|_| None).collect()
     } else {
         parallel_map(cells.len(), threads, |i| {
-            let (b, t) = cells[i];
-            let wl = b.build(gap_input(b), size, seed);
-            Some(simulate(&wl, &SimConfig::new(t).with_max_instructions(instrs)))
+            let c = cells[i];
+            Some(simulate(&c.bench.build(c.input, c.size, c.seed), &c.config()))
         })
     };
 

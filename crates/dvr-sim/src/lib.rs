@@ -49,12 +49,13 @@ pub use multi::{
 };
 pub use report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
 pub use runner::{
-    parallel_map, resolve_threads, simulate, simulate_all, simulate_all_parallel,
-    simulate_observed, try_parallel_map, CellError, Observed,
+    parallel_map, resolve_threads, simulate, simulate_all_parallel, simulate_observed,
+    try_parallel_map, CellError, Observed,
 };
 pub use sample::{
-    engine_factory, measure_emitted, measure_periods_via_workers, run_sampled_threads, sample_emit,
-    sample_worker_args, sampled_report_from, simulate_sampled, simulate_sampled_threads,
+    engine_factory, measure_emitted, measure_periods_via_workers, sample_emit, sample_worker_args,
+    sampled_report_from, simulate_sampled, simulate_sampled_cells, simulate_sampled_threads,
+    Measure,
 };
 pub use sweep::{cache_key, decode_report, encode_report, DvrSweepRunner, SweepCell};
 

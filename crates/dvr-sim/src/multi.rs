@@ -38,7 +38,7 @@ use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
 use crate::config::{SimConfig, Technique};
 use crate::report::{escape_json, RunOutcome, SimReport};
-use crate::runner::{digest_check, AnyEngine};
+use crate::runner::{core_report, AnyEngine};
 
 /// How often (in core cycles) the shared-LLC component sweeps the
 /// provenance invariant under `--sanitize`. Matches the deep-sweep cadence
@@ -485,37 +485,14 @@ pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig
     let outcomes: Vec<RunOutcome> = comps.iter_mut().map(CoreComponent::take_outcome).collect();
     drop(comps);
 
-    let mut reports = Vec::with_capacity(n);
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        let core = &mut cores[i];
-        let hier = &hiers[i];
-        let wl = &workloads[i];
-        let cfg = &cfgs[i];
-        let sanitizer = if cfg.core.sanitize {
-            let digest = digest_check(wl, core, &mems[i]);
-            core.sanitize_report_mut().merge(&digest);
-            Some(core.sanitize_report().clone())
-        } else {
-            None
-        };
-        let core_stats = *core.stats();
-        let cycles = core_stats.cycles.max(1);
-        reports.push(SimReport {
-            technique: cfg.technique,
-            workload: wl.name.clone(),
-            ipc: core_stats.ipc(),
-            mlp: hier.mshr_busy_integral(core_stats.cycles) as f64 / cycles as f64,
-            simulated_instructions: core_stats.committed,
-            host_seconds: 0.0,
-            sampling: None,
-            core: core_stats,
-            mem: hier.stats().clone(),
-            engine: engines[i].summary(),
-            outcome,
-            sanitizer,
-            work: core.work(),
-        });
-    }
+    let reports: Vec<SimReport> = outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(i, outcome)| {
+            let (wl, cfg) = (&workloads[i], &cfgs[i]);
+            core_report(wl, cfg, &mut cores[i], &mems[i], &hiers[i], &engines[i], outcome)
+        })
+        .collect();
 
     let shared_counters: Vec<SharedCoreCounters> = {
         let sh = shared.borrow();

@@ -3,6 +3,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dvr_core::{DvrConfig, DvrEngine, DvrTrace, OracleEngine, PreEngine, VrEngine};
+use sim_isa::SparseMemory;
 use sim_mem::{LaneObservations, MemoryHierarchy};
 use sim_multi::Scheduler;
 use sim_ooo::{DynInst, EngineCtx, NullEngine, OooCore, RunaheadEngine, SanitizeReport};
@@ -10,7 +11,7 @@ use workloads::Workload;
 
 use crate::config::{SimConfig, Technique};
 use crate::multi::CoreComponent;
-use crate::report::{EngineSummary, SimReport};
+use crate::report::{EngineSummary, RunOutcome, SimReport};
 
 /// The technique-selected runahead engine as one concrete type, so the
 /// scheduler's core component is not generic over the engine. Delegates
@@ -186,11 +187,7 @@ impl RunaheadEngine for AnyEngine {
 ///
 /// Valid for every [`RunOutcome`] — even a failed run has functionally
 /// executed every instruction it fetched.
-pub(crate) fn digest_check(
-    workload: &Workload,
-    core: &OooCore,
-    timing_mem: &sim_isa::SparseMemory,
-) -> SanitizeReport {
+fn digest_check(workload: &Workload, core: &OooCore, timing_mem: &SparseMemory) -> SanitizeReport {
     let mut san = SanitizeReport::default();
     let mut replay_mem = workload.mem.clone();
     let mut cpu = sim_isa::Cpu::new();
@@ -287,41 +284,45 @@ fn run(workload: &Workload, cfg: &SimConfig, observe: bool) -> (SimReport, Obser
         dvr_trace: engine.take_trace(),
         lanes: hier.take_observations().unwrap_or_default(),
     };
-    let engine_summary = engine.summary();
-
-    let sanitizer = if cfg.core.sanitize {
-        let digest = digest_check(workload, &core, &mem);
-        core.sanitize_report_mut().merge(&digest);
-        Some(core.sanitize_report().clone())
-    } else {
-        None
-    };
-
-    let core_stats = *core.stats();
-    let mem_stats = hier.stats().clone();
-    let cycles = core_stats.cycles.max(1);
-    let report = SimReport {
-        technique: cfg.technique,
-        workload: workload.name.clone(),
-        ipc: core_stats.ipc(),
-        mlp: hier.mshr_busy_integral(core_stats.cycles) as f64 / cycles as f64,
-        simulated_instructions: core_stats.committed,
-        host_seconds: t0.elapsed().as_secs_f64(),
-        sampling: None,
-        core: core_stats,
-        mem: mem_stats,
-        engine: engine_summary,
-        outcome,
-        sanitizer,
-        work: core.work(),
-    };
+    let mut report = core_report(workload, cfg, &mut core, &mem, &hier, &engine, outcome);
+    report.host_seconds = t0.elapsed().as_secs_f64();
     (report, observed)
 }
 
-/// Convenience: run one workload under several techniques, sharing the
-/// built input.
-pub fn simulate_all(workload: &Workload, cfgs: &[SimConfig]) -> Vec<SimReport> {
-    cfgs.iter().map(|c| simulate(workload, c)).collect()
+/// The report of one core's finished run, single-core or in a mix: the
+/// digest check joins the sanitizer ledger (when the sanitizer is on),
+/// and MLP counts MSHR occupancy up to the core's last cycle.
+/// `host_seconds` is left at zero for the caller to set.
+pub(crate) fn core_report(
+    workload: &Workload,
+    cfg: &SimConfig,
+    core: &mut OooCore,
+    mem: &SparseMemory,
+    hier: &MemoryHierarchy,
+    engine: &AnyEngine,
+    outcome: RunOutcome,
+) -> SimReport {
+    let sanitizer = cfg.core.sanitize.then(|| {
+        let digest = digest_check(workload, core, mem);
+        core.sanitize_report_mut().merge(&digest);
+        core.sanitize_report().clone()
+    });
+    let stats = *core.stats();
+    SimReport {
+        technique: cfg.technique,
+        workload: workload.name.clone(),
+        ipc: stats.ipc(),
+        mlp: hier.mshr_busy_integral(stats.cycles) as f64 / stats.cycles.max(1) as f64,
+        simulated_instructions: stats.committed,
+        host_seconds: 0.0,
+        sampling: None,
+        core: stats,
+        mem: hier.stats().clone(),
+        engine: engine.summary(),
+        outcome,
+        sanitizer,
+        work: core.work(),
+    }
 }
 
 /// Resolves a user-facing thread-count knob: `0` means "use the machine's
@@ -483,9 +484,10 @@ where
         .collect()
 }
 
-/// Like [`simulate_all`], but running configurations on OS threads
-/// (simulations are independent and deterministic, so results are identical
-/// to the serial version and returned in input order).
+/// Runs one workload under several configurations on OS threads, sharing
+/// the built input (simulations are independent and deterministic, so
+/// results are identical to running [`simulate`] on each in turn and are
+/// returned in input order).
 ///
 /// `threads = 0` uses the machine's available parallelism.
 pub fn simulate_all_parallel(
@@ -525,7 +527,7 @@ mod tests {
             .into_iter()
             .map(|t| SimConfig::new(t).with_max_instructions(10_000))
             .collect();
-        let serial = simulate_all(&wl, &cfgs);
+        let serial: Vec<SimReport> = cfgs.iter().map(|c| simulate(&wl, c)).collect();
         let parallel = simulate_all_parallel(&wl, &cfgs, 3);
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.core.cycles, p.core.cycles);

@@ -9,22 +9,23 @@
 //! becomes the mean of per-interval IPCs and the report carries a
 //! [`SamplingSummary`] with the variance and 95% confidence interval.
 //!
-//! Because each period is measured from its own checkpoint, the measure
-//! phase fans out: [`simulate_sampled_threads`] measures periods on
-//! in-process worker threads as the emitter hands them over, and
-//! [`measure_periods_via_workers`] dispatches collected checkpoints to
-//! `dvrsim sample-worker` processes under the sweep supervisor. All paths
-//! merge through [`sim_sample::merge_periods`], so the resulting reports
-//! are byte-identical (modulo wall-clock fields).
+//! Each period is measured from its own checkpoint, so the measure phase
+//! fans out. Every entry point runs [`drive_sampled`], which hands the
+//! checkpoints over in batches: [`simulate_sampled_threads`] measures
+//! them on threads, and [`simulate_sampled_cells`] serves several
+//! techniques from one pass, on threads or in `dvrsim sample-worker`
+//! processes ([`measure_periods_via_workers`]). The reports are
+//! byte-identical either way (modulo wall-clock fields).
 
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
+use std::time::Instant;
 
 use sim_isa::SparseMemory;
 use sim_ooo::{RunaheadEngine, SimError};
 use sim_sample::{
-    emit_checkpoints, measure_period, merge_periods, shared_copy, stream_checkpoints, EmitResult,
-    PeriodCheckpoint, PeriodResult, SampleConfig, SampleError, SampledRun,
+    drive_sampled, emit_checkpoints, measure_period, shared_copy, EmitResult, PeriodCheckpoint,
+    PeriodResult, SampleConfig, SampleError, SampledRun,
 };
 use sim_sweep::{Supervisor, SweepOptions};
 use workloads::Workload;
@@ -51,26 +52,14 @@ fn failed(e: SampleError) -> RunOutcome {
         // A fast-forward fault is the same malformed-program condition the
         // detailed core reports, just caught outside a cycle loop.
         SampleError::Exec(source) => SimError::ExecFault { pc: 0, cycle: 0, source },
-        SampleError::Config(msg) => {
-            SimError::Panic { message: format!("invalid sample config: {msg}") }
-        }
-        SampleError::Checkpoint(msg) => {
-            SimError::Panic { message: format!("bad period checkpoint: {msg}") }
-        }
-        SampleError::Worker(msg) => {
-            SimError::Panic { message: format!("sample worker failed: {msg}") }
-        }
+        other => SimError::Panic { message: other.to_string() },
     })
 }
 
-/// Phase 1 for one workload: runs the functional fast-forward pass and
-/// emits every period checkpoint.
-///
-/// The emit phase is technique-independent (warming touches only cache
-/// tags and predictor tables), so one [`EmitResult`] can seed the
-/// measure phase of every technique sharing the workload, region, and
-/// sampling configuration — the functional pass is paid once, not once
-/// per technique.
+/// Phase 1 for one workload, collected: runs the functional fast-forward
+/// pass and returns every period checkpoint. Sampled runs stream through
+/// [`drive_sampled`] instead; this and [`measure_emitted`] serve callers
+/// that time the two phases apart.
 ///
 /// # Errors
 ///
@@ -85,13 +74,8 @@ pub fn sample_emit(
 }
 
 /// Phase 2 in-process: measures every emitted checkpoint on up to
-/// `threads` worker threads (0 = all available cores).
-///
-/// Work is distributed by [`try_parallel_map`]'s atomic work-stealing
-/// index; results come back in period order regardless of which thread
-/// measured what, so the downstream merge is deterministic. Every period
-/// restores from one shared copy of the workload image, taken once per
-/// call.
+/// `threads` worker threads (0 = all available cores), in period order,
+/// each restored from one shared copy of the workload image per call.
 ///
 /// # Errors
 ///
@@ -104,93 +88,141 @@ pub fn measure_emitted(
     checkpoints: &[PeriodCheckpoint],
     threads: usize,
 ) -> Result<Vec<PeriodResult>, SampleError> {
-    let scfg = scfg.with_max_instructions(cfg.max_instructions);
-    measure_from(workload, cfg, &scfg, &shared_copy(&workload.mem), checkpoints, 0, threads)
+    measure_from(workload, cfg, scfg, &shared_copy(&workload.mem), checkpoints, threads)
 }
 
-/// Measures `checkpoints`, the emitted checkpoints from position `first`
-/// on, restoring each from `base`; a panicking cell is reported by its
-/// position among all emitted checkpoints. `scfg` already carries the
-/// region of interest.
+/// Measures `checkpoints` on up to `threads` worker threads, restoring
+/// each from `base`; the region of interest is `cfg`'s.
 fn measure_from(
     workload: &Workload,
     cfg: &SimConfig,
     scfg: &SampleConfig,
     base: &SparseMemory,
     checkpoints: &[PeriodCheckpoint],
-    first: usize,
     threads: usize,
 ) -> Result<Vec<PeriodResult>, SampleError> {
-    let results = try_parallel_map(checkpoints.len(), threads, |i| {
-        measure_period(&workload.prog, base, cfg.core, cfg.hierarchy, scfg, &checkpoints[i], || {
+    let scfg = scfg.with_max_instructions(cfg.max_instructions);
+    map_periods(checkpoints, threads, |ck| {
+        measure_period(&workload.prog, base, cfg.core, cfg.hierarchy, &scfg, ck, || {
             engine_factory(cfg)
         })
-    });
-    let mut periods = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(Ok(p)) => periods.push(p),
-            Ok(Err(e)) => return Err(e),
-            Err(mut cell) => {
-                cell.index += first;
-                return Err(SampleError::Worker(cell.to_string()));
-            }
-        }
-    }
-    Ok(periods)
+    })
 }
 
-/// Runs one workload sampled with the measure phase fanned across
-/// `threads` in-process workers (0 = all available cores), returning the
-/// merged [`SampledRun`].
-///
-/// Periods are measured as they are emitted, in batches of `threads`, and
-/// each checkpoint is dropped once measured, so at most `threads` periods
-/// are alive at once. A fast-forward fault anywhere in the region of
-/// interest still takes precedence over a period's failure, as in
-/// [`sim_sample::run_sampled`].
-///
-/// `threads == 1` runs inline and is the sequential reference; every
-/// other value produces a bit-identical result.
-///
-/// # Errors
-///
-/// The emit failure, or else the first failing period by index
-/// ([`SampleError`]).
-pub fn run_sampled_threads(
-    workload: &Workload,
-    cfg: &SimConfig,
-    scfg: &SampleConfig,
+/// `measure` over `checkpoints` on up to `threads` threads
+/// ([`try_parallel_map`]): the results in period order, or the first
+/// failure. A panicking cell surfaces as [`SampleError::Worker`], named by
+/// its checkpoint's period index (its position among all emitted
+/// checkpoints).
+fn map_periods<F>(
+    checkpoints: &[PeriodCheckpoint],
     threads: usize,
-) -> Result<SampledRun, SampleError> {
-    let scfg = scfg.with_max_instructions(cfg.max_instructions);
-    let base = shared_copy(&workload.mem);
-    let batch_len = resolve_threads(threads).max(1);
-    let mut batch = Vec::with_capacity(batch_len);
-    let mut measured = Ok(Vec::new());
-    let flush = |batch: &mut Vec<PeriodCheckpoint>,
-                 measured: &mut Result<Vec<PeriodResult>, SampleError>| {
-        if let Ok(periods) = measured {
-            match measure_from(workload, cfg, &scfg, &base, batch, periods.len(), threads) {
-                Ok(done) => periods.extend(done),
-                Err(e) => *measured = Err(e),
-            }
-        }
-        batch.clear();
+    measure: F,
+) -> Result<Vec<PeriodResult>, SampleError>
+where
+    F: Fn(&PeriodCheckpoint) -> Result<PeriodResult, SampleError> + Sync,
+{
+    try_parallel_map(checkpoints.len(), threads, |i| measure(&checkpoints[i]))
+        .into_iter()
+        .map(|r| {
+            r.unwrap_or_else(|mut cell| {
+                cell.index = checkpoints[cell.index].index as usize;
+                Err(SampleError::Worker(cell.to_string()))
+            })
+        })
+        .collect()
+}
+
+/// Where [`simulate_sampled_cells`] measures each batch of periods; a
+/// batch holds one period per thread or job.
+#[derive(Clone, Copy, Debug)]
+pub enum Measure<'a> {
+    /// In-process, on up to this many threads (0 = all available cores).
+    Threads(usize),
+    /// In `sample-worker` processes ([`measure_periods_via_workers`]).
+    Workers {
+        /// The `dvrsim` binary.
+        exe: &'a Path,
+        /// Worker processes at a time (0 is treated as 1).
+        jobs: usize,
+        /// Directory for the checkpoint files of the batch in flight.
+        scratch: &'a Path,
+    },
+}
+
+/// Runs `workload` sampled once per configuration in `cfgs` (which share
+/// a hierarchy and region of interest) from one functional pass:
+/// [`drive_sampled`] with batches of `batch` and `measure`. Each report's
+/// `host_seconds` is its run's own measure time plus an equal share of
+/// the functional pass.
+fn sample_runs<M>(
+    workload: &Workload,
+    cfgs: &[SimConfig],
+    scfg: &SampleConfig,
+    batch: usize,
+    mut measure: M,
+) -> Vec<SimReport>
+where
+    M: FnMut(usize, &SparseMemory, &[PeriodCheckpoint]) -> Result<Vec<PeriodResult>, SampleError>,
+{
+    let t0 = Instant::now();
+    let (prog, mem, hier) = (&workload.prog, &workload.mem, cfgs[0].hierarchy);
+    let roi = scfg.with_max_instructions(cfgs[0].max_instructions);
+    let mut own_secs = vec![0.0; cfgs.len()];
+    let runs = drive_sampled(prog, mem, hier, &roi, cfgs.len(), batch, |run, base, cks| {
+        let t = Instant::now();
+        let periods = measure(run, base, cks);
+        own_secs[run] += t.elapsed().as_secs_f64();
+        periods
+    });
+    let pass_share =
+        (t0.elapsed().as_secs_f64() - own_secs.iter().sum::<f64>()) / cfgs.len() as f64;
+    runs.into_iter()
+        .zip(cfgs)
+        .zip(own_secs)
+        .map(|((run, cfg), secs)| {
+            let mut report = sampled_report_from(workload, cfg, scfg, run);
+            report.host_seconds = pass_share + secs;
+            report
+        })
+        .collect()
+}
+
+/// Runs every cell sampled and returns its report, in cell order.
+///
+/// Consecutive cells that differ only in technique share one workload and
+/// one functional pass ([`drive_sampled`]), which holds one batch of
+/// checkpoints (and under [`Measure::Workers`] one batch of checkpoint
+/// files) at a time. Each report is [`simulate_sampled`] of its cell's
+/// workload and [`SweepCell::config`], byte for byte, except that
+/// `host_seconds` is the technique's own measure time plus an equal share
+/// of the functional pass.
+pub fn simulate_sampled_cells(
+    cells: &[SweepCell],
+    scfg: &SampleConfig,
+    measure: Measure<'_>,
+) -> Vec<SimReport> {
+    let batch = match measure {
+        Measure::Threads(threads) => resolve_threads(threads),
+        Measure::Workers { jobs, .. } => jobs,
     };
-    let (total_retired, halted) =
-        stream_checkpoints(&workload.prog, &base, cfg.hierarchy, &scfg, |ck| {
-            // After a failure the pass still runs to the end of the region,
-            // so that a later fast-forward fault takes precedence.
-            if measured.is_ok() {
-                batch.push(ck);
-                if batch.len() == batch_len {
-                    flush(&mut batch, &mut measured);
+    cells
+        .chunk_by(|a, b| SweepCell { technique: a.technique, ..*b } == *a)
+        .flat_map(|group| {
+            let c = group[0];
+            let wl = c.bench.build(c.input, c.size, c.seed);
+            let cfgs: Vec<SimConfig> = group.iter().map(SweepCell::config).collect();
+            sample_runs(&wl, &cfgs, scfg, batch, |run, base, checkpoints| match measure {
+                Measure::Threads(threads) => {
+                    measure_from(&wl, &cfgs[run], scfg, base, checkpoints, threads)
                 }
-            }
-        })?;
-    flush(&mut batch, &mut measured);
-    Ok(merge_periods(measured?, total_retired, halted))
+                Measure::Workers { exe, jobs, scratch } => {
+                    let argv = sample_worker_args(exe, &group[run], scfg);
+                    measure_periods_via_workers(&argv, checkpoints, jobs, scratch)
+                }
+            })
+        })
+        .collect()
 }
 
 /// The `dvrsim sample-worker` command line that measures periods of
@@ -241,19 +273,12 @@ pub fn measure_periods_via_workers(
         SampleError::Worker(format!("cannot create scratch dir {}: {e}", scratch_dir.display()))
     })?;
 
-    let mut files = Vec::with_capacity(checkpoints.len());
-    let mut write_err = None;
-    for ck in checkpoints {
-        let path = scratch_dir.join(format!("period_{:05}.ckpt", ck.index));
-        if let Err(e) = std::fs::write(&path, ck.to_bytes()) {
-            write_err = Some(SampleError::Worker(format!(
-                "cannot write checkpoint {}: {e}",
-                path.display()
-            )));
-            break;
-        }
-        files.push(path);
-    }
+    let file = |ck: &PeriodCheckpoint| scratch_dir.join(format!("period_{:05}.ckpt", ck.index));
+    let written = checkpoints.iter().try_for_each(|ck| {
+        std::fs::write(file(ck), ck.to_bytes()).map_err(|e| {
+            SampleError::Worker(format!("cannot write checkpoint {}: {e}", file(ck).display()))
+        })
+    });
 
     let opts = SweepOptions::default();
     let spawns = AtomicU64::new(0);
@@ -265,10 +290,10 @@ pub fn measure_periods_via_workers(
         fault: &opts.fault,
         spawns: &spawns,
     };
-    let measure = |i: usize| -> Result<PeriodResult, SampleError> {
-        let index = checkpoints[i].index;
+    let measure = |ck: &PeriodCheckpoint| -> Result<PeriodResult, SampleError> {
+        let index = ck.index;
         let mut period_argv = argv.to_vec();
-        period_argv.extend(["--checkpoint".to_string(), files[i].display().to_string()]);
+        period_argv.extend(["--checkpoint".to_string(), file(ck).display().to_string()]);
         let payload = supervisor
             .run_cell(&format!("period-{index}"), &period_argv)
             .map_err(|e| SampleError::Worker(e.to_string()))?;
@@ -281,15 +306,9 @@ pub fn measure_periods_via_workers(
             None => Err(SampleError::Worker(format!("period {index}: unparseable worker payload"))),
         }
     };
-    let result = match write_err {
-        Some(e) => Err(e),
-        None => try_parallel_map(checkpoints.len(), jobs.max(1), measure)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|cell| Err(SampleError::Worker(cell.to_string()))))
-            .collect(),
-    };
-    for path in &files {
-        let _ = std::fs::remove_file(path);
+    let result = written.and_then(|()| map_periods(checkpoints, jobs.max(1), measure));
+    for ck in checkpoints {
+        let _ = std::fs::remove_file(file(ck));
     }
     result
 }
@@ -385,25 +404,30 @@ pub fn simulate_sampled(workload: &Workload, cfg: &SimConfig, scfg: &SampleConfi
 /// Like [`simulate_sampled`], but fanning the measure phase across
 /// `threads` in-process workers (0 = all available cores).
 ///
-/// Everything except `host_seconds` is byte-identical to
-/// [`simulate_sampled`] for every thread count.
+/// Periods are measured as they are emitted, in batches of one per
+/// thread, and each batch is dropped once measured, so at most `threads`
+/// checkpoints are alive at once. `threads == 1` runs inline and is the
+/// sequential reference. Everything except `host_seconds` is
+/// byte-identical to [`simulate_sampled`] for every thread count.
 pub fn simulate_sampled_threads(
     workload: &Workload,
     cfg: &SimConfig,
     scfg: &SampleConfig,
     threads: usize,
 ) -> SimReport {
-    let t0 = std::time::Instant::now();
-    let result = run_sampled_threads(workload, cfg, scfg, threads);
-    let mut report = sampled_report_from(workload, cfg, scfg, result);
-    report.host_seconds = t0.elapsed().as_secs_f64();
-    report
+    let cfgs = std::slice::from_ref(cfg);
+    let mut reports =
+        sample_runs(workload, cfgs, scfg, resolve_threads(threads), |_, base, cks| {
+            measure_from(workload, cfg, scfg, base, cks, threads)
+        });
+    reports.pop().expect("one configuration, one report")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Technique;
+    use sim_sample::merge_periods;
     use workloads::{Benchmark, SizeClass};
 
     fn scfg() -> SampleConfig {

@@ -16,9 +16,9 @@
 //! [`merge_periods`] combines the per-period results in period order
 //! into a [`SampledRun`]; because each period is a pure function of its
 //! checkpoint, the merged result is byte-identical no matter where or in
-//! what order the periods ran. [`run_sampled`] composes the three steps
-//! serially, measuring each period as it is emitted, and is the reference
-//! against which every parallel dispatch is checked.
+//! what order the periods ran. [`drive_sampled`], the one driver, streams
+//! the checkpoints of one pass in batches to every run it serves;
+//! [`run_sampled`] is its sequential reference.
 //!
 //! Memory images are copy-on-write ([`SparseMemory::share`]): the live
 //! image forks from a shared copy of the workload image, a checkpoint
@@ -41,7 +41,7 @@ use crate::stats::{IntervalStat, SampledReport};
 use crate::warm::WarmingSink;
 
 /// Failure of a sampled run.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum SampleError {
     /// The sampling configuration is inconsistent.
     Config(String),
@@ -138,35 +138,11 @@ pub struct PeriodResult {
     pub mem: MemStats,
 }
 
-fn accumulate(into: &mut CoreStats, s: &CoreStats) {
-    into.cycles += s.cycles;
-    into.committed += s.committed;
-    into.rob_full_stall_cycles += s.rob_full_stall_cycles;
-    into.full_rob_stall_events += s.full_rob_stall_events;
-    into.commit_blocked_engine_cycles += s.commit_blocked_engine_cycles;
-    into.cond_branches += s.cond_branches;
-    into.branch_mispredicts += s.branch_mispredicts;
-    into.loads += s.loads;
-    into.stores += s.stores;
-    into.store_forwards += s.store_forwards;
-}
-
-/// Field-wise `after - before` of two cumulative-counter snapshots (a
-/// measured segment inside one core's run).
-fn delta(after: &CoreStats, before: &CoreStats) -> CoreStats {
-    CoreStats {
-        cycles: after.cycles - before.cycles,
-        committed: after.committed - before.committed,
-        rob_full_stall_cycles: after.rob_full_stall_cycles - before.rob_full_stall_cycles,
-        full_rob_stall_events: after.full_rob_stall_events - before.full_rob_stall_events,
-        commit_blocked_engine_cycles: after.commit_blocked_engine_cycles
-            - before.commit_blocked_engine_cycles,
-        cond_branches: after.cond_branches - before.cond_branches,
-        branch_mispredicts: after.branch_mispredicts - before.branch_mispredicts,
-        loads: after.loads - before.loads,
-        stores: after.stores - before.stores,
-        store_forwards: after.store_forwards - before.store_forwards,
-    }
+/// Field-wise `f(a, b)` of two counter sets, through their flat encoding.
+fn zip_with(a: &CoreStats, b: &CoreStats, f: fn(u64, u64) -> u64) -> CoreStats {
+    let (a, b) = (a.to_flat(), b.to_flat());
+    let v: [u64; CoreStats::FLAT_LEN] = std::array::from_fn(|i| f(a[i], b[i]));
+    CoreStats::from_flat(&v).expect("same length by construction")
 }
 
 /// Phase 1, collected: runs [`stream_checkpoints`] from a shared copy of
@@ -365,7 +341,7 @@ where
         let integral_before = hier.mshr_busy_integral(warm_snap.cycles);
         res.start_retired = core.functional_retired();
         core.run_segment(prog, &mut mem, &mut hier, engine.as_mut(), budget)?;
-        res.core = delta(core.stats(), &warm_snap);
+        res.core = zip_with(core.stats(), &warm_snap, |after, before| after - before);
         res.mshr_integral = hier.mshr_busy_integral(core.stats().cycles) - integral_before;
         res.measured = true;
     }
@@ -406,7 +382,7 @@ pub fn merge_periods(
                 ipc: p.core.ipc(),
                 mlp: p.mshr_integral as f64 / p.core.cycles.max(1) as f64,
             });
-            accumulate(&mut agg, &p.core);
+            agg = zip_with(&agg, &p.core, |a, b| a + b);
             measured_integral += p.mshr_integral;
         }
     }
@@ -415,17 +391,70 @@ pub fn merge_periods(
     SampledRun { report, core: agg, mem, measured_mshr_integral: measured_integral, halted }
 }
 
-/// Runs `prog` sampled: emits every period checkpoint in one functional
-/// pass, measures each period from its checkpoint as soon as it is
-/// emitted, and merges the results, per [`SampleConfig`].
+/// The one sampled driver: a single functional pass over the region of
+/// interest ([`stream_checkpoints`] from a [`shared_copy`] of `base_mem`)
+/// serves `runs` sampled runs at once.
 ///
-/// This is the sequential composition of [`stream_checkpoints`],
-/// [`measure_period`], and [`merge_periods`] — the reference semantics
-/// that thread- and process-parallel dispatchers must reproduce
-/// byte-identically. Only the fraction inside detailed (warmup +
-/// measured) windows pays cycle-level cost, and only one checkpoint is
-/// alive at a time. `make_engine` supplies a fresh runahead engine per
-/// period.
+/// The checkpoints are gathered into batches of `batch` (at least 1; the
+/// last may be shorter), and each batch goes to `measure(run, base,
+/// checkpoints)` for every run still alive, in run order, then is dropped.
+/// `measure` restores periods from `base` and returns the batch's
+/// results, or the failure of its first failing period, after which that
+/// run gets no further batch. The pass always runs to the end of the
+/// region: a fast-forward fault anywhere in it, like an invalid
+/// configuration, fails every run; otherwise each run reports its own
+/// first failing period. Returns each run merged ([`merge_periods`]), in
+/// run order.
+pub fn drive_sampled<M>(
+    prog: &Program,
+    base_mem: &SparseMemory,
+    hier_cfg: HierarchyConfig,
+    scfg: &SampleConfig,
+    runs: usize,
+    batch: usize,
+    mut measure: M,
+) -> Vec<Result<SampledRun, SampleError>>
+where
+    M: FnMut(usize, &SparseMemory, &[PeriodCheckpoint]) -> Result<Vec<PeriodResult>, SampleError>,
+{
+    let base = shared_copy(base_mem);
+    let batch = batch.max(1);
+    let mut measured: Vec<Result<Vec<PeriodResult>, SampleError>> =
+        (0..runs).map(|_| Ok(Vec::new())).collect();
+    let mut flush = |checkpoints: &[PeriodCheckpoint]| {
+        for (run, periods) in measured.iter_mut().enumerate() {
+            if let Ok(done) = periods {
+                match measure(run, &base, checkpoints) {
+                    Ok(more) => done.extend(more),
+                    Err(e) => *periods = Err(e),
+                }
+            }
+        }
+    };
+    let mut pending = Vec::with_capacity(batch);
+    let streamed = stream_checkpoints(prog, &base, hier_cfg, scfg, |ck| {
+        pending.push(ck);
+        if pending.len() == batch {
+            flush(&pending);
+            pending.clear();
+        }
+    });
+    let (total_retired, halted) = match streamed {
+        Ok(end) => end,
+        Err(e) => return vec![Err(e); runs],
+    };
+    if !pending.is_empty() {
+        flush(&pending);
+    }
+    measured.into_iter().map(|m| m.map(|p| merge_periods(p, total_retired, halted))).collect()
+}
+
+/// Runs `prog` sampled, per [`SampleConfig`]: [`drive_sampled`] with one
+/// run and batches of one, measured by [`measure_period`] — the reference
+/// semantics that thread- and process-parallel dispatchers must reproduce
+/// byte-identically. Only the detailed (warmup + measured) windows pay
+/// cycle-level cost, and only one checkpoint is alive at a time.
+/// `make_engine` supplies a fresh runahead engine per period.
 ///
 /// Everything is deterministic: same program, configs, and seed produce a
 /// bit-identical [`SampledRun`] regardless of host, thread count, or
@@ -448,25 +477,19 @@ pub fn run_sampled<F>(
 where
     F: FnMut() -> Box<dyn RunaheadEngine>,
 {
-    let base = shared_copy(base_mem);
-    let mut measured = Ok(Vec::new());
-    let (total_retired, halted) = stream_checkpoints(prog, &base, hier_cfg, scfg, |ck| {
-        // After a failure the pass still runs to the end of the region, so
-        // that a later fast-forward fault takes precedence.
-        if let Ok(periods) = &mut measured {
-            match measure_period(prog, &base, core_cfg, hier_cfg, scfg, &ck, &mut make_engine) {
-                Ok(p) => periods.push(p),
-                Err(e) => measured = Err(e),
-            }
-        }
-    })?;
-    Ok(merge_periods(measured?, total_retired, halted))
+    let mut runs = drive_sampled(prog, base_mem, hier_cfg, scfg, 1, 1, |_, base, checkpoints| {
+        checkpoints
+            .iter()
+            .map(|ck| measure_period(prog, base, core_cfg, hier_cfg, scfg, ck, &mut make_engine))
+            .collect()
+    });
+    runs.pop().expect("one run asked for, one served")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_isa::{Asm, Reg};
+    use sim_isa::{Asm, Instr, Reg};
     use sim_ooo::NullEngine;
 
     /// A strided-load loop long enough for several periods.
@@ -658,6 +681,103 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, SampleError::Sim(SimError::CycleBudgetExceeded { .. })), "{err}");
+    }
+
+    /// A stand-in for a period's measurement that `merge_periods` accepts,
+    /// so the driver's batching is tested without detailed simulation.
+    fn stand_in(ck: &PeriodCheckpoint) -> PeriodResult {
+        PeriodResult {
+            index: ck.index,
+            start_retired: ck.measure_at,
+            warmup_committed: 0,
+            mshr_integral: 0,
+            measured: true,
+            core: CoreStats { cycles: 2, committed: 1, ..CoreStats::default() },
+            mem: MemStats::default(),
+        }
+    }
+
+    #[test]
+    fn the_driver_hands_every_run_each_batch_in_period_order() {
+        let (prog, mem) = strided_loop();
+        // Seven periods: batches of 3 end with one, batches of 4 with three.
+        let (cfg, hier) = (scfg().with_max_instructions(175_000), HierarchyConfig::default());
+        for batch in [1, 3, 4] {
+            for runs in [1, 3] {
+                let mut calls = Vec::new();
+                let merged = drive_sampled(&prog, &mem, hier, &cfg, runs, batch, |run, _, cks| {
+                    calls.push((run, cks.iter().map(|ck| ck.index).collect::<Vec<_>>()));
+                    Ok(cks.iter().map(stand_in).collect())
+                });
+                let periods: Vec<u64> = (0..7).collect();
+                let want: Vec<(usize, Vec<u64>)> = periods
+                    .chunks(batch)
+                    .flat_map(|b| (0..runs).map(move |run| (run, b.to_vec())))
+                    .collect();
+                assert_eq!(calls, want, "batch {batch}, runs {runs}");
+                assert_eq!(merged.len(), runs);
+                for run in merged {
+                    let run = run.expect("every run merges");
+                    assert_eq!(run.report.interval_count(), 7, "batch {batch}, runs {runs}");
+                    assert_eq!(run.core.cycles, 14);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_run_stops_alone() {
+        let (prog, mem) = strided_loop();
+        let (cfg, hier) = (scfg().with_max_instructions(175_000), HierarchyConfig::default());
+        let mut calls = [0; 3];
+        let merged = drive_sampled(&prog, &mem, hier, &cfg, 3, 3, |run, _, cks| {
+            calls[run] += 1;
+            if run == 1 && cks.iter().any(|ck| ck.index == 4) {
+                return Err(SampleError::Worker("run 1 fails in period 4".to_string()));
+            }
+            Ok(cks.iter().map(stand_in).collect())
+        });
+        assert_eq!(calls, [3, 2, 3], "run 1 gets no batch after its failing one");
+        assert!(matches!(&merged[1], Err(SampleError::Worker(m)) if m.contains("period 4")));
+        for run in [0, 2] {
+            let ok = merged[run].as_ref().expect("the other runs finish");
+            assert_eq!(ok.report.interval_count(), 7);
+        }
+    }
+
+    #[test]
+    fn a_fast_forward_fault_fails_every_run() {
+        // 60 k instructions, then a wild jump: two or three periods are
+        // handed out before the fault.
+        let mut asm = Asm::new();
+        asm.li(Reg::R2, 0);
+        asm.li(Reg::R3, 20_000);
+        let top = asm.here();
+        asm.addi(Reg::R2, Reg::R2, 1);
+        asm.slt(Reg::R4, Reg::R2, Reg::R3);
+        asm.bnz(Reg::R4, top);
+        asm.emit(Instr::Jump { target: 1 << 20 });
+        let prog = asm.finish().unwrap();
+        let (mem, hier) = (SparseMemory::new(), HierarchyConfig::default());
+        let mut measured = 0;
+        let merged = drive_sampled(&prog, &mem, hier, &scfg(), 2, 1, |_, _, cks| {
+            measured += cks.len();
+            Ok(cks.iter().map(stand_in).collect())
+        });
+        assert!(measured >= 4, "both runs measured the periods before the fault");
+        assert_eq!(merged.len(), 2);
+        for run in &merged {
+            assert!(
+                matches!(run, Err(SampleError::Exec(ExecError::PcOutOfRange { .. }))),
+                "{run:?}"
+            );
+        }
+
+        let bad = SampleConfig::default().with_interval(0);
+        let merged = drive_sampled(&prog, &mem, hier, &bad, 2, 1, |_, _, _| {
+            unreachable!("an invalid configuration emits no checkpoint")
+        });
+        assert!(merged.iter().all(|run| matches!(run, Err(SampleError::Config(_)))));
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! thread, a worker thread, or a worker process answering with the
 //! integer JSON payload of [`PeriodResult::to_json`] — and
 //! [`merge_periods`] recombines the results into a [`SampledRun`] that
-//! is byte-identical regardless of where the periods ran. Checkpoints
-//! and restored images share memory pages with one copy of the workload
-//! image ([`shared_copy`]), so neither copies the image.
+//! is byte-identical regardless of where the periods ran. One driver,
+//! [`drive_sampled`], composes the phases for every entry point, and
+//! images share memory pages with one copy of the workload image
+//! ([`shared_copy`]).
 //!
 //! The subsystem is built from cross-layer hooks added alongside it:
 //!
@@ -84,8 +85,8 @@ mod wire;
 pub use checkpoint::{PeriodCheckpoint, PERIOD_CKPT_MAGIC, PERIOD_CKPT_VERSION};
 pub use config::{Placement, SampleConfig};
 pub use driver::{
-    emit_checkpoints, measure_period, merge_periods, run_sampled, shared_copy, stream_checkpoints,
-    EmitResult, PeriodResult, SampleError, SampledRun,
+    drive_sampled, emit_checkpoints, measure_period, merge_periods, run_sampled, shared_copy,
+    stream_checkpoints, EmitResult, PeriodResult, SampleError, SampledRun,
 };
 pub use rng::SplitMix64;
 pub use stats::{student_t_975, IntervalStat, SampledReport};

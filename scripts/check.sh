@@ -132,6 +132,17 @@ stray="$(grep -rn 'predict_coverage(' crates/*/src \
     || true)"
 [ -z "$stray" ] || { echo "predict_coverage outside the static model:"; echo "$stray"; exit 1; }
 
+echo "== one sampled driver: every sampled run goes through sim_sample::drive_sampled =="
+# One functional pass streams its checkpoints in batches to every run it
+# serves, applies the failure rule and merges each run. Outside the driver,
+# no source streams checkpoints or merges periods by hand; test modules
+# (from #[cfg(test)] to the end of a file) may, to check the pieces.
+stray="$(for f in $(find crates -path '*/src/*.rs' | sort); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n -e 'stream_checkpoints(' -e 'merge_periods(' \
+      | sed "s|^|$f:|"
+done | grep -v '^crates/sim-sample/src/driver\.rs:' || true)"
+[ -z "$stray" ] || { echo "sampled-driver pieces composed outside the driver:"; echo "$stray"; exit 1; }
+
 echo "== report-determinism: no host-order maps or wall clock in serializers =="
 # Report renderers/serializers must be byte-stable across hosts: FxHashMap
 # with sorted output vectors only (no std HashMap iteration order), and no
@@ -257,9 +268,9 @@ seq_out="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench bfs --size tes
 
 echo "== sample-parallel: engine techniques byte-identical across --threads 1/4 and --jobs 2 =="
 # The stages above sample Baseline only. Every technique builds a fresh
-# engine per period; --threads 4 measures periods in batches as they are
-# emitted, and --jobs 2 measures collected checkpoints in worker
-# processes. Both must print the sequential run's bytes.
+# engine per period; one functional pass serves all of them, and each batch
+# of periods is measured on 4 threads (--threads 4) or in worker processes
+# (--jobs 2). Both must print the sequential run's bytes.
 for bench in camel hj8 nas-is; do
   e1="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench "$bench" --technique all \
       --size test --instrs 60000 --no-exact --json --threads 1 | strip_clock)"

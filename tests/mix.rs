@@ -2,27 +2,47 @@
 //! path against the single-core golden path, determinism across re-runs,
 //! and contention sanity under a shared L3/DRAM.
 
-use dvr_sim::{evaluate_mix, simulate, simulate_mix, MixSpec, SimConfig, Technique};
+use dvr_sim::{
+    evaluate_mix, simulate, simulate_mix, FaultConfig, MixSpec, SimConfig, SimReport, Technique,
+};
 use workloads::SizeClass;
 
 /// A 1-core mix is the single-core simulation on the scheduler: every
 /// deterministic field of its per-core report must match `simulate` on a
-/// private hierarchy byte-for-byte (a 1-core "shared" L3 is private).
+/// private hierarchy byte-for-byte (a 1-core "shared" L3 is private), and
+/// so must the sanitizer ledger. Besides the plain run this covers a
+/// sanitized one and one whose dropped responses end it in a deadlock
+/// under OoO.
 #[test]
 fn one_core_mix_matches_the_single_core_golden_path() {
-    for technique in [Technique::Baseline, Technique::Dvr] {
-        let spec = MixSpec::round_robin(1, technique);
-        let base = SimConfig::new(technique).with_max_instructions(20_000);
-        let mix = simulate_mix(&spec, SizeClass::Test, 3, &base);
-        let wl = spec.cores[0].bench.build(spec.cores[0].input, SizeClass::Test, 3);
-        let mut solo = simulate(&wl, &base);
-        solo.host_seconds = 0.0;
-        assert_eq!(
-            mix.cores[0].to_json(),
-            solo.to_json(),
-            "1-core mix must be byte-identical to simulate() ({technique:?})"
-        );
-        assert_eq!(mix.cycles, solo.core.cycles);
+    let drops = FaultConfig { seed: 3, drop_demand_1_in: 50, ..FaultConfig::default() };
+    for technique in [Technique::Baseline, Technique::Dvr, Technique::Vr] {
+        let plain = SimConfig::new(technique).with_max_instructions(20_000);
+        let configs = [
+            ("plain", plain),
+            ("sanitize", plain.with_sanitize(true)),
+            ("drop", plain.with_faults(drops).with_watchdog_cycles(5_000)),
+        ];
+        for (what, base) in configs {
+            let label = format!("{technique:?}, {what}");
+            let spec = MixSpec::round_robin(1, technique);
+            let mix = simulate_mix(&spec, SizeClass::Test, 3, &base);
+            let wl = spec.cores[0].bench.build(spec.cores[0].input, SizeClass::Test, 3);
+            let mut solo = simulate(&wl, &base);
+            solo.host_seconds = 0.0;
+            assert_eq!(
+                mix.cores[0].to_json(),
+                solo.to_json(),
+                "1-core mix must be byte-identical to simulate() ({label})"
+            );
+            assert_eq!(mix.cycles, solo.core.cycles, "{label}");
+            let ledger = |r: &SimReport| r.sanitizer.as_ref().map(|s| (s.checks, s.violations));
+            assert_eq!(ledger(&mix.cores[0]), ledger(&solo), "{label}");
+            assert_eq!(ledger(&solo).is_some(), what == "sanitize", "{label}");
+            if what == "drop" && technique == Technique::Baseline {
+                assert_eq!(solo.outcome.kind(), "deadlock", "{label}");
+            }
+        }
     }
 }
 

@@ -141,6 +141,50 @@ fn streamed_collected_and_worker_paths_agree_under_the_engines() {
     }
 }
 
+/// `json` without its three host-clock fields (`host_seconds` and the two
+/// rates derived from it), like `strip_clock` in `scripts/check.sh`.
+fn strip_clock(json: &str) -> String {
+    let start = json.find("\"host_seconds\":").expect("a host_seconds field");
+    let rate = start + json[start..].find("\"host_minstr_per_sec\":").expect("a rate field");
+    let end = rate + json[rate..].find(',').expect("a field after the rate") + 1;
+    format!("{}{}", &json[..start], &json[end..])
+}
+
+/// `dvrsim sample --technique all` serves every technique of a benchmark
+/// from one functional pass. Each technique's line must be the bytes of
+/// `simulate_sampled` on that cell, whether each batch of periods is
+/// measured on one thread, on three (two batches of three periods) or in
+/// two worker processes (three batches of two).
+#[test]
+fn the_cli_prints_simulate_sampled_for_every_technique() {
+    const ROI: u64 = 120_000;
+    let scfg = SampleConfig::default();
+    for b in [Benchmark::Camel, Benchmark::Bfs] {
+        let wl = b.build(b.is_gap().then_some(GraphInput::Kr), SizeClass::Test, 42);
+        let want: Vec<String> = [Technique::Baseline]
+            .into_iter()
+            .chain(Technique::FIG7)
+            .map(|t| {
+                let cfg = SimConfig::new(t).with_max_instructions(ROI);
+                strip_clock(&simulate_sampled(&wl, &cfg, &scfg).to_json())
+            })
+            .collect();
+        for dispatch in [["--threads", "1"], ["--threads", "3"], ["--jobs", "2"]] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_dvrsim"))
+                .args(["sample", "--bench", b.name(), "--technique", "all", "--size", "test"])
+                .args(["--instrs", &ROI.to_string(), "--no-exact", "--json"])
+                .args(dispatch)
+                .output()
+                .expect("dvrsim runs");
+            let label = format!("{} {}", b.name(), dispatch.join(" "));
+            assert!(out.status.success(), "{label}: {}", String::from_utf8_lossy(&out.stderr));
+            let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+            let got: Vec<String> = stdout.lines().map(strip_clock).collect();
+            assert_eq!(got, want, "{label}: the CLI diverged from simulate_sampled");
+        }
+    }
+}
+
 /// A worker command line that cannot even parse its arguments (no cell
 /// key) must come back as a typed [`SampleError::Worker`] — the
 /// orchestrator reaps the dead children instead of hanging on them.
