@@ -18,10 +18,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chart::{Chart, ChartKind, Series};
+use dvr_sim::sim_sweep::{Digest128, ResultCache};
 use dvr_sim::{
-    evaluate_mix, simulate, simulate_mix, simulate_sampled, simulate_sampled_threads,
-    try_parallel_map, CoreStats, EngineSummary, MemStats, MixSpec, RunOutcome, SampleConfig,
-    SimConfig, SimError, SimReport, Technique,
+    evaluate_mix, lookup_report, report_key, simulate, simulate_mix, simulate_sampled,
+    simulate_sampled_threads, store_report, try_parallel_map, CoreStats, EngineSummary, MemStats,
+    MixSpec, RunOutcome, SampleConfig, SimConfig, SimError, SimReport, Technique,
 };
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
@@ -102,17 +103,13 @@ pub struct Ctx {
     /// byte-identical for every setting.
     pub sample_threads: usize,
     cache: HashMap<(Benchmark, Option<GraphInput>), Arc<Workload>>,
-    result_cache: Option<dvr_sim::sim_sweep::ResultCache>,
+    result_cache: Option<ResultCache>,
     failures: Vec<CellFailure>,
     runs: u64,
     sim_committed: u64,
     sim_seconds: f64,
     san_checks: u64,
     san_violations: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_stores: u64,
-    cache_corrupt: u64,
 }
 
 impl Ctx {
@@ -136,10 +133,6 @@ impl Ctx {
             sim_seconds: 0.0,
             san_checks: 0,
             san_violations: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_stores: 0,
-            cache_corrupt: 0,
         }
     }
 
@@ -151,8 +144,7 @@ impl Ctx {
     /// the cache — the sanitizer ledger is not part of the cached payload.
     /// Figure text is byte-identical with and without the cache.
     pub fn with_result_cache(mut self, dir: &Path) -> Result<Self, String> {
-        self.result_cache =
-            Some(dvr_sim::sim_sweep::ResultCache::open(dir).map_err(|e| e.to_string())?);
+        self.result_cache = Some(ResultCache::open(dir).map_err(|e| e.to_string())?);
         Ok(self)
     }
 
@@ -213,63 +205,12 @@ impl Ctx {
         SimConfig::new(t).with_max_instructions(self.instrs).with_sanitize(self.sanitize)
     }
 
-    /// The cell's content address, or `None` when it must not be cached:
-    /// no cache attached, sanitizer on (its ledger is not in the payload),
-    /// or a force-fail hook active.
-    fn cell_cache_key(&self, cell: &Cell, wl: &Workload) -> Option<dvr_sim::sim_sweep::Digest128> {
-        self.result_cache.as_ref()?;
-        if cell.cfg.core.sanitize || self.force_fail.is_some() {
-            return None;
-        }
-        Some(dvr_sim::cache_key(wl, &cell.cfg, self.sample.as_ref()))
-    }
-
-    /// One cache probe: a decodable hit becomes a report, everything else
-    /// (miss, corrupt-and-quarantined, undecodable payload) a miss.
-    fn cache_lookup(&mut self, key: dvr_sim::sim_sweep::Digest128) -> Option<SimReport> {
-        use dvr_sim::sim_sweep::CacheLookup;
-        let cache = self.result_cache.as_ref()?;
-        match cache.lookup(key) {
-            CacheLookup::Hit(payload) => match dvr_sim::decode_report(&payload) {
-                Ok(r) => {
-                    self.cache_hits += 1;
-                    Some(r)
-                }
-                Err(_) => {
-                    self.cache_misses += 1;
-                    None
-                }
-            },
-            CacheLookup::Corrupt(_) => {
-                self.cache_corrupt += 1;
-                self.cache_misses += 1;
-                None
-            }
-            CacheLookup::Miss => {
-                self.cache_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Persists a completed report; failed runs are never cached.
-    fn cache_store(&mut self, key: dvr_sim::sim_sweep::Digest128, r: &SimReport) {
-        let Some(cache) = self.result_cache.as_ref() else { return };
-        if !r.outcome.is_complete() {
-            return;
-        }
-        if let Ok(payload) = dvr_sim::encode_report(r) {
-            if cache.store(key, &payload).is_ok() {
-                self.cache_stores += 1;
-            }
-        }
-    }
-
     /// Aggregate result-cache counters:
     /// `(hits, misses, stores, corrupt)`. All zero unless
     /// [`Ctx::with_result_cache`] attached a cache.
     pub fn cache_totals(&self) -> (u64, u64, u64, u64) {
-        (self.cache_hits, self.cache_misses, self.cache_stores, self.cache_corrupt)
+        let s = self.result_cache.as_ref().map(ResultCache::stats).unwrap_or_default();
+        (s.hits, s.misses, s.stores, s.corrupt)
     }
 
     /// The sampling configuration and per-cell measure threads every cell
@@ -305,10 +246,15 @@ impl Ctx {
         // Cache pre-pass: resolve cacheable cells serially, then fan out
         // only the remainder. Hits are full-fidelity reports (modulo the
         // wall clock), so the rendered figures cannot tell the difference.
-        let keys: Vec<Option<dvr_sim::sim_sweep::Digest128>> =
-            cells.iter().zip(&jobs).map(|(c, wl)| self.cell_cache_key(c, wl)).collect();
+        // A corrupt entry is recomputed. Force-fail runs bypass the cache.
+        let cache = self.result_cache.as_ref().filter(|_| self.force_fail.is_none());
+        let keys: Vec<Option<Digest128>> = cells
+            .iter()
+            .zip(&jobs)
+            .map(|(c, wl)| cache.and_then(|_| report_key(wl, &c.cfg, self.sample.as_ref())))
+            .collect();
         let cached: Vec<Option<SimReport>> =
-            keys.iter().map(|k| k.and_then(|k| self.cache_lookup(k))).collect();
+            keys.iter().map(|k| lookup_report(cache?, (*k)?).ok().flatten()).collect();
         let force_fail = self.force_fail.clone();
         let sampling = self.sampling();
         let results = try_parallel_map(cells.len(), self.threads, |i| {
@@ -324,10 +270,9 @@ impl Ctx {
         for (i, result) in results.into_iter().enumerate() {
             let report = match result {
                 Ok(r) => {
-                    if cached[i].is_none() {
-                        if let Some(key) = keys[i] {
-                            self.cache_store(key, &r);
-                        }
+                    if let (Some(cache), Some(key), None) = (cache, keys[i], &cached[i]) {
+                        // A failed store costs only a later recompute.
+                        let _ = store_report(cache, key, &r);
                     }
                     r
                 }
@@ -489,7 +434,7 @@ static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
 /// re-swept with a fresh journal against the warm cache. Runs are not
 /// accounted into the context's throughput totals.
 pub fn sweep_resume_probe(ctx: &Ctx) -> SweepProbe {
-    use dvr_sim::sim_sweep::{run_sweep, ResultCache, SweepOptions};
+    use dvr_sim::sim_sweep::{run_sweep, SweepOptions};
     use dvr_sim::{DvrSweepRunner, SweepCell};
 
     let dir = std::env::temp_dir().join(format!(
@@ -1450,6 +1395,36 @@ mod tests {
         };
         assert_eq!(plain, cold, "attaching a cache must not perturb figure text");
         assert_eq!(plain, warm, "cache-served figures must be byte-identical");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_cache_entry_is_quarantined_and_recomputed() {
+        let dir = std::env::temp_dir().join(format!("bench-cache-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = |cache: bool| {
+            let mut ctx = Ctx::new(SizeClass::Test, 10_000, 7);
+            if cache {
+                ctx = ctx.with_result_cache(&dir).expect("cache opens");
+            }
+            let text = run_experiment("fig9", &mut ctx);
+            (text, ctx.cache_totals())
+        };
+        let (plain, _) = run(false);
+        assert_eq!(run(true).1, (0, 39, 39, 0), "the cold run stores all 39 cells");
+        // Flip the last byte of one entry: its checksum no longer matches.
+        let entry = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "res"))
+            .expect("a stored entry");
+        let mut raw = std::fs::read(&entry).unwrap();
+        *raw.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&entry, raw).unwrap();
+        let (text, totals) = run(true);
+        assert_eq!(text, plain, "a corrupt entry must be recomputed, never served");
+        assert_eq!(totals, (38, 0, 1, 1), "(hits, misses, stores, corrupt)");
+        assert_eq!(std::fs::read_dir(dir.join("quarantine")).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,6 +13,7 @@
 use std::fmt::{Display, Write};
 
 use sim_isa::{Cpu, Step, StepEvent};
+use sim_sweep::escape_json;
 use workloads::Workload;
 
 use crate::config::{SimConfig, Technique};
@@ -85,7 +86,7 @@ impl<K: Display, J: Display> Divergences<K, J> {
                 d.kind,
                 d.pc,
                 j,
-                d.detail.replace('\\', "\\\\").replace('"', "\\\""),
+                escape_json(&d.detail),
             );
         }
         let _ = write!(s, "],\"unexplained\":{}}}", self.unexplained());
@@ -118,5 +119,23 @@ pub(crate) fn replay(wl: &Workload, instrs: u64, mut observe: impl FnMut(&Step))
             StepEvent::Executed(step) => observe(&step),
             StepEvent::Halted => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_tail_escapes_control_characters_in_details() {
+        let found = vec![Divergence {
+            kind: "spawn",
+            pc: 7,
+            detail: "lanes\t\"4\"".to_string(),
+            justification: None::<&str>,
+        }];
+        let mut s = String::new();
+        Divergences(found).json_tail(&mut s);
+        assert!(s.contains(r#""detail":"lanes\u0009\"4\"""#), "{s}");
     }
 }

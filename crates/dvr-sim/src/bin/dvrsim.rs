@@ -14,6 +14,8 @@ use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use dvr_sim::sweep::{parse_size_token, parse_technique_token};
 use dvr_sim::{
@@ -269,14 +271,6 @@ fn parse_technique(s: &str) -> Option<Vec<Technique>> {
     }
 }
 
-fn parse_bench(s: &str) -> Option<Benchmark> {
-    Benchmark::ALL.iter().copied().find(|b| b.name().eq_ignore_ascii_case(s))
-}
-
-fn parse_input(s: &str) -> Option<GraphInput> {
-    GraphInput::ALL.iter().copied().find(|g| g.name().eq_ignore_ascii_case(s))
-}
-
 /// The top-level run: one benchmark or `.s` kernel under each selected
 /// technique.
 fn run_main(args: &[String]) -> Result<ExitCode, String> {
@@ -297,9 +291,9 @@ fn run_main(args: &[String]) -> Result<ExitCode, String> {
                 }
                 return Ok(ExitCode::SUCCESS);
             }
-            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
+            "--bench" => bench = Some(a.named("benchmark", Benchmark::parse)?),
             "--asm" => asm_path = Some(a.value()?),
-            "--input" => input = Some(a.named("input", parse_input)?),
+            "--input" => input = Some(a.named("input", GraphInput::parse)?),
             "--technique" => techniques = a.named("technique", parse_technique)?,
             "--size" => size = a.named("size", parse_size_token)?,
             "--instrs" => instrs = a.number()?,
@@ -496,7 +490,7 @@ fn lint_main(args: &[String]) -> Result<ExitCode, String> {
             "--bounds" => bounds = true,
             "--verbose" => verbose = true,
             "--json" => json = true,
-            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
+            "--bench" => bench = Some(a.named("benchmark", Benchmark::parse)?),
             "--asm" => asm = Some(a.value()?),
             "--size" => size = a.named("size", parse_size_token)?,
             "--seed" => seed = a.number()?,
@@ -618,7 +612,7 @@ fn parse_audit_args(cmd: &str, args: &[String], kernels: &[&str]) -> Result<Audi
             "--json" => x.json = true,
             "--attack" if kernels.contains(&"--attack") => x.attack = true,
             "--oob" if kernels.contains(&"--oob") => x.oob = true,
-            "--bench" => x.bench = Some(a.named("benchmark", parse_bench)?),
+            "--bench" => x.bench = Some(a.named("benchmark", Benchmark::parse)?),
             "--size" => x.size = a.named("size", parse_size_token)?,
             "--seed" => x.seed = a.number()?,
             "--instrs" => x.instrs = a.number()?,
@@ -746,7 +740,7 @@ fn lint_taint_main(args: &[String]) -> Result<ExitCode, String> {
             "--all" => all = true,
             "--attack" => attack = true,
             "--json" => json = true,
-            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
+            "--bench" => bench = Some(a.named("benchmark", Benchmark::parse)?),
             "--asm" => asm = Some(a.value()?),
             "--size" => size = a.named("size", parse_size_token)?,
             "--seed" => seed = a.number()?,
@@ -817,8 +811,8 @@ fn sample_main(args: &[String]) -> Result<ExitCode, String> {
             "--all" => all = true,
             "--no-exact" => no_exact = true,
             "--json" => json = true,
-            "--bench" => bench = Some(a.named("benchmark", parse_bench)?),
-            "--input" => input = Some(a.named("input", parse_input)?),
+            "--bench" => bench = Some(a.named("benchmark", Benchmark::parse)?),
+            "--input" => input = Some(a.named("input", GraphInput::parse)?),
             "--technique" => techniques = a.named("technique", parse_technique)?,
             "--size" => size = a.named("size", parse_size_token)?,
             "--seed" => seed = a.number()?,
@@ -857,14 +851,10 @@ fn sample_main(args: &[String]) -> Result<ExitCode, String> {
         simulate_sampled_cells(&cells, &scfg, Measure::Threads(threads))
     };
 
-    // Exact-comparison runs stay cell-parallel: they share nothing.
     let exacts: Vec<Option<SimReport>> = if no_exact {
         (0..cells.len()).map(|_| None).collect()
     } else {
-        parallel_map(cells.len(), threads, |i| {
-            let c = cells[i];
-            Some(simulate(&c.bench.build(c.input, c.size, c.seed), &c.config()))
-        })
+        exact_reports(&cells, threads).into_iter().map(Some).collect()
     };
 
     let mut failed = 0usize;
@@ -919,6 +909,35 @@ fn sample_main(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The exact-comparison runs of `dvrsim sample`, fanned out over the cells
+/// of one grid on `threads` workers. The cells of one benchmark (adjacent
+/// in the grid) share one build, dropped once the last of them finishes,
+/// so no more workloads are alive at once than there are workers.
+fn exact_reports(cells: &[SweepCell], threads: usize) -> Vec<SimReport> {
+    // One slot per benchmark: its build, and how many of its cells are
+    // still to finish.
+    let (mut slots, mut slot_of) = (Vec::new(), Vec::with_capacity(cells.len()));
+    for group in cells.chunk_by(|a, b| (a.bench, a.input) == (b.bench, b.input)) {
+        slot_of.extend(std::iter::repeat_n(slots.len(), group.len()));
+        slots.push((Mutex::new(None::<Arc<Workload>>), AtomicUsize::new(group.len())));
+    }
+    parallel_map(cells.len(), threads, |i| {
+        let (c, (build, left)) = (cells[i], &slots[slot_of[i]]);
+        let poisoned = "a workload build panicked";
+        let wl = Arc::clone(
+            build
+                .lock()
+                .expect(poisoned)
+                .get_or_insert_with(|| Arc::new(c.bench.build(c.input, c.size, c.seed))),
+        );
+        let report = simulate(&wl, &c.config());
+        if left.fetch_sub(1, Ordering::SeqCst) == 1 {
+            *build.lock().expect(poisoned) = None;
+        }
+        report
+    })
 }
 
 /// `dvrsim sample-worker`: measures ONE sampling period of a sweep cell
@@ -1139,7 +1158,7 @@ fn parse_bench_list(spec: &str) -> Result<Vec<Benchmark>, String> {
         "hpcdb" => Ok(Benchmark::ALL.iter().copied().filter(|b| !b.is_gap()).collect()),
         list => list
             .split(',')
-            .map(|s| parse_bench(s).ok_or(format!("unknown benchmark '{s}'")))
+            .map(|s| Benchmark::parse(s).ok_or(format!("unknown benchmark '{s}'")))
             .collect(),
     }
 }
@@ -1147,9 +1166,10 @@ fn parse_bench_list(spec: &str) -> Result<Vec<Benchmark>, String> {
 fn parse_input_list(spec: &str) -> Result<Vec<GraphInput>, String> {
     match spec {
         "all" => Ok(GraphInput::ALL.to_vec()),
-        list => {
-            list.split(',').map(|s| parse_input(s).ok_or(format!("unknown input '{s}'"))).collect()
-        }
+        list => list
+            .split(',')
+            .map(|s| GraphInput::parse(s).ok_or(format!("unknown input '{s}'")))
+            .collect(),
     }
 }
 
@@ -1427,40 +1447,37 @@ fn serve_run(
 ) -> String {
     let cell = match dvr_sim::SweepCell::parse(key) {
         Ok(cell) => cell,
-        Err(e) => return format!("{{\"error\":\"bad cell: {e}\",\"kind\":\"bad_cell\"}}"),
+        Err(e) => {
+            let e = sim_sweep::escape_json(&e);
+            return format!("{{\"error\":\"bad cell: {e}\",\"kind\":\"bad_cell\"}}");
+        }
     };
-    let digest = dvr_sim::cache_key(&runner.workload(&cell), &cell.config(), None);
-    if let Some(cache) = cache {
-        match cache.lookup(digest) {
-            sim_sweep::CacheLookup::Hit(payload) => match dvr_sim::decode_report(&payload) {
-                Ok(report) => {
-                    return format!("{{\"cached\":true,\"report\":{}}}", report.to_json())
-                }
-                Err(e) => eprintln!("serve: warning: undecodable cache payload: {e}"),
-            },
-            sim_sweep::CacheLookup::Corrupt(e) => eprintln!("serve: warning[{}]: {e}", e.kind()),
-            sim_sweep::CacheLookup::Miss => {}
+    let key = dvr_sim::report_key(&runner.workload(&cell), &cell.config(), None);
+    let slot = cache.zip(key);
+    if let Some((cache, key)) = slot {
+        match dvr_sim::lookup_report(cache, key) {
+            Ok(Some(report)) => {
+                return format!("{{\"cached\":true,\"report\":{}}}", report.to_json())
+            }
+            Ok(None) => {}
+            Err(e) => eprintln!("serve: warning[{}]: {e}", e.kind()),
         }
     }
     let mut report = runner.run_report(&cell);
-    match &report.outcome {
-        dvr_sim::RunOutcome::Complete => {
-            if let (Some(cache), Ok(payload)) = (cache, dvr_sim::encode_report(&report)) {
-                if let Err(e) = cache.store(digest, &payload) {
-                    eprintln!("serve: warning: {e}");
-                }
-            }
-            // Deterministic responses: the wall clock never crosses the
-            // service boundary, so cached and fresh replies are identical.
-            report.host_seconds = 0.0;
-            format!("{{\"cached\":false,\"report\":{}}}", report.to_json())
-        }
-        dvr_sim::RunOutcome::Failed(e) => {
-            format!(
-                "{{\"error\":\"{}\",\"kind\":\"{}\"}}",
-                e.to_string().replace('\\', "\\\\").replace('"', "\\\""),
-                e.kind()
-            )
+    if let Some(e) = report.outcome.error() {
+        return format!(
+            "{{\"error\":\"{}\",\"kind\":\"{}\"}}",
+            sim_sweep::escape_json(&e.to_string()),
+            e.kind()
+        );
+    }
+    if let Some((cache, key)) = slot {
+        if let Err(e) = dvr_sim::store_report(cache, key, &report) {
+            eprintln!("serve: warning: {e}");
         }
     }
+    // Deterministic responses: the wall clock never crosses the service
+    // boundary, so cached and fresh replies are identical.
+    report.host_seconds = 0.0;
+    format!("{{\"cached\":false,\"report\":{}}}", report.to_json())
 }

@@ -48,19 +48,21 @@ pub use multi::{
     evaluate_mix, simulate_mix, ConfigError, MixCore, MixEvaluation, MixReport, MixSpec,
 };
 pub use report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
-pub use runner::{
-    parallel_map, resolve_threads, simulate, simulate_all_parallel, simulate_observed,
-    try_parallel_map, CellError, Observed,
-};
+pub use runner::{simulate, simulate_observed, Observed};
 pub use sample::{
     engine_factory, measure_emitted, measure_periods_via_workers, sample_emit, sample_worker_args,
     sampled_report_from, simulate_sampled, simulate_sampled_cells, simulate_sampled_threads,
     Measure,
 };
-pub use sweep::{cache_key, decode_report, encode_report, DvrSweepRunner, SweepCell};
+pub use sweep::{
+    cache_key, decode_report, encode_report, lookup_report, report_key, store_report,
+    DvrSweepRunner, SweepCell,
+};
 
-// The crash-safe sweep substrate (journal, result cache, supervisor).
+// The crash-safe sweep substrate (journal, result cache, supervisor) and
+// the one fan-out every grid runner uses.
 pub use sim_sweep;
+pub use sim_sweep::{parallel_map, resolve_threads, try_parallel_map, CellError};
 
 // Re-export the pieces users need to assemble custom setups.
 pub use dvr_core::{DvrConfig, DvrEngine, DvrTrace, OracleEngine, PreEngine, TraceEvent, VrEngine};

@@ -34,10 +34,11 @@ use sim_isa::{Program, SparseMemory};
 use sim_mem::{MemoryHierarchy, SharedCoreCounters, SharedLlc, SharedLlcHandle};
 use sim_multi::{Component, Scheduler, Tick};
 use sim_ooo::{OooCore, SanitizeReport, SimError, Step, StepSession};
+use sim_sweep::escape_json;
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
 use crate::config::{SimConfig, Technique};
-use crate::report::{escape_json, RunOutcome, SimReport};
+use crate::report::{RunOutcome, SimReport};
 use crate::runner::{core_report, AnyEngine};
 
 /// How often (in core cycles) the shared-LLC component sweeps the

@@ -2,6 +2,7 @@
 
 use sim_mem::{MemStats, PrefetchSource};
 use sim_ooo::{CoreStats, SanitizeReport, SimError, WorkCounters};
+use sim_sweep::escape_json;
 
 use crate::config::Technique;
 
@@ -294,17 +295,6 @@ impl SimReport {
             self.outcome.error().map(|e| escape_json(&e.to_string())).unwrap_or_default(),
         )
     }
-}
-
-pub(crate) fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -27,12 +27,12 @@ use sim_sample::{
     drive_sampled, emit_checkpoints, measure_period, shared_copy, EmitResult, PeriodCheckpoint,
     PeriodResult, SampleConfig, SampleError, SampledRun,
 };
-use sim_sweep::{Supervisor, SweepOptions};
+use sim_sweep::{resolve_threads, try_parallel_map, Supervisor, SweepOptions};
 use workloads::Workload;
 
 use crate::config::SimConfig;
 use crate::report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
-use crate::runner::{resolve_threads, try_parallel_map, AnyEngine};
+use crate::runner::AnyEngine;
 use crate::sweep::SweepCell;
 
 /// Builds a fresh runahead engine for one detailed interval — the same

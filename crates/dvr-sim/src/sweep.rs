@@ -15,6 +15,10 @@
 //!   rendering, and the code version ([`CACHE_CODE_VERSION`] plus the
 //!   crate version), so a simulator change can never serve stale
 //!   results;
+//! - [`report_key`], [`lookup_report`] and [`store_report`] — the one
+//!   path by which reports enter and leave the result cache: `figures
+//!   --cache` and `dvrsim serve` read and write through them, and
+//!   [`DvrSweepRunner`] keys its cells with the first;
 //! - [`DvrSweepRunner`] — the [`CellRunner`] gluing it together for
 //!   `dvrsim sweep`, `dvrsim serve`, and the worker subcommand.
 
@@ -24,7 +28,7 @@ use std::sync::{Arc, Mutex};
 
 use sim_isa::bytes::{put_str, DecodeError, Reader};
 use sim_sample::{Placement, SampleConfig};
-use sim_sweep::{CellRunner, Digest128, Hasher};
+use sim_sweep::{CacheLookup, CellRunner, Digest128, Hasher, ResultCache, SweepError};
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
 use crate::config::{SimConfig, Technique};
@@ -99,13 +103,6 @@ fn input_token(i: Option<GraphInput>) -> String {
     }
 }
 
-fn parse_input_token(s: &str) -> Option<Option<GraphInput>> {
-    if s == "-" {
-        return Some(None);
-    }
-    GraphInput::ALL.into_iter().find(|g| g.name().eq_ignore_ascii_case(s)).map(Some)
-}
-
 /// One sweep grid point: everything needed to rebuild the workload and
 /// config deterministically.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -168,15 +165,16 @@ impl SweepCell {
             match k {
                 "bench" => {
                     bench = Some(
-                        Benchmark::ALL
-                            .into_iter()
-                            .find(|b| b.name().eq_ignore_ascii_case(v))
-                            .ok_or_else(|| format!("unknown benchmark `{v}`"))?,
+                        Benchmark::parse(v).ok_or_else(|| format!("unknown benchmark `{v}`"))?,
                     )
                 }
                 "input" => {
-                    input =
-                        Some(parse_input_token(v).ok_or_else(|| format!("unknown input `{v}`"))?)
+                    input = Some(match v {
+                        "-" => None,
+                        _ => Some(
+                            GraphInput::parse(v).ok_or_else(|| format!("unknown input `{v}`"))?,
+                        ),
+                    })
                 }
                 "technique" => {
                     technique = Some(
@@ -379,6 +377,43 @@ pub fn cache_key(wl: &Workload, cfg: &SimConfig, sample: Option<&SampleConfig>) 
 }
 
 // ---------------------------------------------------------------------------
+// Reports in the result cache
+// ---------------------------------------------------------------------------
+
+/// The content address of a report, or `None` when the run must not be
+/// cached: a sanitized run's ledger is not part of the payload.
+pub fn report_key(
+    wl: &Workload,
+    cfg: &SimConfig,
+    sample: Option<&SampleConfig>,
+) -> Option<Digest128> {
+    (!cfg.core.sanitize).then(|| cache_key(wl, cfg, sample))
+}
+
+/// Serves the report stored under `key`: `Ok(None)` is a miss. An error
+/// is an entry the caller recomputes — a corrupt one, which the cache
+/// has quarantined and counted, or an intact one whose payload does not
+/// decode (the cache counted that one as a hit).
+pub fn lookup_report(cache: &ResultCache, key: Digest128) -> Result<Option<SimReport>, SweepError> {
+    match cache.lookup(key) {
+        CacheLookup::Hit(payload) => decode_report(&payload)
+            .map(Some)
+            .map_err(|reason| SweepError::CacheCorrupt { path: cache.entry_path(key), reason }),
+        CacheLookup::Miss => Ok(None),
+        CacheLookup::Corrupt(e) => Err(e),
+    }
+}
+
+/// Stores a complete report under `key`. A failed run is never cached,
+/// so it stores nothing.
+pub fn store_report(cache: &ResultCache, key: Digest128, r: &SimReport) -> Result<(), SweepError> {
+    match encode_report(r) {
+        Ok(payload) => cache.store(key, &payload),
+        Err(_) => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The DVR cell runner
 // ---------------------------------------------------------------------------
 
@@ -437,7 +472,7 @@ impl CellRunner for DvrSweepRunner {
 
     fn cache_key(&self, cell: &str) -> Option<Digest128> {
         let cell = SweepCell::parse(cell).ok()?;
-        Some(cache_key(&self.workload(&cell), &cell.config(), None))
+        report_key(&self.workload(&cell), &cell.config(), None)
     }
 
     fn summarize(&self, _cell: &str, payload: &[u8]) -> Result<String, String> {

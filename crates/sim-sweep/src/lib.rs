@@ -16,7 +16,11 @@
 //!   (exponential backoff + deterministic seeded jitter);
 //! - **fault injection** ([`fault`]) extends the PR-2 framework to this
 //!   layer: worker kills, cache byte flips, journal truncation, and
-//!   simulated crashes, all at deterministic seeded points.
+//!   simulated crashes, all at deterministic seeded points;
+//! - the **fan-out** ([`fanout`]) — [`parallel_map`] and
+//!   [`try_parallel_map`] — runs cells on scoped threads, each
+//!   panic-isolated with one retry. The sweep and every other grid
+//!   runner above this crate fan out through it.
 //!
 //! The crate is simulator-agnostic: a [`CellRunner`] supplies the
 //! domain pieces (how to compute a cell, its worker argv, its cache
@@ -29,6 +33,7 @@
 pub mod cache;
 pub mod digest;
 pub mod error;
+pub mod fanout;
 pub mod fault;
 pub mod journal;
 pub mod supervisor;
@@ -40,6 +45,7 @@ use std::sync::Mutex;
 pub use cache::{CacheLookup, CacheStats, GcStats, ResultCache, CACHE_ENTRY_VERSION};
 pub use digest::{digest_bytes, fnv64, from_hex, to_hex, Digest128, Hasher};
 pub use error::SweepError;
+pub use fanout::{parallel_map, resolve_threads, try_parallel_map, CellError};
 pub use fault::SweepFault;
 pub use journal::{manifest_digest, Journal, JournalRecord, ReplayStats};
 pub use supervisor::{
@@ -236,32 +242,15 @@ pub fn run_sweep<R: CellRunner>(
         }
     }
 
-    // Compute the remainder. `try_parallel_map`'s scoped-thread /
-    // panic-isolation machinery lives in dvr-sim *above* this crate,
-    // so the fan-out here is a plain scoped work-stealing loop with
-    // the same shape.
+    // Compute the remainder; a cell drawn once the sweep is aborting is
+    // left unsettled.
     let threads = if opts.jobs == 0 { 1 } else { opts.jobs };
-    let computed: Vec<Option<CellOutcome>> = {
-        let next = AtomicU64::new(0);
-        let slots: Vec<Mutex<Option<CellOutcome>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(pending.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    if i >= pending.len() || state.abort.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let cell = &cells[pending[i]];
-                    let outcome = compute_cell(cell, runner, cache, opts, &state);
-                    if let Some(outcome) = outcome {
-                        *slots[i].lock().unwrap() = Some(outcome);
-                    }
-                });
-            }
-        });
-        slots.into_iter().map(|s| s.into_inner().unwrap()).collect()
-    };
+    let computed = parallel_map(pending.len(), threads, |i| {
+        if state.abort.load(Ordering::SeqCst) {
+            return None;
+        }
+        compute_cell(&cells[pending[i]], runner, cache, opts, &state)
+    });
     for (slot, outcome) in pending.iter().zip(computed) {
         if let Some(outcome) = outcome {
             stats.computed += 1;
@@ -482,7 +471,9 @@ pub fn write_atomic(path: &Path, content: &str) -> Result<(), SweepError> {
     })
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for the inside of a JSON string literal: `"`, `\` and
+/// every control character (as `\u00XX`).
+pub fn escape_json(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],

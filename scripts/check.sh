@@ -132,16 +132,34 @@ stray="$(grep -rn 'predict_coverage(' crates/*/src \
     || true)"
 [ -z "$stray" ] || { echo "predict_coverage outside the static model:"; echo "$stray"; exit 1; }
 
+# in_src PATTERN...: grep -n every crate's source with its test module (from
+# #[cfg(test)] to the end of the file) cut off, as FILE:LINE:TEXT.
+in_src() {
+  for f in $(find crates -path '*/src/*.rs' | sort); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "$@" | sed "s|^|$f:|"
+  done
+}
+
 echo "== one sampled driver: every sampled run goes through sim_sample::drive_sampled =="
 # One functional pass streams its checkpoints in batches to every run it
 # serves, applies the failure rule and merges each run. Outside the driver,
-# no source streams checkpoints or merges periods by hand; test modules
-# (from #[cfg(test)] to the end of a file) may, to check the pieces.
-stray="$(for f in $(find crates -path '*/src/*.rs' | sort); do
-  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n -e 'stream_checkpoints(' -e 'merge_periods(' \
-      | sed "s|^|$f:|"
-done | grep -v '^crates/sim-sample/src/driver\.rs:' || true)"
+# no source streams checkpoints or merges periods by hand; test modules may,
+# to check the pieces.
+stray="$(in_src -e 'stream_checkpoints(' -e 'merge_periods(' \
+    | grep -v '^crates/sim-sample/src/driver\.rs:' || true)"
 [ -z "$stray" ] || { echo "sampled-driver pieces composed outside the driver:"; echo "$stray"; exit 1; }
+
+echo "== one cell plumbing: one fan-out and one result-cache path for reports =="
+# Every entry point fans cells out through sim_sweep's parallel_map /
+# try_parallel_map, and reads and writes reports in the result cache through
+# dvr_sim::sweep's report_key / lookup_report / store_report. Outside test
+# modules, the report codec and raw cache lookups appear only in dvr-sim's
+# sweep.rs and in sim-sweep, and thread::scope only in the fan-out.
+stray="$(in_src -e 'encode_report(' -e 'decode_report(' -e 'CacheLookup::' \
+    | grep -v -e '^crates/dvr-sim/src/sweep\.rs:' -e '^crates/sim-sweep/src/' || true)"
+[ -z "$stray" ] || { echo "report cache plumbing outside dvr_sim::sweep:"; echo "$stray"; exit 1; }
+stray="$(in_src -e 'thread::scope' | grep -v '^crates/sim-sweep/src/fanout\.rs:' || true)"
+[ -z "$stray" ] || { echo "a fan-out outside sim_sweep::fanout:"; echo "$stray"; exit 1; }
 
 echo "== report-determinism: no host-order maps or wall clock in serializers =="
 # Report renderers/serializers must be byte-stable across hosts: FxHashMap

@@ -5,8 +5,8 @@
 //! to a fault-free run).
 
 use dvr_sim::{
-    simulate, simulate_all_parallel, DvrEngine, FaultConfig, FaultKind, HierarchyConfig,
-    MemoryHierarchy, OooCore, RunOutcome, SimConfig, SimError, Technique,
+    parallel_map, simulate, DvrEngine, FaultConfig, FaultKind, HierarchyConfig, MemoryHierarchy,
+    OooCore, RunOutcome, SimConfig, SimError, Technique,
 };
 use workloads::{Benchmark, GraphInput, SizeClass};
 
@@ -133,7 +133,7 @@ fn same_seed_is_byte_identical_across_thread_counts() {
         .map(|t| SimConfig::new(t).with_max_instructions(20_000).with_faults(fault))
         .collect();
     let render = |threads: usize| -> Vec<String> {
-        simulate_all_parallel(&wl, &cfgs, threads)
+        parallel_map(cfgs.len(), threads, |i| simulate(&wl, &cfgs[i]))
             .into_iter()
             .map(|mut r| {
                 // Host time is the one legitimately nondeterministic field.
