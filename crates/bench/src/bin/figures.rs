@@ -20,20 +20,18 @@
 //!   --sample                  run every cell sampled (functional fast-forward
 //!                             with warming between seeded detailed intervals)
 //!                             instead of exactly — several-fold faster, with
-//!                             the statistical error EXPERIMENTS.md describes
+//!                             the statistical error EXPERIMENTS.md describes;
+//!                             one functional pass per combo and hierarchy
 //!   --sample-period N         sampling period in instructions (implies
 //!                             --sample; default 20000)
-//!   --sample-threads N        in-process threads for each sampled cell's
-//!                             measure phase; 0 = all cores (default: 1;
-//!                             output is byte-identical either way)
 //!   --cache DIR               serve completed cells from (and store them
 //!                             into) the content-addressed result cache that
 //!                             `dvrsim sweep --cache` maintains; output is
 //!                             byte-identical, warm reruns skip simulation
 //!   --bench-json DIR          persist the perf trajectory as
 //!                             DIR/BENCH_<experiment>.json: wall seconds per
-//!                             figure, aggregate simulation throughput, a
-//!                             sequential-vs-parallel sample wall-clock probe,
+//!                             figure, covered instructions per wall second, a
+//!                             sequential-vs-parallel sample measure-phase probe,
 //!                             result-cache hit counters, and a sweep
 //!                             cold-vs-resume overhead probe (the wall-clock
 //!                             probes self-skip on a single-core host, where
@@ -85,7 +83,6 @@ fn main() {
     let mut sanitize = false;
     let mut sample = false;
     let mut sample_period: Option<u64> = None;
-    let mut sample_threads: usize = 1;
     let mut bench_json: Option<String> = None;
     let mut cache_dir: Option<String> = None;
 
@@ -100,7 +97,6 @@ fn main() {
             "--instrs" => instrs = number(a, "--instrs"),
             "--seed" => seed = number(a, "--seed"),
             "--threads" => threads = number(a, "--threads"),
-            "--sample-threads" => sample_threads = number(a, "--sample-threads"),
             "--svg" => svg_dir = Some(value(a, "--svg")),
             "--bench-json" => bench_json = Some(value(a, "--bench-json")),
             "--cache" => cache_dir = Some(value(a, "--cache")),
@@ -117,8 +113,7 @@ fn main() {
     let mut ctx = Ctx::new(size, instrs, seed)
         .with_threads(threads)
         .with_keep_going(keep_going)
-        .with_sanitize(sanitize)
-        .with_sample_threads(sample_threads);
+        .with_sanitize(sanitize);
     if sample || sample_period.is_some() {
         let mut scfg = dvr_sim::SampleConfig::default();
         if let Some(p) = sample_period {
@@ -201,8 +196,8 @@ fn main() {
 }
 
 /// Persists the run's perf trajectory as `DIR/BENCH_<experiment>.json`:
-/// wall seconds per figure, aggregate host throughput, a
-/// sequential-vs-4-thread sampled wall-clock probe, the result-cache
+/// wall seconds per figure, covered instructions per wall second, a
+/// sequential-vs-4-thread sampled measure-phase probe, the result-cache
 /// counters of this run, and a sweep cold-vs-resume overhead probe.
 /// Returns the path.
 ///
@@ -219,8 +214,8 @@ fn write_bench_json(
     timings: &[(&str, f64)],
     total_wall: f64,
 ) -> String {
-    let (runs, sim_instrs, sim_secs) = ctx.throughput_totals();
-    let minstr_per_sec = if sim_secs > 0.0 { sim_instrs as f64 / sim_secs / 1e6 } else { 0.0 };
+    let (runs, sim_instrs, _) = ctx.throughput_totals();
+    let minstr_per_sec = if total_wall > 0.0 { sim_instrs as f64 / total_wall / 1e6 } else { 0.0 };
     let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
     let run_probes = host_cores != 1;
     let probe = run_probes.then(|| sample_speedup_probe(ctx, 4));
@@ -240,13 +235,11 @@ fn write_bench_json(
     let _ = write!(
         j,
         "{{\"experiment\":\"{experiment}\",\"size\":\"{:?}\",\"instrs\":{},\"seed\":{},\
-         \"threads\":{},\"sample_threads\":{},\"sampled\":{},\
-         \"host_cores\":{host_cores},",
+         \"threads\":{},\"sampled\":{},\"host_cores\":{host_cores},",
         ctx.size,
         ctx.instrs,
         ctx.seed,
         ctx.threads,
-        ctx.sample_threads,
         ctx.sample.is_some()
     );
     let _ = write!(j, "\"figures\":[");

@@ -20,9 +20,10 @@ use std::sync::Arc;
 use chart::{Chart, ChartKind, Series};
 use dvr_sim::sim_sweep::{Digest128, ResultCache};
 use dvr_sim::{
-    evaluate_mix, lookup_report, report_key, simulate, simulate_mix, simulate_sampled,
-    simulate_sampled_threads, store_report, try_parallel_map, CoreStats, EngineSummary, MemStats,
-    MixSpec, RunOutcome, SampleConfig, SimConfig, SimError, SimReport, Technique,
+    evaluate_mix, lookup_report, measure_emitted, report_key, resolve_threads, sample_emit,
+    simulate, simulate_mix, simulate_sampled_configs, store_report, try_parallel_map, CellError,
+    CoreStats, EngineSummary, MemStats, MixSpec, RunOutcome, SampleConfig, SimConfig, SimError,
+    SimReport, Technique,
 };
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
@@ -90,18 +91,13 @@ pub struct Ctx {
     /// timing-neutral, so figure text stays byte-identical; violation totals
     /// surface through [`Ctx::sanitize_totals`].
     pub sanitize: bool,
-    /// When set, every cell runs sampled ([`dvr_sim::simulate_sampled`])
-    /// instead of exactly: functional fast-forward with warming between
-    /// seeded detailed intervals. Figure numbers then carry the sampling
-    /// error the config's confidence intervals describe, in exchange for a
-    /// several-fold host-time speedup. Sampled runs are deterministic, so
-    /// output stays byte-identical across thread counts.
+    /// When set, every cell runs sampled instead of exactly: functional
+    /// fast-forward with warming between seeded detailed intervals. Figure
+    /// numbers then carry the sampling error the config's confidence
+    /// intervals describe, in exchange for a several-fold host-time
+    /// speedup. Sampled runs are deterministic, so output stays
+    /// byte-identical across thread counts.
     pub sample: Option<SampleConfig>,
-    /// In-process worker threads for the measure phase *inside* each
-    /// sampled cell (`0` = available parallelism). Independent of
-    /// [`Ctx::threads`], which fans out across cells; reports are
-    /// byte-identical for every setting.
-    pub sample_threads: usize,
     cache: HashMap<(Benchmark, Option<GraphInput>), Arc<Workload>>,
     result_cache: Option<ResultCache>,
     failures: Vec<CellFailure>,
@@ -124,7 +120,6 @@ impl Ctx {
             force_fail: None,
             sanitize: false,
             sample: None,
-            sample_threads: 1,
             cache: HashMap::new(),
             result_cache: None,
             failures: Vec::new(),
@@ -181,13 +176,6 @@ impl Ctx {
         self
     }
 
-    /// Sets the per-cell measure-phase thread count (see
-    /// [`Ctx::sample_threads`]).
-    pub fn with_sample_threads(mut self, threads: usize) -> Self {
-        self.sample_threads = threads;
-        self
-    }
-
     /// Every cell failure recorded so far (keep-going mode only).
     pub fn failures(&self) -> &[CellFailure] {
         &self.failures
@@ -213,21 +201,18 @@ impl Ctx {
         (s.hits, s.misses, s.stores, s.corrupt)
     }
 
-    /// The sampling configuration and per-cell measure threads every cell
-    /// runs under (`None` when running exactly).
-    fn sampling(&self) -> Option<(SampleConfig, usize)> {
-        self.sample.map(|scfg| (scfg, self.sample_threads))
-    }
-
     /// Runs a batch of cells on up to [`Ctx::threads`] worker threads and
     /// returns the reports **in cell order**.
     ///
     /// Distinct workloads are built once, serially, before the fan-out;
-    /// the workers then share them immutably. Simulation is deterministic,
-    /// so the returned reports — and any text rendered from them — are
-    /// byte-identical for every thread count.
+    /// the workers then share them immutably. Exact cells fan out one by
+    /// one; sampled cells by combo, as one [`simulate_sampled_configs`]
+    /// call each, which measures on the threads the combos leave spare.
+    /// Simulation is deterministic, so the returned reports — and any text
+    /// rendered from them — are byte-identical for every thread count.
     ///
-    /// Each cell is panic-isolated (with one retry). A cell that panics, or
+    /// Each unit of work is panic-isolated (with one retry); a sampled
+    /// combo that panics fails each of its cells. A cell that panics, or
     /// whose run ends in a typed failure ([`SimReport::outcome`]), either
     /// aborts the batch with a diagnostic naming the cell (the default), or
     /// — with [`Ctx::keep_going`] — is recorded in [`Ctx::failures`] and
@@ -255,33 +240,59 @@ impl Ctx {
             .collect();
         let cached: Vec<Option<SimReport>> =
             keys.iter().map(|k| lookup_report(cache?, (*k)?).ok().flatten()).collect();
-        let force_fail = self.force_fail.clone();
-        let sampling = self.sampling();
-        let results = try_parallel_map(cells.len(), self.threads, |i| {
-            if let Some(r) = &cached[i] {
-                return r.clone();
-            }
-            if force_fail.as_deref() == Some(labels[i].as_str()) {
+        // The uncached cells in units of work, in order of first cell: one
+        // cell each when exact; one per workload when sampled. A force-fail
+        // cell is a unit of its own.
+        let (force_fail, sample) = (self.force_fail.as_deref(), self.sample);
+        let grouped = |i: usize| sample.is_some() && force_fail != Some(labels[i].as_str());
+        let (mut units, mut unit_of) = (Vec::<Vec<usize>>::new(), vec![0; cells.len()]);
+        for i in (0..cells.len()).filter(|&i| cached[i].is_none()) {
+            let joins =
+                |u: &Vec<usize>| grouped(u[0]) && grouped(i) && Arc::ptr_eq(&jobs[u[0]], &jobs[i]);
+            unit_of[i] = units.iter().position(joins).unwrap_or_else(|| {
+                units.push(Vec::new());
+                units.len() - 1
+            });
+            units[unit_of[i]].push(i);
+        }
+        let measure_threads = (resolve_threads(self.threads) / units.len().max(1)).max(1);
+        let results = try_parallel_map(units.len(), self.threads, |u| {
+            let i = units[u][0];
+            if force_fail == Some(labels[i].as_str()) {
                 panic!("forced failure requested for cell '{}'", labels[i]);
             }
-            simulate_cell(&jobs[i], &cells[i].cfg, sampling)
+            match &sample {
+                Some(scfg) => {
+                    let cfgs: Vec<SimConfig> = units[u].iter().map(|&i| cells[i].cfg).collect();
+                    simulate_sampled_configs(&jobs[i], &cfgs, scfg, measure_threads)
+                }
+                None => vec![simulate(&jobs[i], &cells[i].cfg)],
+            }
         });
+        let mut fresh: Vec<_> = results.into_iter().map(|r| r.map(Vec::into_iter)).collect();
         let mut reports = Vec::with_capacity(cells.len());
-        for (i, result) in results.into_iter().enumerate() {
-            let report = match result {
-                Ok(r) => {
-                    if let (Some(cache), Some(key), None) = (cache, keys[i], &cached[i]) {
-                        // A failed store costs only a later recompute.
-                        let _ = store_report(cache, key, &r);
+        for (i, hit) in cached.into_iter().enumerate() {
+            let report = match hit {
+                Some(r) => r,
+                None => match &mut fresh[unit_of[i]] {
+                    Ok(unit_reports) => {
+                        let r = unit_reports.next().expect("one report per cell");
+                        if let (Some(cache), Some(key)) = (cache, keys[i]) {
+                            // A failed store costs only a later recompute.
+                            let _ = store_report(cache, key, &r);
+                        }
+                        r
                     }
-                    r
-                }
-                Err(e) => {
-                    if !self.keep_going {
-                        panic!("cell {i} ({}) failed: {e}", labels[i]);
+                    // A failed unit fails each of its cells, named by cell index.
+                    Err(e) => {
+                        let e = CellError { index: i, ..e.clone() };
+                        if !self.keep_going {
+                            panic!("cell {i} ({}) failed: {e}", labels[i]);
+                        }
+                        let message = e.message;
+                        failed_report(&cells[i], &jobs[i].name, SimError::Panic { message })
                     }
-                    failed_report(&cells[i], &jobs[i].name, SimError::Panic { message: e.message })
-                }
+                },
             };
             if let Some(err) = report.outcome.error() {
                 if !self.keep_going {
@@ -353,56 +364,48 @@ impl Ctx {
     }
 }
 
-/// Runs one cell exactly, or sampled with `(config, measure threads)`.
-fn simulate_cell(
-    wl: &Workload,
-    cfg: &SimConfig,
-    sampling: Option<(SampleConfig, usize)>,
-) -> SimReport {
-    match sampling {
-        Some((scfg, threads)) => simulate_sampled_threads(wl, cfg, &scfg, threads),
-        None => simulate(wl, cfg),
-    }
-}
-
-/// Wall-clock comparison of the sequential vs parallel sampled driver on
-/// one benchmark — the perf-trajectory probe persisted into
-/// `BENCH_<name>.json`.
+/// Wall-clock comparison of the sequential vs parallel sampled measure
+/// phase on one benchmark — the perf-trajectory probe persisted into
+/// `BENCH_<name>.json`. Its seconds are measure-phase seconds only.
 #[derive(Clone, Debug)]
 pub struct SampleProbe {
     /// The probed workload's name.
     pub bench: String,
-    /// Region-of-interest length of both runs.
+    /// Region-of-interest length of the emitted checkpoints.
     pub instrs: u64,
-    /// Wall seconds of the sequential (one-thread) driver.
+    /// Wall seconds measuring every checkpoint on one thread.
     pub sequential_seconds: f64,
-    /// Wall seconds with the measure phase fanned across
+    /// Wall seconds measuring every checkpoint on
     /// [`SampleProbe::threads`] in-process workers.
     pub parallel_seconds: f64,
-    /// Worker-thread count of the parallel run.
+    /// Worker-thread count of the parallel measure.
     pub threads: usize,
     /// `sequential_seconds / parallel_seconds`.
     pub speedup: f64,
 }
 
 /// Probes the checkpoint-parallel speedup: one benchmark (BFS on the KR
-/// graph) sampled sequentially and with the measure phase on `threads`
-/// workers, at the context's size/seed/ROI. The reports are byte-identical;
-/// only the wall clock differs. Runs are not accounted into the context's
-/// throughput totals.
+/// graph under DVR) at the context's size/seed/ROI emits its checkpoints
+/// once, which are then measured on one thread and on `threads` workers.
+/// The periods are byte-identical; only the wall clock differs. Runs are
+/// not accounted into the context's throughput totals.
 pub fn sample_speedup_probe(ctx: &mut Ctx, threads: usize) -> SampleProbe {
     let wl = ctx.workload(Benchmark::Bfs, Some(GraphInput::Kr));
     let cfg = SimConfig::new(Technique::Dvr).with_max_instructions(ctx.instrs);
     let scfg = ctx.sample.unwrap_or_default();
-    let seq = simulate_sampled(&wl, &cfg, &scfg);
-    let par = simulate_sampled_threads(&wl, &cfg, &scfg, threads);
+    let checkpoints = sample_emit(&wl, &cfg, &scfg).map(|e| e.checkpoints).unwrap_or_default();
+    let [sequential_seconds, parallel_seconds] = [1, threads].map(|n| {
+        let t = std::time::Instant::now();
+        let _ = measure_emitted(&wl, &cfg, &scfg, &checkpoints, n);
+        t.elapsed().as_secs_f64()
+    });
     SampleProbe {
         bench: wl.name.clone(),
         instrs: cfg.max_instructions,
-        sequential_seconds: seq.host_seconds,
-        parallel_seconds: par.host_seconds,
+        sequential_seconds,
+        parallel_seconds,
         threads,
-        speedup: seq.host_seconds / par.host_seconds.max(1e-9),
+        speedup: sequential_seconds / parallel_seconds.max(1e-9),
     }
 }
 
@@ -1347,13 +1350,59 @@ mod tests {
 
     #[test]
     fn sampled_figure_text_is_identical_across_measure_threads() {
-        let run = |sample_threads: usize| {
+        let run = |threads: usize| {
             let mut ctx = Ctx::new(SizeClass::Test, 60_000, 7)
                 .with_sample(SampleConfig::default())
-                .with_sample_threads(sample_threads);
+                .with_threads(threads);
             run_experiment("fig9", &mut ctx)
         };
         assert_eq!(run(1), run(4), "measure-phase fan-out must not perturb figure text");
+    }
+
+    #[test]
+    fn sampled_grid_reports_equal_each_cell_sampled_alone() {
+        // The 12-MSHR and half-L1 columns each have a hierarchy of their
+        // own, so each combo makes three functional passes; the ROB-128
+        // column shares the first. The half-L1 pass warms other tags, so
+        // it would read differently from a shared pass.
+        let combos = [(Benchmark::NasIs, None), (Benchmark::Bfs, Some(GraphInput::Kr))];
+        let scfg = SampleConfig::default();
+        let mut ctx = Ctx::new(SizeClass::Test, 60_000, 7).with_sample(scfg).with_threads(4);
+        let dvr = ctx.tcfg(Technique::Dvr);
+        let mut half_l1 = dvr;
+        half_l1.hierarchy.l1.size_bytes /= 2;
+        let cfgs =
+            [ctx.tcfg(Technique::Baseline), dvr, dvr.with_rob(128), dvr.with_mshrs(12), half_l1];
+        let grid = ctx.run_grid(&combos, &cfgs);
+        let json = |mut r: SimReport| {
+            r.host_seconds = 0.0;
+            r.to_json()
+        };
+        for (&(b, g), row) in combos.iter().zip(grid) {
+            let wl = ctx.workload(b, g);
+            for (k, (cfg, report)) in cfgs.iter().zip(row).enumerate() {
+                let alone = dvr_sim::simulate_sampled(&wl, cfg, &scfg);
+                assert_eq!(json(report), json(alone), "{} column {k}", combo_name(b, g));
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_keep_going_fails_only_the_forced_cell() {
+        let mut ctx = Ctx::new(SizeClass::Test, 60_000, 7)
+            .with_sample(SampleConfig::default())
+            .with_threads(2)
+            .with_keep_going(true)
+            .with_force_fail("NAS-IS/VR");
+        let cfgs = [Technique::Baseline, Technique::Vr, Technique::Dvr].map(|t| ctx.tcfg(t));
+        let row = ctx.run_grid(&[(Benchmark::NasIs, None)], &cfgs).remove(0);
+        assert_eq!(ctx.failures().len(), 1);
+        assert_eq!(ctx.failures()[0].label, "NAS-IS/VR");
+        assert!(ctx.failures()[0].message.contains("forced failure"));
+        assert_eq!(row[1].outcome.kind(), "panic");
+        for r in [&row[0], &row[2]] {
+            assert!(r.outcome.is_complete() && r.sampling.is_some() && r.ipc > 0.0);
+        }
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl DvrConfig {
     pub fn offload_only() -> Self {
         DvrConfig { discovery: false, nested: false, ..DvrConfig::default() }
     }
-
-    /// The "+ Discovery Mode" ablation of Figure 8 (no NDM).
-    pub fn with_discovery_only() -> Self {
-        DvrConfig { nested: false, ..DvrConfig::default() }
-    }
 }
 
 /// Counters exposed for the harness and tests.

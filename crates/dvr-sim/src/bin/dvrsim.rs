@@ -1036,11 +1036,8 @@ fn mix_main(args: &[String]) -> Result<ExitCode, String> {
     let solos: Option<Vec<SimReport>> = solo.then(|| {
         parallel_map(spec.cores.len(), threads, |i| {
             let c = spec.cores[i];
-            let mut cfg = base;
-            cfg.technique = c.technique;
-            cfg.core.imp_prefetcher = c.technique == Technique::Imp;
             let wl = c.bench.build(c.input, size, seed);
-            simulate(&wl, &cfg)
+            simulate(&wl, &base.with_technique(c.technique))
         })
     });
     // Wall timing lives only at this level (stderr): mix stdout is

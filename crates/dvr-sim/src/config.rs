@@ -95,15 +95,23 @@ impl SimConfig {
     /// A Table 1 configuration with the given technique and a 2 M-instruction
     /// ROI.
     pub fn new(technique: Technique) -> Self {
-        let mut core = CoreConfig::icelake_like();
-        core.imp_prefetcher = technique == Technique::Imp;
         SimConfig {
-            core,
+            core: CoreConfig::icelake_like(),
             hierarchy: HierarchyConfig::default(),
             technique,
             dvr: DvrConfig::default(),
             max_instructions: 2_000_000,
         }
+        .with_technique(technique)
+    }
+
+    /// Switches the technique, with the core flags it implies (the IMP
+    /// prefetcher runs only under [`Technique::Imp`]); every other knob is
+    /// kept.
+    pub fn with_technique(mut self, technique: Technique) -> Self {
+        self.technique = technique;
+        self.core.imp_prefetcher = technique == Technique::Imp;
+        self
     }
 
     /// Overrides the ROB size (Figures 2 and 12).

@@ -51,8 +51,8 @@ pub use report::{EngineSummary, RunOutcome, SamplingSummary, SimReport};
 pub use runner::{simulate, simulate_observed, Observed};
 pub use sample::{
     engine_factory, measure_emitted, measure_periods_via_workers, sample_emit, sample_worker_args,
-    sampled_report_from, simulate_sampled, simulate_sampled_cells, simulate_sampled_threads,
-    Measure,
+    sampled_report_from, simulate_sampled, simulate_sampled_cells, simulate_sampled_configs,
+    simulate_sampled_threads, Measure,
 };
 pub use sweep::{
     cache_key, decode_report, encode_report, lookup_report, report_key, store_report,

@@ -417,24 +417,16 @@ pub fn evaluate_mix(mix: &MixReport, solo: &[SimReport]) -> MixEvaluation {
 ///
 /// `base` supplies everything but the per-core technique: hierarchy
 /// geometry, instruction budget, sanitizer knob. Per-core configs
-/// are `base` with the entry's technique applied (including the IMP
-/// prefetcher flag, as [`SimConfig::new`] would).
+/// are `base` with the entry's technique applied
+/// ([`SimConfig::with_technique`]).
 ///
 /// The run is deterministic and single-threaded; the report carries no
 /// wall-clock state, so its JSON is byte-identical across re-runs.
 pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig) -> MixReport {
     assert!(!spec.cores.is_empty(), "mix must have at least one core");
     let n = spec.cores.len();
-    let cfgs: Vec<SimConfig> = spec
-        .cores
-        .iter()
-        .map(|c| {
-            let mut cfg = *base;
-            cfg.technique = c.technique;
-            cfg.core.imp_prefetcher = c.technique == Technique::Imp;
-            cfg
-        })
-        .collect();
+    let cfgs: Vec<SimConfig> =
+        spec.cores.iter().map(|c| base.with_technique(c.technique)).collect();
     let workloads: Vec<Workload> =
         spec.cores.iter().map(|c| c.bench.build(c.input, size, seed)).collect();
 

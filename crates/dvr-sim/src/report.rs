@@ -171,11 +171,6 @@ impl SimReport {
         self.ipc / baseline.ipc
     }
 
-    /// Total DRAM reads normalized to a baseline run (Figure 10's y-axis).
-    pub fn dram_reads_normalized(&self, baseline: &SimReport) -> f64 {
-        self.mem.dram_reads() as f64 / (baseline.mem.dram_reads().max(1)) as f64
-    }
-
     /// Fraction of this run's DRAM reads issued by runahead engines.
     pub fn runahead_traffic_fraction(&self) -> f64 {
         let total = self.mem.dram_reads();

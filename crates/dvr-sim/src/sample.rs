@@ -11,11 +11,12 @@
 //!
 //! Each period is measured from its own checkpoint, so the measure phase
 //! fans out. Every entry point runs [`drive_sampled`], which hands the
-//! checkpoints over in batches: [`simulate_sampled_threads`] measures
-//! them on threads, and [`simulate_sampled_cells`] serves several
-//! techniques from one pass, on threads or in `dvrsim sample-worker`
-//! processes ([`measure_periods_via_workers`]). The reports are
-//! byte-identical either way (modulo wall-clock fields).
+//! checkpoints over in batches: [`simulate_sampled_configs`] serves many
+//! configurations of one workload, one pass per hierarchy, and measures
+//! them on threads; [`simulate_sampled_cells`] serves several techniques
+//! from one pass, on threads or in `dvrsim sample-worker` processes
+//! ([`measure_periods_via_workers`]). The reports are byte-identical
+//! either way (modulo wall-clock fields).
 
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
@@ -202,27 +203,63 @@ pub fn simulate_sampled_cells(
     scfg: &SampleConfig,
     measure: Measure<'_>,
 ) -> Vec<SimReport> {
-    let batch = match measure {
-        Measure::Threads(threads) => resolve_threads(threads),
-        Measure::Workers { jobs, .. } => jobs,
-    };
     cells
         .chunk_by(|a, b| SweepCell { technique: a.technique, ..*b } == *a)
         .flat_map(|group| {
             let c = group[0];
             let wl = c.bench.build(c.input, c.size, c.seed);
             let cfgs: Vec<SimConfig> = group.iter().map(SweepCell::config).collect();
-            sample_runs(&wl, &cfgs, scfg, batch, |run, base, checkpoints| match measure {
-                Measure::Threads(threads) => {
-                    measure_from(&wl, &cfgs[run], scfg, base, checkpoints, threads)
-                }
+            match measure {
+                Measure::Threads(threads) => simulate_sampled_configs(&wl, &cfgs, scfg, threads),
                 Measure::Workers { exe, jobs, scratch } => {
-                    let argv = sample_worker_args(exe, &group[run], scfg);
-                    measure_periods_via_workers(&argv, checkpoints, jobs, scratch)
+                    sample_runs(&wl, &cfgs, scfg, jobs, |run, _, checkpoints| {
+                        let argv = sample_worker_args(exe, &group[run], scfg);
+                        measure_periods_via_workers(&argv, checkpoints, jobs, scratch)
+                    })
                 }
-            })
+            }
         })
         .collect()
+}
+
+/// Runs `workload` sampled under every configuration in `cfgs` and
+/// returns the reports in `cfgs` order.
+///
+/// Configurations that share a hierarchy and region of interest share one
+/// functional pass ([`drive_sampled`]); the passes run in order of each
+/// one's first configuration. Each batch of periods holds one period per
+/// thread and is measured on up to `threads` worker threads (0 = all
+/// available cores). Each report is [`simulate_sampled`] of its own
+/// configuration, byte for byte, except that `host_seconds` is its own
+/// measure time plus an equal share of its pass.
+pub fn simulate_sampled_configs(
+    workload: &Workload,
+    cfgs: &[SimConfig],
+    scfg: &SampleConfig,
+    threads: usize,
+) -> Vec<SimReport> {
+    let shares_pass = |a: &SimConfig, b: &SimConfig| {
+        (a.hierarchy, a.max_instructions) == (b.hierarchy, b.max_instructions)
+    };
+    let batch = resolve_threads(threads);
+    // Reports are gathered as passes end: preallocating them before the
+    // first pass raised perf-bench `sampled`'s peak RSS by 1.6 MiB.
+    let mut reports: Vec<(usize, SimReport)> = Vec::new();
+    // A pass starts at each configuration no earlier pass has served.
+    for first in 0..cfgs.len() {
+        if reports.iter().any(|&(i, _)| i == first) {
+            continue;
+        }
+        let pass: Vec<usize> =
+            (first..cfgs.len()).filter(|&i| shares_pass(&cfgs[first], &cfgs[i])).collect();
+        let group: Vec<SimConfig> = pass.iter().map(|&i| cfgs[i]).collect();
+        let runs = sample_runs(workload, &group, scfg, batch, |run, base, checkpoints| {
+            measure_from(workload, &group[run], scfg, base, checkpoints, threads)
+        });
+        reports.extend(pass.into_iter().zip(runs));
+    }
+    reports.sort_by_key(|&(i, _)| i);
+    reports.into_iter().map(|(_, report)| report).collect()
 }
 
 /// The `dvrsim sample-worker` command line that measures periods of
@@ -415,11 +452,7 @@ pub fn simulate_sampled_threads(
     scfg: &SampleConfig,
     threads: usize,
 ) -> SimReport {
-    let cfgs = std::slice::from_ref(cfg);
-    let mut reports =
-        sample_runs(workload, cfgs, scfg, resolve_threads(threads), |_, base, cks| {
-            measure_from(workload, cfg, scfg, base, cks, threads)
-        });
+    let mut reports = simulate_sampled_configs(workload, std::slice::from_ref(cfg), scfg, threads);
     reports.pop().expect("one configuration, one report")
 }
 

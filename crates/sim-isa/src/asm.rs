@@ -214,11 +214,6 @@ impl Asm {
         self.alu(AluOp::Xor, rd, ra, rb);
     }
 
-    /// `rd = ra << imm`
-    pub fn shli(&mut self, rd: Reg, ra: Reg, imm: i64) {
-        self.alui(AluOp::Shl, rd, ra, imm);
-    }
-
     /// `rd = ra >> imm` (logical)
     pub fn shri(&mut self, rd: Reg, ra: Reg, imm: i64) {
         self.alui(AluOp::Shr, rd, ra, imm);
@@ -257,15 +252,6 @@ impl Asm {
             rd,
             addr: MemAddr::indexed(base, index, scale),
             width: MemWidth::B8,
-        });
-    }
-
-    /// 4-byte indexed load.
-    pub fn ld4_idx(&mut self, rd: Reg, base: Reg, index: Reg, scale: u8) {
-        self.emit(Instr::Load {
-            rd,
-            addr: MemAddr::indexed(base, index, scale),
-            width: MemWidth::B4,
         });
     }
 

@@ -96,8 +96,6 @@ pub struct DefUseGraph {
     /// Per pc: one [`UseSite`] per distinct source register, in the order
     /// [`Instr::srcs`] first yields them.
     uses: Vec<Vec<UseSite>>,
-    /// Per block, per register: definitions reaching the block entry.
-    block_entry: Vec<Vec<DefSet>>,
     /// Per defining pc: the use pcs its value may feed.
     def_uses: Vec<Vec<usize>>,
 }
@@ -111,12 +109,7 @@ impl DefUseGraph {
         let mut ins: Vec<Vec<PcSet>> =
             (0..nb).map(|_| (0..NUM_REGS).map(|_| PcSet::empty(len)).collect()).collect();
         if nb == 0 {
-            return DefUseGraph {
-                len,
-                uses: Vec::new(),
-                block_entry: Vec::new(),
-                def_uses: Vec::new(),
-            };
+            return DefUseGraph { len, uses: Vec::new(), def_uses: Vec::new() };
         }
         // The virtual entry definition of every register reaches block 0.
         for set in &mut ins[0] {
@@ -181,10 +174,8 @@ impl DefUseGraph {
             u.sort_unstable();
             u.dedup();
         }
-        let block_entry =
-            ins.into_iter().map(|regs| regs.iter().map(|s| s.to_def_set(len)).collect()).collect();
 
-        DefUseGraph { len, uses, block_entry, def_uses }
+        DefUseGraph { len, uses, def_uses }
     }
 
     /// The definitions reaching the read of `reg` at `pc`, or `None` when
@@ -196,11 +187,6 @@ impl DefUseGraph {
     /// Every operand read at `pc` with its reaching definitions.
     pub fn uses_at(&self, pc: usize) -> &[UseSite] {
         &self.uses[pc]
-    }
-
-    /// The definitions of `reg` reaching the entry of `block`.
-    pub fn defs_at_block_entry(&self, block: usize, reg: Reg) -> &DefSet {
-        &self.block_entry[block][reg.index()]
     }
 
     /// The use pcs the definition at `def_pc` may feed.

@@ -269,13 +269,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// The handle to the shared L3 + DRAM this hierarchy fronts (pass to
-    /// [`MemoryHierarchy::attach_shared`] to add contending cores, or
-    /// borrow for shared-state diagnostics).
-    pub fn shared_llc(&self) -> SharedLlcHandle {
-        Rc::clone(&self.shared)
-    }
-
     /// This core's index in the shared LLC's per-core accounting.
     pub fn core_id(&self) -> u32 {
         self.core_id
@@ -344,12 +337,6 @@ impl MemoryHierarchy {
     /// Number of MSHRs in use at `cycle`.
     pub fn mshrs_in_use(&self, cycle: u64) -> usize {
         self.mshr.in_use(cycle)
-    }
-
-    /// Whether a prefetch-class MSHR is free at `cycle` (prefetchers check
-    /// before issuing).
-    pub fn mshr_free(&self, cycle: u64) -> bool {
-        self.mshr.has_free(cycle, true)
     }
 
     /// Number of busy intervals in the (shared) DRAM slot calendar (for

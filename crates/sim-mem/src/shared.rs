@@ -202,11 +202,6 @@ impl SharedLlc {
         self.dram.calendar_intervals()
     }
 
-    /// Number of live provenance entries (tests, diagnostics).
-    pub fn provenance_entries(&self) -> usize {
-        self.provenance.len()
-    }
-
     /// Serializes the L3 tag array (warm-state image segment).
     pub(crate) fn save_l3(&self, out: &mut Vec<u8>) {
         self.l3.save_state(out);

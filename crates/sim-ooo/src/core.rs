@@ -268,13 +268,6 @@ impl OooCore {
         OooCore { cpu, bp, ..OooCore::new(cfg) }
     }
 
-    /// Consumes the core and returns the architectural CPU and branch
-    /// predictor, so a sampling driver can carry them into the next
-    /// fast-forward or detailed interval.
-    pub fn into_state(self) -> (Cpu, TagePredictor) {
-        (self.cpu, self.bp)
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> CoreConfig {
         self.cfg
@@ -283,11 +276,6 @@ impl OooCore {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
-    }
-
-    /// The branch predictor (for inspection).
-    pub fn branch_predictor(&self) -> &TagePredictor {
-        &self.bp
     }
 
     /// Current cycle: the last one stepped, or the last one skipped when

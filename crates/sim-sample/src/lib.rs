@@ -33,7 +33,7 @@
 //!   ([`sim_mem::MemoryHierarchy::warm_touch`]) and the interval-boundary
 //!   drain ([`sim_mem::MemoryHierarchy::quiesce`]);
 //! * `sim-ooo` — cores seeded from carried architectural state
-//!   ([`sim_ooo::OooCore::with_state`] / [`sim_ooo::OooCore::into_state`]).
+//!   ([`sim_ooo::OooCore::with_state`]).
 //!
 //! ## Example
 //!

@@ -148,6 +148,10 @@ echo "== one sampled driver: every sampled run goes through sim_sample::drive_sa
 stray="$(in_src -e 'stream_checkpoints(' -e 'merge_periods(' \
     | grep -v '^crates/sim-sample/src/driver\.rs:' || true)"
 [ -z "$stray" ] || { echo "sampled-driver pieces composed outside the driver:"; echo "$stray"; exit 1; }
+# bench runs a sampled grid one combo at a time through
+# simulate_sampled_configs, one pass per hierarchy, never cell by cell.
+stray="$(in_src -e 'simulate_sampled(' -e 'simulate_sampled_threads(' | grep '^crates/bench/src/' || true)"
+[ -z "$stray" ] || { echo "bench samples cell by cell:"; echo "$stray"; exit 1; }
 
 echo "== one cell plumbing: one fan-out and one result-cache path for reports =="
 # Every entry point fans cells out through sim_sweep's parallel_map /
@@ -300,13 +304,18 @@ for bench in camel hj8 nas-is; do
         || { echo "$bench: engine sampling diverged for $combo"; exit 1; }
   done
 done
-# figures --sample drives the streamed in-process driver from the CLI.
-f1="$(cargo run -q -p bench --bin figures -- fig9 --size test --instrs 60000 --sample \
-    --sample-threads 1 2>/dev/null)"
-f4="$(cargo run -q -p bench --bin figures -- fig9 --size test --instrs 60000 --sample \
-    --sample-threads 4 2>/dev/null)"
-diff -u <(echo "$f1") <(echo "$f4") \
-    || { echo "figures fig9 --sample diverged across --sample-threads 1/4"; exit 1; }
+# figures --sample runs each combo's configurations from one pass per
+# hierarchy; --threads fans out combos and measures periods on what is
+# left. The ablation grid has MSHR and DRAM columns (a pass each) and
+# DVR-config columns that share one.
+for fig in fig9 ablation; do
+  f1="$(cargo run -q -p bench --bin figures -- "$fig" --size test --instrs 60000 --sample \
+      --threads 1 2>/dev/null)"
+  f4="$(cargo run -q -p bench --bin figures -- "$fig" --size test --instrs 60000 --sample \
+      --threads 4 2>/dev/null)"
+  diff -u <(echo "$f1") <(echo "$f4") \
+      || { echo "figures $fig --sample diverged across --threads 1/4"; exit 1; }
+done
 
 echo "== sample-parallel: wall-clock trajectory line (BENCH json) =="
 # On a single-core host the speedup probes self-skip: the stderr line then
