@@ -1361,18 +1361,24 @@ mod tests {
 
     #[test]
     fn sampled_grid_reports_equal_each_cell_sampled_alone() {
-        // The 12-MSHR and half-L1 columns each have a hierarchy of their
-        // own, so each combo makes three functional passes; the ROB-128
-        // column shares the first. The half-L1 pass warms other tags, so
-        // it would read differently from a shared pass.
+        // Warming records only the cache tags, so the ROB-128, 12-MSHR and
+        // banked-DRAM columns share the first functional pass; the half-L1
+        // column warms other tags and makes a second. A shared half-L1
+        // pass would read differently.
         let combos = [(Benchmark::NasIs, None), (Benchmark::Bfs, Some(GraphInput::Kr))];
         let scfg = SampleConfig::default();
         let mut ctx = Ctx::new(SizeClass::Test, 60_000, 7).with_sample(scfg).with_threads(4);
         let dvr = ctx.tcfg(Technique::Dvr);
         let mut half_l1 = dvr;
         half_l1.hierarchy.l1.size_bytes /= 2;
-        let cfgs =
-            [ctx.tcfg(Technique::Baseline), dvr, dvr.with_rob(128), dvr.with_mshrs(12), half_l1];
+        let cfgs = [
+            ctx.tcfg(Technique::Baseline),
+            dvr,
+            dvr.with_rob(128),
+            dvr.with_mshrs(12),
+            dvr.with_banked_dram(),
+            half_l1,
+        ];
         let grid = ctx.run_grid(&combos, &cfgs);
         let json = |mut r: SimReport| {
             r.host_seconds = 0.0;

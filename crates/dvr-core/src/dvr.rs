@@ -28,10 +28,15 @@ use crate::discovery::{BoundSrc, DiscoveredChain, Discovery, DiscoveryEvent, Sha
 use crate::trace::{DvrTrace, TraceEvent};
 use crate::walker::{
     fixup_address_regs, stride_seeds, stride_seeds_from, walk_vectorized, LaneSeed, Termination,
-    WalkPolicy, MAX_LANES, VECTOR_WIDTH,
+    WalkPolicy, MAX_LANES, RUNAHEAD_TIMEOUT, VECTOR_WIDTH,
 };
 
-/// DVR configuration, including the ablation knobs of Figure 8.
+/// Inferred loop bound (in lanes) below which Nested Vector Runahead
+/// engages (paper: 64).
+const NESTED_THRESHOLD: usize = 64;
+
+/// DVR configuration: the ablation knobs of Figure 8 and the lane count.
+/// The subthread's issue rate and timeout are [`WalkPolicy::dvr`]'s.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DvrConfig {
     /// Run Discovery Mode (loop bounds, FLR). `false` = the "Offload"
@@ -41,25 +46,11 @@ pub struct DvrConfig {
     pub nested: bool,
     /// Maximum scalar-equivalent lanes per invocation (paper: 128).
     pub max_lanes: usize,
-    /// Vector uops the subthread may issue per cycle (spare main-thread
-    /// slots).
-    pub issue_rate: u32,
-    /// Subthread instruction timeout (paper: 200).
-    pub timeout: usize,
-    /// Bound below which NDM engages (paper: 64).
-    pub nested_threshold: usize,
 }
 
 impl Default for DvrConfig {
     fn default() -> Self {
-        DvrConfig {
-            discovery: true,
-            nested: true,
-            max_lanes: MAX_LANES,
-            issue_rate: 2,
-            timeout: 200,
-            nested_threshold: 64,
-        }
+        DvrConfig { discovery: true, nested: true, max_lanes: MAX_LANES }
     }
 }
 
@@ -168,14 +159,6 @@ impl DvrEngine {
         self.cfg
     }
 
-    fn policy(&self) -> WalkPolicy {
-        WalkPolicy {
-            issue_rate: self.cfg.issue_rate,
-            timeout: self.cfg.timeout,
-            ..WalkPolicy::dvr()
-        }
-    }
-
     /// First future-iteration offset not yet covered by a prior episode of
     /// this striding load (1 = the next iteration).
     fn first_uncovered(&self, stride_pc: usize, trigger_addr: u64, stride: i64) -> u64 {
@@ -198,7 +181,7 @@ impl DvrEngine {
         let lanes = chain.lanes.min(self.cfg.max_lanes);
         let use_ndm = self.cfg.nested
             && chain.bound_known
-            && lanes < self.cfg.nested_threshold
+            && lanes < NESTED_THRESHOLD
             && chain.cmp.is_some()
             && chain.loop_branch_pc.is_some();
 
@@ -237,7 +220,7 @@ impl DvrEngine {
                 ctx.cycle,
                 &seeds,
                 Termination { flr_pc: chain.flr_pc, stride_pc: chain.stride_pc },
-                &self.policy(),
+                &WalkPolicy::dvr(),
             );
             self.stats.lanes_spawned += seeds.len() as u64;
             self.stats.lane_loads += out.lane_loads;
@@ -282,7 +265,7 @@ impl DvrEngine {
         }
         let mut pc = inner_pc;
         let mut outer: Option<(usize, u64, i64)> = None;
-        for step in 0..self.cfg.timeout {
+        for step in 0..RUNAHEAD_TIMEOUT {
             let Some(instr) = prog.fetch(pc) else { break };
             if matches!(instr, Instr::Halt) {
                 break;
@@ -338,7 +321,7 @@ impl DvrEngine {
                 t,
                 &seeds,
                 Termination { flr_pc: chain.flr_pc, stride_pc: inner_pc },
-                &self.policy(),
+                &WalkPolicy::dvr(),
             );
             self.stats.lanes_spawned += seeds.len() as u64;
             self.stats.lane_loads += out.lane_loads;
@@ -385,7 +368,7 @@ impl DvrEngine {
         for (mut lr, mut lt) in outer_ctxs {
             let mut pc = outer_pc + 1;
             let mut reached = false;
-            for _ in 0..self.cfg.timeout {
+            for _ in 0..RUNAHEAD_TIMEOUT {
                 if pc == inner_pc {
                     reached = true;
                     break;
@@ -448,7 +431,7 @@ impl DvrEngine {
             t,
             &inner_seeds,
             Termination { flr_pc: chain.flr_pc, stride_pc: inner_pc },
-            &self.policy(),
+            &WalkPolicy::dvr(),
         );
         self.stats.lane_loads += out.lane_loads;
         if out.diverged {

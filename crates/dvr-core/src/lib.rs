@@ -66,9 +66,9 @@ pub use discovery::{BoundSrc, CmpInfo, DiscoveredChain, Discovery, DiscoveryEven
 pub use dvr::{DvrConfig, DvrEngine, DvrStats};
 pub use hardware::{BudgetEntry, HardwareBudget};
 pub use oracle::{OracleEngine, OracleStats};
-pub use pre::{PreConfig, PreEngine, PreStats};
+pub use pre::{PreEngine, PreStats};
 pub use trace::{DvrTrace, PcSummary, TraceEvent};
-pub use vr::{VrConfig, VrEngine, VrStats};
+pub use vr::{VrEngine, VrStats};
 pub use walker::{
     fixup_address_regs, stride_seeds, stride_seeds_from, walk_scalar_until, walk_vectorized,
     DivergenceMode, LaneSeed, Termination, WalkOutcome, WalkPolicy, ABSOLUTE_MAX_LANES, MAX_LANES,

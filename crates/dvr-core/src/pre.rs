@@ -14,24 +14,14 @@ use sim_ooo::{DynInst, EngineCtx, RunaheadEngine};
 
 use crate::discovery::ShadowRegs;
 
-/// PRE configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PreConfig {
-    /// Instructions pre-executed per runahead cycle (front-end width).
-    pub width: u64,
-    /// Hard cap on instructions per runahead interval.
-    pub max_instructions: u64,
-}
+/// Instructions pre-executed per runahead cycle (the front-end width).
+const WIDTH: u64 = 5;
 
-impl Default for PreConfig {
-    fn default() -> Self {
-        // PRE pre-executes using *recycled* back-end resources (free
-        // physical registers and issue-queue entries), which bounds how far
-        // one interval can reach — roughly the free-register count of the
-        // paper's 256-integer-register file.
-        PreConfig { width: 5, max_instructions: 320 }
-    }
-}
+/// Hard cap on instructions per runahead interval. PRE pre-executes using
+/// *recycled* back-end resources (free physical registers and issue-queue
+/// entries), which bounds how far one interval can reach — roughly the
+/// free-register count of the paper's 256-integer-register file.
+const MAX_INSTRUCTIONS: u64 = 320;
 
 /// Counters exposed for the harness and tests.
 #[derive(Clone, Copy, Debug, Default)]
@@ -50,17 +40,11 @@ pub struct PreStats {
 /// The PRE engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PreEngine {
-    cfg: PreConfig,
     stats: PreStats,
     shadow: ShadowRegs,
 }
 
 impl PreEngine {
-    /// Creates a PRE engine.
-    pub fn new(cfg: PreConfig) -> Self {
-        PreEngine { cfg, stats: PreStats::default(), shadow: ShadowRegs::new() }
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> &PreStats {
         &self.stats
@@ -85,8 +69,8 @@ impl RunaheadEngine for PreEngine {
         let mut count: u64 = 0;
 
         loop {
-            let t = ctx.cycle + count / self.cfg.width;
-            if t >= interval_end || count >= self.cfg.max_instructions {
+            let t = ctx.cycle + count / WIDTH;
+            if t >= interval_end || count >= MAX_INSTRUCTIONS {
                 break;
             }
             let Some(instr) = ctx.prog.fetch(pc).copied() else { break };

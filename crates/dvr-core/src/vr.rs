@@ -16,22 +16,8 @@ use crate::detector::StrideDetector;
 use crate::discovery::ShadowRegs;
 use crate::walker::{stride_seeds, walk_vectorized, Termination, WalkPolicy, MAX_LANES};
 
-/// VR configuration.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct VrConfig {
-    /// Lanes vectorized per runahead episode (always, bounds unknown).
-    pub lanes: usize,
-    /// Instructions scanned ahead for a striding load.
-    pub scan_budget: usize,
-    /// Chain instruction timeout.
-    pub timeout: usize,
-}
-
-impl Default for VrConfig {
-    fn default() -> Self {
-        VrConfig { lanes: MAX_LANES, scan_budget: 200, timeout: 200 }
-    }
-}
+/// Instructions VR scans ahead of the stall for a striding load.
+const SCAN_BUDGET: usize = 200;
 
 /// Counters exposed for the harness and tests.
 #[derive(Clone, Copy, Debug, Default)]
@@ -49,10 +35,10 @@ pub struct VrStats {
     pub delayed_termination_cycles: u64,
 }
 
-/// The Vector Runahead engine.
+/// The Vector Runahead engine: it vectorizes [`MAX_LANES`] lanes per
+/// episode, bounds unknown, under [`WalkPolicy::vr`].
 #[derive(Clone, Debug)]
 pub struct VrEngine {
-    cfg: VrConfig,
     detector: StrideDetector,
     shadow: ShadowRegs,
     stats: VrStats,
@@ -60,21 +46,15 @@ pub struct VrEngine {
 
 impl Default for VrEngine {
     fn default() -> Self {
-        VrEngine::new(VrConfig::default())
-    }
-}
-
-impl VrEngine {
-    /// Creates a VR engine.
-    pub fn new(cfg: VrConfig) -> Self {
         VrEngine {
-            cfg,
             detector: StrideDetector::new(32),
             shadow: ShadowRegs::new(),
             stats: VrStats::default(),
         }
     }
+}
 
+impl VrEngine {
     /// Counters accumulated so far.
     pub fn stats(&self) -> &VrStats {
         &self.stats
@@ -103,7 +83,7 @@ impl RunaheadEngine for VrEngine {
             ctx.mem,
             &mut regs,
             ctx.frontier.pc,
-            self.cfg.scan_budget,
+            SCAN_BUDGET,
             None,
             |pc, instr, _| instr.is_load() && detector.lookup(pc).is_some_and(|e| e.is_confident()),
         );
@@ -118,8 +98,7 @@ impl RunaheadEngine for VrEngine {
         let trigger_addr = addr.effective(|r| regs[r.index()]);
 
         // Vectorize 128 lanes blindly — VR has no loop-bound inference.
-        let seeds = stride_seeds(regs, trigger_addr, entry.stride, self.cfg.lanes);
-        let policy = WalkPolicy { timeout: self.cfg.timeout, ..WalkPolicy::vr() };
+        let seeds = stride_seeds(regs, trigger_addr, entry.stride, MAX_LANES);
         let out = walk_vectorized(
             ctx.prog,
             ctx.mem,
@@ -127,7 +106,7 @@ impl RunaheadEngine for VrEngine {
             ctx.cycle,
             &seeds,
             Termination { flr_pc: None, stride_pc },
-            &policy,
+            &WalkPolicy::vr(),
         );
         self.stats.episodes += 1;
         self.stats.lane_loads += out.lane_loads;

@@ -25,6 +25,10 @@ pub const ABSOLUTE_MAX_LANES: usize = 256;
 /// Scalar-equivalent lanes per vector uop (8 × 64-bit in AVX-512).
 pub const VECTOR_WIDTH: usize = 8;
 
+/// Instructions one runahead invocation executes before it times out
+/// (paper: 200), for VR's chain and DVR's subthread alike.
+pub(crate) const RUNAHEAD_TIMEOUT: usize = 200;
+
 /// How diverging lanes are handled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DivergenceMode {
@@ -44,7 +48,8 @@ pub struct WalkPolicy {
     /// Vector uops issued per cycle (spare-slot budget for the subthread;
     /// VR runs during a stall and gets more).
     pub issue_rate: u32,
-    /// Instruction timeout per invocation (paper: 200).
+    /// Instruction timeout per invocation ([`WalkPolicy::dvr`] and
+    /// [`WalkPolicy::vr`] use the paper's 200).
     pub timeout: usize,
     /// Provenance for prefetched lines.
     pub source: PrefetchSource,
@@ -58,7 +63,7 @@ impl WalkPolicy {
         WalkPolicy {
             divergence: DivergenceMode::Reconverge,
             issue_rate: 2,
-            timeout: 200,
+            timeout: RUNAHEAD_TIMEOUT,
             source: PrefetchSource::Dvr,
             stack_depth: 8,
         }
@@ -69,7 +74,7 @@ impl WalkPolicy {
         WalkPolicy {
             divergence: DivergenceMode::MaskOff,
             issue_rate: 4,
-            timeout: 200,
+            timeout: RUNAHEAD_TIMEOUT,
             source: PrefetchSource::Vr,
             stack_depth: 0,
         }

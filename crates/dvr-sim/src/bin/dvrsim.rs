@@ -11,7 +11,7 @@
 //! ```
 
 use std::fmt::Display;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 use dvr_sim::sweep::{parse_size_token, parse_technique_token};
 use dvr_sim::{
     evaluate_mix, parallel_map, simulate, simulate_mix, simulate_sampled_cells, FaultConfig,
-    Measure, MixSpec, Placement, SampleConfig, SampleError, SimConfig, SimReport, SweepCell,
-    Technique,
+    Measure, MixSpec, Placement, SampleConfig, SampleError, SanitizeReport, SimConfig, SimReport,
+    SweepCell, Technique,
 };
 use workloads::{gather_attack, Benchmark, GraphInput, SizeClass, Workload};
 
@@ -367,15 +367,7 @@ fn run_main(args: &[String]) -> Result<ExitCode, String> {
         }
         // The sanitizer speaks only on stderr so stdout (and especially
         // --json) stays byte-identical with the sanitizer on or off.
-        if let Some(san) = &r.sanitizer {
-            eprintln!("sanitize[{}]: {}", r.technique.name(), san.summary());
-            if !san.is_clean() {
-                for m in &san.first {
-                    eprintln!("sanitize[{}]:   {m}", r.technique.name());
-                }
-                failed += 1;
-            }
-        }
+        failed += sanitizer_failures(r.technique.name(), r.sanitizer.as_ref());
         if let Some(e) = r.outcome.error() {
             failed += 1;
             if !json {
@@ -388,6 +380,21 @@ fn run_main(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Prints a sanitizer ledger to stderr as `sanitize[label]: summary`,
+/// plus its first messages when it is not clean; returns 1 for a ledger
+/// with violations, else 0.
+fn sanitizer_failures(label: &str, san: Option<&SanitizeReport>) -> usize {
+    let Some(san) = san else { return 0 };
+    eprintln!("sanitize[{label}]: {}", san.summary());
+    if san.is_clean() {
+        return 0;
+    }
+    for m in &san.first {
+        eprintln!("sanitize[{label}]:   {m}");
+    }
+    1
 }
 
 fn print_report(r: &SimReport, base_ipc: Option<f64>, verbose: bool) {
@@ -979,7 +986,7 @@ fn sample_worker_main(args: &[String]) -> Result<ExitCode, String> {
         &ck,
         || dvr_sim::engine_factory(&cfg),
     ) {
-        Ok(p) => sim_sweep::ok_line(p.to_json().as_bytes()),
+        Ok(p) => sim_sweep::ok_line(&p.to_bytes()),
         Err(e) => {
             let kind = match &e {
                 SampleError::Sim(e) => e.kind(),
@@ -1093,29 +1100,13 @@ fn mix_main(args: &[String]) -> Result<ExitCode, String> {
 
     let mut failed = 0usize;
     for r in &mix.cores {
-        if let Some(san) = &r.sanitizer {
-            eprintln!("sanitize[{}]: {}", r.workload, san.summary());
-            if !san.is_clean() {
-                for m in &san.first {
-                    eprintln!("sanitize[{}]:   {m}", r.workload);
-                }
-                failed += 1;
-            }
-        }
+        failed += sanitizer_failures(&r.workload, r.sanitizer.as_ref());
         if let Some(e) = r.outcome.error() {
             eprintln!("mix: {} failed ({}): {e}", r.workload, e.kind());
             failed += 1;
         }
     }
-    if let Some(san) = &mix.shared_sanitizer {
-        eprintln!("sanitize[shared L3]: {}", san.summary());
-        if !san.is_clean() {
-            for m in &san.first {
-                eprintln!("sanitize[shared L3]:   {m}");
-            }
-            failed += 1;
-        }
-    }
+    failed += sanitizer_failures("shared L3", mix.shared_sanitizer.as_ref());
     if failed > 0 {
         eprintln!("mix: {failed} of {} runs failed", mix.cores.len());
         return Ok(ExitCode::FAILURE);
@@ -1229,15 +1220,8 @@ fn sweep_main(args: &[String]) -> Result<ExitCode, String> {
             .collect();
     let exe = (opts.jobs > 0).then(|| std::env::current_exe().ok()).flatten();
     let runner = dvr_sim::DvrSweepRunner::new(exe);
-    let cache = match &cache_dir {
-        None => None,
-        Some(dir) => match sim_sweep::ResultCache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-        },
+    let Ok(cache) = open_cache(cache_dir.as_deref()) else {
+        return Ok(ExitCode::FAILURE);
     };
 
     if gc {
@@ -1337,6 +1321,12 @@ fn sweep_worker_main(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Opens the `--cache` directory, if one is set; a cache that cannot be
+/// opened is reported on stderr as `error: ...`.
+fn open_cache(dir: Option<&Path>) -> Result<Option<sim_sweep::ResultCache>, ()> {
+    dir.map(sim_sweep::ResultCache::open).transpose().map_err(|e| eprintln!("error: {e}"))
+}
+
 fn serve_main(args: &[String]) -> Result<ExitCode, String> {
     let mut socket: Option<PathBuf> = None;
     let mut cache_dir = Some(PathBuf::from(".dvr-cache"));
@@ -1360,15 +1350,8 @@ fn serve_loop(socket: &std::path::Path, cache_dir: Option<&std::path::Path>) -> 
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixListener;
 
-    let cache = match cache_dir {
-        None => None,
-        Some(dir) => match sim_sweep::ResultCache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let Ok(cache) = open_cache(cache_dir) else {
+        return ExitCode::FAILURE;
     };
     let _ = std::fs::remove_file(socket); // a stale socket from a killed server
     let listener = match UnixListener::bind(socket) {

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use dvr_core::DvrConfig;
 use sim_mem::HierarchyConfig;
 use sim_ooo::CoreConfig;
 
@@ -84,9 +83,9 @@ pub struct SimConfig {
     pub hierarchy: HierarchyConfig,
     /// Active technique.
     pub technique: Technique,
-    /// DVR engine knobs (used by the DVR techniques; the ablation variants
-    /// override the discovery/nested flags but keep the rest).
-    pub dvr: DvrConfig,
+    /// Scalar-equivalent lanes per DVR invocation (paper: 128), for the
+    /// DVR techniques; the technique decides the rest of the engine.
+    pub dvr_lanes: usize,
     /// Instruction budget (the ROI length).
     pub max_instructions: u64,
 }
@@ -99,7 +98,7 @@ impl SimConfig {
             core: CoreConfig::icelake_like(),
             hierarchy: HierarchyConfig::default(),
             technique,
-            dvr: DvrConfig::default(),
+            dvr_lanes: dvr_core::MAX_LANES,
             max_instructions: 2_000_000,
         }
         .with_technique(technique)
@@ -122,7 +121,7 @@ impl SimConfig {
 
     /// Overrides the ROB size, scaling IQ/LQ/SQ proportionally
     /// (Section 6.5's scaled-back-end variant). Every other core knob —
-    /// the sanitizer, the watchdog and the budgets included — is kept.
+    /// the sanitizer, the watchdog and the cycle budget included — is kept.
     pub fn with_scaled_backend(mut self, rob: usize) -> Self {
         let s = CoreConfig::with_scaled_backend(rob);
         self.core = CoreConfig {
@@ -150,7 +149,7 @@ impl SimConfig {
     /// Overrides DVR's per-invocation lane count (the paper's Section 6.1
     /// discussion of wider 256-element DVR units; hard-capped at 256).
     pub fn with_dvr_lanes(mut self, lanes: usize) -> Self {
-        self.dvr.max_lanes = lanes.min(dvr_core::ABSOLUTE_MAX_LANES);
+        self.dvr_lanes = lanes.min(dvr_core::ABSOLUTE_MAX_LANES);
         self
     }
 
@@ -222,17 +221,13 @@ mod tests {
         assert!(SimConfig::new(Technique::Baseline).hierarchy.fault.is_none());
 
         // Scaling the back end resizes the queues and keeps every other knob.
-        let mut knobs = cfg.with_sanitize(true);
-        knobs.core.max_wall_ms = 9_000;
-        knobs.core.mem_cap_bytes = 1 << 30;
+        let knobs = cfg.with_sanitize(true);
         let scaled = knobs.with_scaled_backend(128);
         assert_eq!(scaled.core.rob_size, 128);
         assert!(scaled.core.iq_size < knobs.core.iq_size);
         assert!(scaled.core.sanitize);
         assert_eq!(scaled.core.watchdog_cycles, 50_000);
         assert_eq!(scaled.core.max_cycles, 1_000_000);
-        assert_eq!(scaled.core.max_wall_ms, 9_000);
-        assert_eq!(scaled.core.mem_cap_bytes, 1 << 30);
     }
 
     #[test]

@@ -25,22 +25,20 @@ pub(crate) enum AnyEngine {
 }
 
 impl AnyEngine {
-    /// Builds the engine for a configuration, applying the Figure 8
-    /// ablation overrides.
+    /// Builds the engine for a configuration. The technique alone picks
+    /// the DVR variant (the Figure 8 ablations); `dvr_lanes` sizes it.
     pub(crate) fn for_config(cfg: &SimConfig) -> AnyEngine {
-        match cfg.technique {
+        let t = cfg.technique;
+        match t {
             Technique::Baseline | Technique::Imp => AnyEngine::Null(NullEngine),
             Technique::Pre => AnyEngine::Pre(PreEngine::default()),
             Technique::Vr => AnyEngine::Vr(VrEngine::default()),
             Technique::Dvr | Technique::DvrOffload | Technique::DvrDiscovery => {
-                let dcfg = match cfg.technique {
-                    Technique::DvrOffload => {
-                        DvrConfig { discovery: false, nested: false, ..cfg.dvr }
-                    }
-                    Technique::DvrDiscovery => DvrConfig { nested: false, ..cfg.dvr },
-                    _ => cfg.dvr,
-                };
-                AnyEngine::Dvr(Box::new(DvrEngine::new(dcfg)))
+                AnyEngine::Dvr(Box::new(DvrEngine::new(DvrConfig {
+                    discovery: t != Technique::DvrOffload,
+                    nested: t == Technique::Dvr,
+                    max_lanes: cfg.dvr_lanes,
+                })))
             }
             Technique::Oracle => AnyEngine::Oracle(OracleEngine::new()),
         }
@@ -337,6 +335,24 @@ mod tests {
         assert!(r.core.committed >= 29_000);
         assert!(r.mem.demand_loads > 0);
         assert!(r.mlp >= 0.0);
+    }
+
+    #[test]
+    fn technique_alone_decides_the_dvr_variant() {
+        for (t, discovery, nested) in [
+            (Technique::Dvr, true, true),
+            (Technique::DvrDiscovery, true, false),
+            (Technique::DvrOffload, false, false),
+        ] {
+            let engine =
+                |lanes| match AnyEngine::for_config(&SimConfig::new(t).with_dvr_lanes(lanes)) {
+                    AnyEngine::Dvr(e) => e.config(),
+                    _ => panic!("{t:?} must build a DVR engine"),
+                };
+            assert_eq!(engine(64), DvrConfig { discovery, nested, max_lanes: 64 }, "{t:?}");
+            assert_eq!(engine(1000).max_lanes, dvr_core::ABSOLUTE_MAX_LANES, "{t:?}");
+        }
+        assert_eq!(dvr_core::ABSOLUTE_MAX_LANES, 256);
     }
 
     #[test]

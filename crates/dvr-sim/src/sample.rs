@@ -12,11 +12,11 @@
 //! Each period is measured from its own checkpoint, so the measure phase
 //! fans out. Every entry point runs [`drive_sampled`], which hands the
 //! checkpoints over in batches: [`simulate_sampled_configs`] serves many
-//! configurations of one workload, one pass per hierarchy, and measures
-//! them on threads; [`simulate_sampled_cells`] serves several techniques
-//! from one pass, on threads or in `dvrsim sample-worker` processes
-//! ([`measure_periods_via_workers`]). The reports are byte-identical
-//! either way (modulo wall-clock fields).
+//! configurations of one workload, one pass per cache geometry, and
+//! measures them on threads; [`simulate_sampled_cells`] serves several
+//! techniques from one pass, on threads or in `dvrsim sample-worker`
+//! processes ([`measure_periods_via_workers`]). The reports are
+//! byte-identical either way (modulo wall-clock fields).
 
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
@@ -152,7 +152,7 @@ pub enum Measure<'a> {
 }
 
 /// Runs `workload` sampled once per configuration in `cfgs` (which share
-/// a hierarchy and region of interest) from one functional pass:
+/// cache geometries and a region of interest) from one functional pass:
 /// [`drive_sampled`] with batches of `batch` and `measure`. Each report's
 /// `host_seconds` is its run's own measure time plus an equal share of
 /// the functional pass.
@@ -225,22 +225,24 @@ pub fn simulate_sampled_cells(
 /// Runs `workload` sampled under every configuration in `cfgs` and
 /// returns the reports in `cfgs` order.
 ///
-/// Configurations that share a hierarchy and region of interest share one
-/// functional pass ([`drive_sampled`]); the passes run in order of each
-/// one's first configuration. Each batch of periods holds one period per
-/// thread and is measured on up to `threads` worker threads (0 = all
-/// available cores). Each report is [`simulate_sampled`] of its own
-/// configuration, byte for byte, except that `host_seconds` is its own
-/// measure time plus an equal share of its pass.
+/// Configurations that share a region of interest and the three cache
+/// geometries share one functional pass ([`drive_sampled`]): warming
+/// records only the L1, L2 and L3 tag arrays, and each period rebuilds
+/// its configuration's own hierarchy (MSHRs, DRAM, faults) around them.
+/// The passes run in order of each one's first configuration. Each batch
+/// of periods holds one period per thread and is measured on up to
+/// `threads` worker threads (0 = all available cores). Each report is
+/// [`simulate_sampled`] of its own configuration, byte for byte, except
+/// that `host_seconds` is its own measure time plus an equal share of its
+/// pass.
 pub fn simulate_sampled_configs(
     workload: &Workload,
     cfgs: &[SimConfig],
     scfg: &SampleConfig,
     threads: usize,
 ) -> Vec<SimReport> {
-    let shares_pass = |a: &SimConfig, b: &SimConfig| {
-        (a.hierarchy, a.max_instructions) == (b.hierarchy, b.max_instructions)
-    };
+    let pass_key =
+        |c: &SimConfig| (c.hierarchy.l1, c.hierarchy.l2, c.hierarchy.l3, c.max_instructions);
     let batch = resolve_threads(threads);
     // Reports are gathered as passes end: preallocating them before the
     // first pass raised perf-bench `sampled`'s peak RSS by 1.6 MiB.
@@ -250,8 +252,8 @@ pub fn simulate_sampled_configs(
         if reports.iter().any(|&(i, _)| i == first) {
             continue;
         }
-        let pass: Vec<usize> =
-            (first..cfgs.len()).filter(|&i| shares_pass(&cfgs[first], &cfgs[i])).collect();
+        let key = pass_key(&cfgs[first]);
+        let pass: Vec<usize> = (first..cfgs.len()).filter(|&i| pass_key(&cfgs[i]) == key).collect();
         let group: Vec<SimConfig> = pass.iter().map(|&i| cfgs[i]).collect();
         let runs = sample_runs(workload, &group, scfg, batch, |run, base, checkpoints| {
             measure_from(workload, &group[run], scfg, base, checkpoints, threads)
@@ -288,7 +290,7 @@ pub fn sample_worker_args(exe: &Path, cell: &SweepCell, scfg: &SampleConfig) -> 
 /// measured by `argv ++ ["--checkpoint", path]` under a
 /// [`sim_sweep::Supervisor`] with [`SweepOptions::default`]'s retries and
 /// backoff and no timeout. The worker answers with a `SWEEPOK1` line whose
-/// payload is the period's [`PeriodResult::to_json`]. A worker that dies
+/// payload is the period's [`PeriodResult::to_bytes`]. A worker that dies
 /// or prints garbage is retried; a typed `SWEEPFAIL1` answer and a binary
 /// that cannot be spawned at all are not. Checkpoint files are removed on
 /// all paths.
@@ -334,13 +336,13 @@ pub fn measure_periods_via_workers(
         let payload = supervisor
             .run_cell(&format!("period-{index}"), &period_argv)
             .map_err(|e| SampleError::Worker(e.to_string()))?;
-        match std::str::from_utf8(&payload).ok().and_then(PeriodResult::from_json) {
-            Some(p) if p.index == index => Ok(p),
-            Some(p) => Err(SampleError::Worker(format!(
+        match PeriodResult::decode(&payload) {
+            Ok(p) if p.index == index => Ok(p),
+            Ok(p) => Err(SampleError::Worker(format!(
                 "period {index}: worker answered for period {}",
                 p.index
             ))),
-            None => Err(SampleError::Worker(format!("period {index}: unparseable worker payload"))),
+            Err(e) => Err(SampleError::Worker(format!("period {index}: {e}"))),
         }
     };
     let result = written.and_then(|()| map_periods(checkpoints, jobs.max(1), measure));

@@ -15,21 +15,11 @@ pub struct DramConfig {
     /// request-based model) disables banking: every access pays
     /// `min_latency`.
     pub banks: usize,
-    /// Latency of a row-buffer hit when banking is enabled.
-    pub row_hit_latency: u64,
-    /// Consecutive lines per DRAM row (row size / 64 B; 128 = 8 KiB rows).
-    pub lines_per_row: u64,
 }
 
 impl Default for DramConfig {
     fn default() -> Self {
-        DramConfig {
-            min_latency: 200,
-            cycles_per_line: 5,
-            banks: 0,
-            row_hit_latency: 120,
-            lines_per_row: 128,
-        }
+        DramConfig { min_latency: 200, cycles_per_line: 5, banks: 0 }
     }
 }
 
@@ -75,6 +65,13 @@ pub struct Dram {
     writes: u64,
     row_hits: u64,
 }
+
+/// Latency of a row-buffer hit in the open-page model.
+const ROW_HIT_LATENCY: u64 = 120;
+
+/// Consecutive lines per DRAM row in the open-page model (row size / 64 B;
+/// 128 = 8 KiB rows).
+const LINES_PER_ROW: u64 = 128;
 
 impl Dram {
     /// Creates an idle DRAM channel.
@@ -164,11 +161,11 @@ impl Dram {
         if self.cfg.banks == 0 {
             return self.cfg.min_latency;
         }
-        let row = line / self.cfg.lines_per_row;
+        let row = line / LINES_PER_ROW;
         let bank = (row as usize) % self.cfg.banks;
         if self.open_rows[bank] == Some(row) {
             self.row_hits += 1;
-            self.cfg.row_hit_latency
+            ROW_HIT_LATENCY
         } else {
             self.open_rows[bank] = Some(row);
             self.cfg.min_latency

@@ -154,6 +154,11 @@ pub enum PrefetchResult {
     },
 }
 
+/// Maximum L1-D MSHRs usable by prefetch-class requests at once (demand
+/// may always use all of them). Keeps speculative traffic from starving the
+/// main thread.
+const MSHR_PREFETCH_CAP: usize = 20;
+
 /// Configuration of the whole hierarchy (defaults = paper Table 1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HierarchyConfig {
@@ -165,10 +170,6 @@ pub struct HierarchyConfig {
     pub l3: CacheConfig,
     /// Number of L1-D MSHRs.
     pub mshrs: usize,
-    /// Maximum MSHRs usable by prefetch-class requests at once (demand may
-    /// always use all of them). Keeps speculative traffic from starving the
-    /// main thread.
-    pub mshr_prefetch_cap: usize,
     /// DRAM timing.
     pub dram: DramConfig,
     /// Seeded fault injection, or `None` for a fault-free hierarchy.
@@ -182,7 +183,6 @@ impl Default for HierarchyConfig {
             l2: CacheConfig { size_bytes: 256 * 1024, assoc: 8, latency: 8 },
             l3: CacheConfig { size_bytes: 8 * 1024 * 1024, assoc: 16, latency: 30 },
             mshrs: 24,
-            mshr_prefetch_cap: 20,
             dram: DramConfig::default(),
             fault: None,
         }
@@ -259,7 +259,7 @@ impl MemoryHierarchy {
             cfg,
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
-            mshr: MshrFile::with_prefetch_cap(cfg.mshrs, cfg.mshr_prefetch_cap.min(cfg.mshrs)),
+            mshr: MshrFile::with_prefetch_cap(cfg.mshrs, MSHR_PREFETCH_CAP.min(cfg.mshrs)),
             shared: Rc::clone(shared),
             core_id,
             pending_prefetch: FxHashMap::default(),

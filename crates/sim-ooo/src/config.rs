@@ -33,8 +33,6 @@ pub struct CoreConfig {
     pub load_ports: u32,
     /// L1-D store ports.
     pub store_ports: u32,
-    /// Whether the always-on L1-D stride prefetcher is enabled.
-    pub stride_prefetcher: bool,
     /// Whether the IMP indirect prefetcher is enabled.
     pub imp_prefetcher: bool,
     /// Forward-progress watchdog: if no instruction commits for this many
@@ -45,11 +43,6 @@ pub struct CoreConfig {
     /// [`SimError::CycleBudgetExceeded`](crate::SimError) past this many
     /// cycles. `0` = unlimited.
     pub max_cycles: u64,
-    /// Wall-clock budget in host milliseconds (checked coarsely, every
-    /// 64 Ki cycles). `0` = unlimited.
-    pub max_wall_ms: u64,
-    /// Architectural-memory footprint cap in bytes. `0` = unlimited.
-    pub mem_cap_bytes: u64,
     /// Run the cycle-model invariant sanitizer: step every cycle instead of
     /// skipping idle ones, with read-only structural checks over the
     /// ROB/wakeup/rename/LSQ state each cycle plus amortized MSHR/cache
@@ -75,12 +68,9 @@ impl Default for CoreConfig {
             int_div: 1,
             load_ports: 2,
             store_ports: 1,
-            stride_prefetcher: true,
             imp_prefetcher: false,
             watchdog_cycles: 2_000_000,
             max_cycles: 0,
-            max_wall_ms: 0,
-            mem_cap_bytes: 0,
             sanitize: false,
         }
     }
@@ -126,11 +116,8 @@ mod tests {
         assert_eq!(c.sq_size, 72);
         assert_eq!(c.frontend_penalty, 15);
         assert_eq!(c.int_alu, 4);
-        assert!(c.stride_prefetcher);
         assert_eq!(c.watchdog_cycles, 2_000_000);
         assert_eq!(c.max_cycles, 0);
-        assert_eq!(c.max_wall_ms, 0);
-        assert_eq!(c.mem_cap_bytes, 0);
     }
 
     #[test]

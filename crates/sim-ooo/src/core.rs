@@ -111,17 +111,14 @@ fn exec_latency(instr: &Instr) -> u64 {
 
 /// Live bookkeeping for an in-progress stepwise run: the state
 /// [`OooCore::run`] used to keep on its own stack (instruction target,
-/// wall-clock anchor, watchdog reference cycle), externalized so a
-/// discrete-event scheduler can interleave cores step by step.
+/// watchdog reference cycle), externalized so a discrete-event scheduler
+/// can interleave cores step by step.
 /// Obtain one from [`OooCore::begin_run`]; feed it to every
 /// [`OooCore::step_cycle`] call for that run.
 #[derive(Debug)]
 pub struct StepSession {
     /// Stop once `stats.committed` reaches this absolute count.
     target: u64,
-    /// Wall-clock anchor for the amortized budget check (`None` when the
-    /// budget is disabled, so unbudgeted runs never touch the clock).
-    wall_start: Option<std::time::Instant>,
     /// Cycle of the most recent commit, for the forward-progress watchdog.
     last_commit_cycle: u64,
 }
@@ -169,7 +166,7 @@ pub struct OooCore {
     cfg: CoreConfig,
     cpu: Cpu,
     bp: TagePredictor,
-    stride_pf: Option<StridePrefetcher>,
+    stride_pf: StridePrefetcher,
     imp: Option<ImpPrefetcher>,
 
     cycle: u64,
@@ -228,7 +225,7 @@ impl OooCore {
             cfg,
             cpu: Cpu::new(),
             bp: TagePredictor::default(),
-            stride_pf: cfg.stride_prefetcher.then(StridePrefetcher::paper_default),
+            stride_pf: StridePrefetcher::paper_default(),
             imp: cfg.imp_prefetcher.then(|| ImpPrefetcher::new(ImpConfig::default())),
             cycle: 0,
             seq_next: 0,
@@ -311,7 +308,6 @@ impl OooCore {
     fn open_session(&self, target: u64) -> StepSession {
         StepSession {
             target,
-            wall_start: (self.cfg.max_wall_ms != 0).then(std::time::Instant::now),
             // Starts at the current cycle (not 0) so a resumed segment
             // doesn't inherit phantom commit-free cycles from earlier
             // segments.
@@ -341,8 +337,8 @@ impl OooCore {
     /// panic: a functional executor fault ([`SimError::ExecFault`]), a
     /// wedged pipeline caught by the forward-progress watchdog
     /// ([`SimError::Deadlock`], with a diagnostic snapshot), an exceeded
-    /// cycle/wall-clock/memory budget, a fatal injected fault from the
-    /// fault-injection harness, or a second call on the same core
+    /// cycle budget, a fatal injected fault from the fault-injection
+    /// harness, or a second call on the same core
     /// ([`SimError::CoreReused`]). Statistics up to the failure point stay
     /// readable through [`OooCore::stats`] either way.
     pub fn run<E: RunaheadEngine + ?Sized>(
@@ -425,7 +421,7 @@ impl OooCore {
     /// The pipeline walks stages in reverse order (commit → issue →
     /// dispatch → fetch) so a value produced this cycle is consumed next
     /// cycle, then polls faults, sanitizer sweeps, the forward-progress
-    /// watchdog, and the cycle/wall/memory budgets. Last, the core moves
+    /// watchdog and the cycle budget. Last, the core moves
     /// [`OooCore::cycle`] to the cycle before the next one in which any
     /// stage can act, adding what the skipped cycles would have added to
     /// the per-cycle counters; the skip is exact, so the run is
@@ -493,26 +489,6 @@ impl OooCore {
                 budget: self.cfg.max_cycles,
             });
         }
-        // The wall-clock and footprint checks are amortized: both cost
-        // more than a cycle of simulation, so probing every cycle would
-        // dominate the hot loop.
-        if self.cycle & 0xFFFF == 0 {
-            if let Some(start) = session.wall_start {
-                let elapsed_ms = start.elapsed().as_millis() as u64;
-                if elapsed_ms > self.cfg.max_wall_ms {
-                    return Err(SimError::WallClockExceeded {
-                        elapsed_ms,
-                        budget_ms: self.cfg.max_wall_ms,
-                    });
-                }
-            }
-            if self.cfg.mem_cap_bytes != 0 {
-                let bytes = mem.footprint_bytes() as u64;
-                if bytes > self.cfg.mem_cap_bytes {
-                    return Err(SimError::MemoryCapExceeded { bytes, cap: self.cfg.mem_cap_bytes });
-                }
-            }
-        }
 
         if self.cpu.is_halted() && self.fetchq.is_empty() && self.rob.is_empty() {
             return Ok(Step::Done);
@@ -568,15 +544,13 @@ impl OooCore {
         {
             until = until.min(self.fetch_stall_until);
         }
-        // Deadlines: the watchdog, the cycle budget, and the wall-clock and
-        // footprint probes every 64 Ki cycles.
+        // Deadlines: the watchdog and the cycle budget.
         if self.cfg.watchdog_cycles != 0 {
             until = until.min(session.last_commit_cycle.saturating_add(self.cfg.watchdog_cycles));
         }
         if self.cfg.max_cycles != 0 {
             until = until.min(self.cfg.max_cycles);
         }
-        until = until.min((self.cycle | 0xFFFF) + 1);
         IdleSpan { until: until.max(soon), window_full: !self.fetchq.is_empty(), blocked }
     }
 
@@ -1005,10 +979,8 @@ impl OooCore {
                         None => {
                             let acc = hier.load(cycle, m.addr, AccessClass::Demand);
                             // Hardware prefetchers train on demand loads.
-                            if let Some(sp) = &mut self.stride_pf {
-                                for &p in sp.train(pcv, m.addr).prefetches() {
-                                    hier.prefetch(cycle, p, PrefetchSource::Stride);
-                                }
+                            for &p in self.stride_pf.train(pcv, m.addr).prefetches() {
+                                hier.prefetch(cycle, p, PrefetchSource::Stride);
                             }
                             if let Some(imp) = &mut self.imp {
                                 let was_miss = acc.level != HitLevel::L1;

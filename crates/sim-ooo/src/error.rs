@@ -82,21 +82,6 @@ pub enum SimError {
         /// The configured budget.
         budget: u64,
     },
-    /// The run exceeded [`CoreConfig::max_wall_ms`](crate::CoreConfig::max_wall_ms).
-    WallClockExceeded {
-        /// Elapsed host milliseconds.
-        elapsed_ms: u64,
-        /// The configured budget in milliseconds.
-        budget_ms: u64,
-    },
-    /// Architectural memory grew past
-    /// [`CoreConfig::mem_cap_bytes`](crate::CoreConfig::mem_cap_bytes).
-    MemoryCapExceeded {
-        /// Footprint in bytes when the cap tripped.
-        bytes: u64,
-        /// The configured cap in bytes.
-        cap: u64,
-    },
     /// A fatal injected fault (fault-injection harness) was delivered.
     InjectedFault(FaultEvent),
     /// [`OooCore::run`](crate::OooCore::run) was called on a core that
@@ -117,8 +102,6 @@ impl SimError {
             SimError::ExecFault { .. } => "exec_fault",
             SimError::Deadlock(_) => "deadlock",
             SimError::CycleBudgetExceeded { .. } => "cycle_budget_exceeded",
-            SimError::WallClockExceeded { .. } => "wall_clock_exceeded",
-            SimError::MemoryCapExceeded { .. } => "memory_cap_exceeded",
             SimError::InjectedFault(_) => "injected_fault",
             SimError::CoreReused => "core_reused",
             SimError::Panic { .. } => "panic",
@@ -135,12 +118,6 @@ impl fmt::Display for SimError {
             SimError::Deadlock(snap) => write!(f, "pipeline deadlock: {snap}"),
             SimError::CycleBudgetExceeded { cycle, budget } => {
                 write!(f, "cycle budget exceeded: {cycle} cycles (budget {budget})")
-            }
-            SimError::WallClockExceeded { elapsed_ms, budget_ms } => {
-                write!(f, "wall-clock budget exceeded: {elapsed_ms} ms (budget {budget_ms} ms)")
-            }
-            SimError::MemoryCapExceeded { bytes, cap } => {
-                write!(f, "memory cap exceeded: {bytes} bytes (cap {cap})")
             }
             SimError::InjectedFault(ev) => {
                 write!(f, "injected fault: {} at cycle {}, line {:#x}", ev.kind, ev.cycle, ev.line)
@@ -181,8 +158,6 @@ mod tests {
             SimError::ExecFault { pc: 1, cycle: 2, source: ExecError::PcOutOfRange { pc: 1 } },
             SimError::Deadlock(Box::new(snap)),
             SimError::CycleBudgetExceeded { cycle: 5, budget: 4 },
-            SimError::WallClockExceeded { elapsed_ms: 9, budget_ms: 8 },
-            SimError::MemoryCapExceeded { bytes: 10, cap: 1 },
             SimError::CoreReused,
             SimError::Panic { message: "boom".into() },
         ];

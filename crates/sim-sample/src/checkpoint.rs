@@ -1,4 +1,5 @@
-//! Versioned per-period checkpoints for checkpoint-parallel sampling.
+//! Versioned per-period checkpoints and results for checkpoint-parallel
+//! sampling.
 //!
 //! Phase 1 of the sampling pipeline ([`stream_checkpoints`]) takes one
 //! [`PeriodCheckpoint`] per period at the point where that period's
@@ -14,7 +15,13 @@
 //! * the warm branch-predictor image
 //!   ([`sim_ooo::TagePredictor::state_bytes`]).
 //!
-//! The byte format follows the repository's checkpoint convention: a
+//! A `dvrsim sample-worker` process measures one period and answers with
+//! its [`PeriodResult`] image. The result carries integers only — every
+//! derived float (IPC, MLP, the report aggregates) is recomputed at merge
+//! time from the counters — so a result that crosses the process boundary
+//! is bit-exactly the result that would have been produced in-process.
+//!
+//! Both byte formats follow the repository's checkpoint convention: a
 //! magic-prefixed little-endian image read through
 //! [`sim_isa::bytes::Reader`], plus a version word so future layout
 //! changes fail loudly instead of misparsing.
@@ -23,12 +30,22 @@
 
 use sim_isa::bytes::{put_blob, DecodeError, Reader};
 use sim_isa::{CpuCheckpoint, MemoryCheckpoint};
+use sim_mem::MemStats;
+use sim_ooo::CoreStats;
+
+use crate::driver::PeriodResult;
 
 /// `"DVRP"`: magic prefix of a serialized [`PeriodCheckpoint`].
 pub const PERIOD_CKPT_MAGIC: u32 = 0x4456_5250;
 
 /// Current layout version of the [`PeriodCheckpoint`] byte format.
 pub const PERIOD_CKPT_VERSION: u32 = 1;
+
+/// `"DVRI"`: magic prefix of a serialized [`PeriodResult`].
+const PERIOD_RESULT_MAGIC: u32 = 0x4456_5249;
+
+/// Current layout version of the [`PeriodResult`] byte format.
+const PERIOD_RESULT_VERSION: u32 = 1;
 
 /// Everything needed to measure one sampling period in isolation.
 #[derive(Clone, Debug)]
@@ -83,6 +100,55 @@ impl PeriodCheckpoint {
         let warm_bp = r.blob("warm_bp")?.to_vec();
         r.finish()?;
         Ok(PeriodCheckpoint { index, measure_at, cpu, mem, warm_mem, warm_bp })
+    }
+}
+
+impl PeriodResult {
+    /// Serializes to the versioned little-endian image: the four header
+    /// words, the `measured` flag byte, then the flat core and memory
+    /// counters.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&PERIOD_RESULT_MAGIC.to_le_bytes());
+        out.extend_from_slice(&PERIOD_RESULT_VERSION.to_le_bytes());
+        for w in [self.index, self.start_retired, self.warmup_committed, self.mshr_integral] {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.push(u8::from(self.measured));
+        for w in self.core.to_flat().iter().chain(&self.mem.to_flat()) {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    /// Parses a [`PeriodResult::to_bytes`] image, naming the first
+    /// violation on failure: bad magic, unknown version, truncation, a
+    /// `measured` flag other than 0 or 1, or trailing bytes.
+    pub fn decode(b: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(b);
+        r.magic(PERIOD_RESULT_MAGIC)?;
+        r.version(PERIOD_RESULT_VERSION)?;
+        let index = r.u64("index")?;
+        let start_retired = r.u64("start_retired")?;
+        let warmup_committed = r.u64("warmup_committed")?;
+        let mshr_integral = r.u64("mshr_integral")?;
+        let measured = r.bool("measured")?;
+        let mut flat =
+            |n: usize, field| (0..n).map(|_| r.u64(field)).collect::<Result<Vec<_>, _>>();
+        let core = CoreStats::from_flat(&flat(CoreStats::FLAT_LEN, "core")?)
+            .ok_or(DecodeError::Invalid { field: "core" })?;
+        let mem = MemStats::from_flat(&flat(MemStats::FLAT_LEN, "mem")?)
+            .ok_or(DecodeError::Invalid { field: "mem" })?;
+        r.finish()?;
+        Ok(PeriodResult {
+            index,
+            start_retired,
+            warmup_committed,
+            mshr_integral,
+            measured,
+            core,
+            mem,
+        })
     }
 }
 
@@ -195,6 +261,71 @@ mod tests {
                 PeriodCheckpoint::decode(&bytes[..len]).expect_err("proper prefix must not parse");
             let _ = err.to_string(); // Display is total
         }
+    }
+
+    fn sample_result() -> PeriodResult {
+        let core =
+            CoreStats { cycles: 4_321, committed: 5_000, loads: 1_234, ..Default::default() };
+        let mem = MemStats {
+            demand_loads: 1_234,
+            demand_hits: [900, 200, 100, 34],
+            dram_writebacks: 7,
+            ..Default::default()
+        };
+        PeriodResult {
+            index: 5,
+            start_retired: 127_455,
+            warmup_committed: 2_000,
+            mshr_integral: 9_876,
+            measured: true,
+            core,
+            mem,
+        }
+    }
+
+    #[test]
+    fn result_roundtrip_is_exact() {
+        let r = sample_result();
+        let bytes = r.to_bytes();
+        let back = PeriodResult::decode(&bytes).expect("image parses");
+        assert_eq!(back, r);
+        assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn unmeasured_result_roundtrips() {
+        let r = PeriodResult {
+            index: 9,
+            start_retired: 0,
+            warmup_committed: 123,
+            mshr_integral: 0,
+            measured: false,
+            core: CoreStats::default(),
+            mem: MemStats::default(),
+        };
+        assert_eq!(PeriodResult::decode(&r.to_bytes()).unwrap(), r);
+    }
+
+    #[test]
+    fn malformed_results_are_rejected() {
+        use DecodeError as E;
+        let bytes = sample_result().to_bytes();
+        let fail = |b: &[u8]| PeriodResult::decode(b).expect_err("image must not parse");
+        assert!(matches!(fail(&bytes[1..]), E::BadMagic { .. }), "truncated front");
+        assert_eq!(fail(&bytes[..bytes.len() - 1]), E::Truncated { field: "mem" });
+        let mut trailing = bytes.clone();
+        trailing.push(b'x');
+        assert_eq!(fail(&trailing), E::TrailingBytes { extra: 1 }, "trailing garbage");
+        let mut wrong_version = bytes.clone();
+        wrong_version[4] = 2;
+        assert_eq!(fail(&wrong_version), E::UnknownVersion { found: 2 });
+        // The flag byte follows the magic, version and four header words.
+        let mut bad_flag = bytes;
+        bad_flag[8 + 4 * 8] = 3;
+        assert_eq!(fail(&bad_flag), E::Invalid { field: "measured" });
+        assert_eq!(fail(&[]), E::BadMagic { found: None });
+        // The checkpoint and result formats do not read each other.
+        assert!(PeriodResult::decode(&sample_checkpoint().to_bytes()).is_err());
     }
 
     #[test]

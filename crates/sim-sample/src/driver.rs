@@ -114,9 +114,10 @@ pub struct EmitResult {
 }
 
 /// The integer-only measurement of one period — everything
-/// [`merge_periods`] needs, in a form that survives a JSON round-trip
-/// through a worker process bit-exactly (no floats cross the wire;
-/// derived rates are recomputed at merge time).
+/// [`merge_periods`] needs, in a form that survives the round-trip
+/// through a worker process ([`PeriodResult::to_bytes`]) bit-exactly (no
+/// floats cross the process boundary; derived rates are recomputed at
+/// merge time).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeriodResult {
     /// Period number (the merge key).

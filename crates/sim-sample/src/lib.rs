@@ -16,7 +16,7 @@
 //! ([`emit_checkpoints`] collects them all), then each period is measured
 //! independently from its checkpoint ([`measure_period`]) — in this
 //! thread, a worker thread, or a worker process answering with the
-//! integer JSON payload of [`PeriodResult::to_json`] — and
+//! integer image of [`PeriodResult::to_bytes`] — and
 //! [`merge_periods`] recombines the results into a [`SampledRun`] that
 //! is byte-identical regardless of where the periods ran. One driver,
 //! [`drive_sampled`], composes the phases for every entry point, and
@@ -80,7 +80,6 @@ mod driver;
 mod rng;
 mod stats;
 mod warm;
-mod wire;
 
 pub use checkpoint::{PeriodCheckpoint, PERIOD_CKPT_MAGIC, PERIOD_CKPT_VERSION};
 pub use config::{Placement, SampleConfig};
@@ -91,4 +90,3 @@ pub use driver::{
 pub use rng::SplitMix64;
 pub use stats::{student_t_975, IntervalStat, SampledReport};
 pub use warm::WarmingSink;
-pub use wire::WIRE_VERSION;

@@ -239,7 +239,7 @@ m1b="$(cargo run -q -p dvr-sim --bin dvrsim -- $mix_args --threads 1 2>/dev/null
 echo "$m1" | grep -q '"aggregate_ipc"' || { echo "mix JSON missing aggregate_ipc"; exit 1; }
 echo "$m1" | grep -q '"fairness"' || { echo "mix JSON missing the evaluation line"; exit 1; }
 
-echo "== scheduler-determinism: no wall clock or float keys in the scheduler =="
+echo "== scheduler-determinism: no wall clock or float keys in the scheduler or the model =="
 # The event queue is keyed by (tick, component id) — integers only. A
 # float-keyed BinaryHeap (NaN-unordered) or any wall-clock read in the
 # scheduler or the mix path would break the byte-identity the multicore
@@ -252,6 +252,12 @@ for f in crates/sim-multi/src/*.rs crates/dvr-sim/src/multi.rs; do
     echo "$f: float-keyed BinaryHeap breaks deterministic event ordering"; exit 1
   fi
 done
+# The model itself reads no host clock: outside test modules, the executor,
+# the hierarchy, the core and the engines name neither Instant nor
+# SystemTime, so nothing in a run can depend on how fast the host is.
+stray="$(in_src -e 'Instant' -e 'SystemTime' | grep -e '^crates/sim-isa/' -e '^crates/sim-mem/' \
+    -e '^crates/sim-ooo/' -e '^crates/dvr-core/' || true)"
+[ -z "$stray" ] || { echo "host clock in the cycle model:"; echo "$stray"; exit 1; }
 
 echo "== sample smoke: sampled IPC within its CI of the exact IPC =="
 # `dvrsim sample` exits non-zero when any cell's 95% CI misses the exact
@@ -278,7 +284,7 @@ done
 echo "== sample-parallel: worker-protocol round-trip =="
 # Measure every period in real sample-worker processes under the sweep
 # supervisor: each worker answers with a SWEEPOK1 line whose payload is its
-# period's integer-JSON result, and the merged report must match the
+# period's byte-encoded result, and the merged report must match the
 # sequential one. (tests/sample_parallel.rs also drives the worker path
 # through the library; this smokes the CLI.)
 worker_out="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --bench bfs --size test \
@@ -305,9 +311,9 @@ for bench in camel hj8 nas-is; do
   done
 done
 # figures --sample runs each combo's configurations from one pass per
-# hierarchy; --threads fans out combos and measures periods on what is
-# left. The ablation grid has MSHR and DRAM columns (a pass each) and
-# DVR-config columns that share one.
+# cache geometry; --threads fans out combos and measures periods on what is
+# left. In the ablation grid the MSHR, DRAM and DVR-config columns of a
+# combo share one pass.
 for fig in fig9 ablation; do
   f1="$(cargo run -q -p bench --bin figures -- "$fig" --size test --instrs 60000 --sample \
       --threads 1 2>/dev/null)"

@@ -12,7 +12,7 @@ use dvr_sim::sim_sweep::{
     digest_bytes, from_hex, manifest_digest, CellOutcome, Digest128, Journal, SweepFault,
 };
 use dvr_sim::{
-    decode_report, encode_report, sample_emit, simulate, simulate_sampled, CoreStats, MemStats,
+    decode_report, encode_report, measure_emitted, sample_emit, simulate, simulate_sampled,
     MemoryHierarchy, MixSpec, PeriodCheckpoint, PeriodResult, SampleConfig, SimConfig, SweepCell,
     Technique,
 };
@@ -35,7 +35,8 @@ struct Image {
 }
 
 /// Every pinned image: each period checkpoint, its four embedded images,
-/// and the encoded exact and sampled reports. Built once per test binary.
+/// the encoded exact and sampled reports, and each period's measured
+/// result. Built once per test binary.
 fn images() -> &'static [Image] {
     static IMAGES: OnceLock<Vec<Image>> = OnceLock::new();
     IMAGES.get_or_init(|| {
@@ -64,6 +65,16 @@ fn images() -> &'static [Image] {
         for (name, report) in [("report.exact", exact), ("report.sampled", sampled)] {
             let bytes = encode_report(&report).expect("the run completes");
             out.push(Image { kind: "report", name: name.into(), bytes });
+        }
+        let results =
+            measure_emitted(&wl, &dvr_cfg(), &SampleConfig::default(), &emit.checkpoints, 1)
+                .expect("measure");
+        for (k, p) in results.iter().enumerate() {
+            out.push(Image {
+                kind: "result",
+                name: format!("period{k}.result"),
+                bytes: p.to_bytes(),
+            });
         }
         // Every fuzz case starts from these, so each must itself decode and
         // re-encode to exactly its bytes.
@@ -106,6 +117,7 @@ fn reencode(kind: &str, b: &[u8]) -> Option<Vec<u8>> {
             TagePredictor::from_state_bytes(TageConfig::default(), b).ok().map(|p| p.state_bytes())
         }
         "report" => decode_report(b).ok().map(|r| encode_report(&r).expect("decoded complete")),
+        "result" => PeriodResult::decode(b).ok().map(|p| p.to_bytes()),
         _ => unreachable!("unknown image kind {kind}"),
     }
 }
@@ -212,6 +224,11 @@ proptest! {
     fn report_payloads_decode_canonically(m in mutation()) {
         canonical("report", &m)?;
     }
+
+    #[test]
+    fn period_results_decode_canonically(m in mutation()) {
+        canonical("result", &m)?;
+    }
 }
 
 /// One edit to a text input, on `char` boundaries.
@@ -269,7 +286,6 @@ struct TextSeeds {
     asm: String,
     fault: &'static str,
     hex: String,
-    period: String,
 }
 
 fn text_seeds() -> &'static TextSeeds {
@@ -283,22 +299,12 @@ fn text_seeds() -> &'static TextSeeds {
             seed: 42,
             instrs: 60_000,
         };
-        let period = PeriodResult {
-            index: 2,
-            start_retired: 41_234,
-            warmup_committed: 2_000,
-            mshr_integral: 987_654,
-            measured: true,
-            core: CoreStats { cycles: 5_000, committed: 2_000, loads: 700, ..Default::default() },
-            mem: MemStats { demand_loads: 700, dram_demand: 12, ..Default::default() },
-        };
         let s = TextSeeds {
             cell: cell.key(),
             mix: "bfs/UR:dvr,NAS-IS:ooo,Camel,HJ8:vr",
             asm: Benchmark::NasIs.build(None, SizeClass::Test, 42).prog.to_string(),
             fault: "kill=1,flip=2,trunc=3,trunc-bytes=5,abort=4,hang=1",
             hex: digest_bytes(b"codec").hex(),
-            period: period.to_json(),
         };
         // The edits start from valid input of every decoder.
         assert!(SweepCell::parse(&s.cell).is_ok());
@@ -306,7 +312,6 @@ fn text_seeds() -> &'static TextSeeds {
         assert!(parse_program(&s.asm).is_ok());
         assert!(SweepFault::parse(s.fault).is_ok());
         assert!(from_hex(&s.hex).is_some() && Digest128::from_hex(&s.hex).is_some());
-        assert!(PeriodResult::from_json(&s.period).is_some());
         s
     })
 }
@@ -314,8 +319,8 @@ fn text_seeds() -> &'static TextSeeds {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Cell keys, mix specs, assembly, fault specs, hex strings and
-    /// sample-worker result lines: a value or an error, never a panic.
+    /// Cell keys, mix specs, assembly, fault specs and hex strings: a
+    /// value or an error, never a panic.
     #[test]
     fn text_decoders_never_panic(e in edit()) {
         let s = text_seeds();
@@ -325,7 +330,6 @@ proptest! {
         let _ = SweepFault::parse(&e.apply(s.fault));
         let hex = e.apply(&s.hex);
         let _ = (from_hex(&hex), Digest128::from_hex(&hex));
-        let _ = PeriodResult::from_json(&e.apply(&s.period));
     }
 
     /// A damaged journal file replays its valid prefix or fails typed.
