@@ -131,7 +131,7 @@ impl FaultConfig {
 /// future that it never completes within any realistic run, small enough
 /// that downstream arithmetic (latency additions, slot alignment) cannot
 /// overflow.
-pub(crate) const NEVER_COMPLETES: u64 = u64::MAX / 4;
+pub const NEVER_COMPLETES: u64 = u64::MAX / 4;
 
 /// Runtime injection state, owned by one `MemoryHierarchy` instance — the
 /// RNG stream follows the hierarchy's access stream, so results are

@@ -46,7 +46,7 @@ mod stride;
 
 pub use cache::{Cache, CacheConfig};
 pub use dram::{Dram, DramConfig};
-pub use fault::{FaultConfig, FaultEvent, FaultKind};
+pub use fault::{FaultConfig, FaultEvent, FaultKind, NEVER_COMPLETES};
 pub use hierarchy::{
     Access, AccessClass, HierarchyConfig, HitLevel, LaneObservations, MemoryHierarchy,
     PrefetchResult, PrefetchSource, TaintFill, WARM_STATE_MAGIC,

@@ -50,6 +50,75 @@ fn config_words(cfg: &TageConfig) -> [u32; 7] {
     [cfg.base_bits, cfg.tagged_bits, cfg.tag_bits, h0, h1, h2, h3]
 }
 
+/// The newest `len` bits of the global history XOR-folded into `width`
+/// bits (bit `i` of the history lands on bit `i % width`), kept current one
+/// outcome at a time instead of refolded on every lookup.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct FoldedHistory {
+    value: u64,
+    len: u32,
+    width: u32,
+}
+
+impl FoldedHistory {
+    /// The fold of `ghist`'s newest `len` bits (at most 127).
+    fn of(ghist: u128, len: u32, width: u32) -> Self {
+        let len = len.min(127);
+        let mut h = ghist & ((1u128 << len) - 1);
+        let mut value = 0;
+        while width != 0 && h != 0 {
+            value ^= (h as u64) & ((1u64 << width) - 1);
+            h >>= width;
+        }
+        FoldedHistory { value, len, width }
+    }
+
+    /// Shifts `taken` into the history whose newest bits were `ghist`: the
+    /// fold rotates left by one, takes `taken` at bit 0 and drops the bit
+    /// that leaves the window.
+    fn push(&mut self, ghist: u128, taken: bool) {
+        if self.len == 0 || self.width == 0 {
+            return;
+        }
+        let leaving = (ghist >> (self.len - 1)) as u64 & 1;
+        let v = ((self.value << 1) | taken as u64) ^ (leaving << (self.len % self.width));
+        self.value = (v & ((1 << self.width) - 1)) ^ (v >> self.width);
+    }
+}
+
+/// One tagged table's three folds: its index, its tag, and the tag's
+/// second fold one bit narrower.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct TableFolds {
+    index: FoldedHistory,
+    tag: FoldedHistory,
+    tag2: FoldedHistory,
+}
+
+impl TableFolds {
+    fn of(ghist: u128, cfg: &TageConfig, table: usize) -> Self {
+        let len = cfg.history_lengths[table];
+        TableFolds {
+            index: FoldedHistory::of(ghist, len, cfg.tagged_bits),
+            tag: FoldedHistory::of(ghist, len, cfg.tag_bits),
+            tag2: FoldedHistory::of(ghist, len, cfg.tag_bits.saturating_sub(1)),
+        }
+    }
+
+    fn push(&mut self, ghist: u128, taken: bool) {
+        self.index.push(ghist, taken);
+        self.tag.push(ghist, taken);
+        self.tag2.push(ghist, taken);
+    }
+}
+
+/// Where a branch's lookup lands in each tagged table.
+#[derive(Clone, Copy, Debug)]
+struct Lookup {
+    index: [usize; 4],
+    tag: [u16; 4],
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct TaggedEntry {
     tag: u16,
@@ -90,6 +159,9 @@ pub struct TagePredictor {
     loop_pred: crate::loop_pred::LoopPredictor,
     /// Global history (newest outcome in bit 0).
     ghist: u128,
+    /// `ghist` folded for each tagged table: derived state, rebuilt from
+    /// `ghist` on restore.
+    folds: [TableFolds; 4],
     /// For `useful`-bit aging.
     tick: u64,
     lookups: u64,
@@ -111,35 +183,29 @@ impl TagePredictor {
             tables: (0..4).map(|_| vec![TaggedEntry::default(); 1 << cfg.tagged_bits]).collect(),
             loop_pred: crate::loop_pred::LoopPredictor::new(6),
             ghist: 0,
+            folds: Self::folds_of(0, &cfg),
             tick: 0,
             lookups: 0,
             mispredicts: 0,
         }
     }
 
-    fn fold_history(&self, bits: u32, out_bits: u32) -> u64 {
-        let mut h = self.ghist & ((1u128 << bits.min(127)) - 1);
-        let mut folded: u64 = 0;
-        while h != 0 {
-            folded ^= (h as u64) & ((1u64 << out_bits) - 1);
-            h >>= out_bits;
+    fn folds_of(ghist: u128, cfg: &TageConfig) -> [TableFolds; 4] {
+        std::array::from_fn(|t| TableFolds::of(ghist, cfg, t))
+    }
+
+    /// Each tagged table's index and tag for the branch at `pc`.
+    fn lookup(&self, pc: usize) -> Lookup {
+        let pc = pc as u64;
+        let index_mask = (1 << self.cfg.tagged_bits) - 1;
+        let tag_mask = (1 << self.cfg.tag_bits) - 1;
+        let pc_index = pc ^ (pc >> self.cfg.tagged_bits);
+        let mut l = Lookup { index: [0; 4], tag: [0; 4] };
+        for (t, f) in self.folds.iter().enumerate() {
+            l.index[t] = ((pc_index ^ f.index.value) & index_mask) as usize;
+            l.tag[t] = ((pc ^ f.tag.value ^ (f.tag2.value << 1)) & tag_mask) as u16;
         }
-        folded
-    }
-
-    fn tagged_index(&self, pc: usize, table: usize) -> usize {
-        let hl = self.cfg.history_lengths[table];
-        let folded = self.fold_history(hl, self.cfg.tagged_bits);
-        let idx = (pc as u64 ^ (pc as u64 >> self.cfg.tagged_bits) ^ folded)
-            & ((1 << self.cfg.tagged_bits) - 1);
-        idx as usize
-    }
-
-    fn tag(&self, pc: usize, table: usize) -> u16 {
-        let hl = self.cfg.history_lengths[table];
-        let folded = self.fold_history(hl, self.cfg.tag_bits);
-        let folded2 = self.fold_history(hl, self.cfg.tag_bits - 1) << 1;
-        ((pc as u64 ^ folded ^ folded2) & ((1 << self.cfg.tag_bits) - 1)) as u16
+        l
     }
 
     fn base_index(&self, pc: usize) -> usize {
@@ -147,11 +213,8 @@ impl TagePredictor {
     }
 
     /// Finds the provider (longest matching tagged table), if any.
-    fn provider(&self, pc: usize) -> Option<usize> {
-        (0..4).rev().find(|&t| {
-            let e = &self.tables[t][self.tagged_index(pc, t)];
-            e.tag == self.tag(pc, t)
-        })
+    fn provider(&self, l: &Lookup) -> Option<usize> {
+        (0..4).rev().find(|&t| self.tables[t][l.index[t]].tag == l.tag[t])
     }
 
     /// Predicts the direction of the conditional branch at `pc`.
@@ -163,8 +226,9 @@ impl TagePredictor {
         if let Some(p) = self.loop_pred.predict(pc) {
             return p;
         }
-        match self.provider(pc) {
-            Some(t) => self.tables[t][self.tagged_index(pc, t)].ctr >= 0,
+        let l = self.lookup(pc);
+        match self.provider(&l) {
+            Some(t) => self.tables[t][l.index[t]].ctr >= 0,
             None => self.base[self.base_index(pc)] >= 2,
         }
     }
@@ -178,12 +242,13 @@ impl TagePredictor {
         }
         self.loop_pred.update(pc, taken);
 
-        let provider = self.provider(pc);
+        let l = self.lookup(pc);
+        let provider = self.provider(&l);
 
         // Update the provider (or base) counter.
         match provider {
             Some(t) => {
-                let idx = self.tagged_index(pc, t);
+                let idx = l.index[t];
                 let base_pred = self.base[self.base_index(pc)] >= 2;
                 let e = &mut self.tables[t][idx];
                 e.ctr = (e.ctr + if taken { 1 } else { -1 }).clamp(-4, 3);
@@ -208,11 +273,9 @@ impl TagePredictor {
             let start = provider.map_or(0, |t| t + 1);
             let mut allocated = false;
             for t in start..4 {
-                let idx = self.tagged_index(pc, t);
-                let tag = self.tag(pc, t);
-                let e = &mut self.tables[t][idx];
+                let e = &mut self.tables[t][l.index[t]];
                 if e.useful == 0 {
-                    *e = TaggedEntry { tag, ctr: if taken { 0 } else { -1 }, useful: 0 };
+                    *e = TaggedEntry { tag: l.tag[t], ctr: if taken { 0 } else { -1 }, useful: 0 };
                     allocated = true;
                     break;
                 }
@@ -220,8 +283,7 @@ impl TagePredictor {
             if !allocated {
                 // Decay useful bits so future allocations can succeed.
                 for t in start..4 {
-                    let idx = self.tagged_index(pc, t);
-                    let e = &mut self.tables[t][idx];
+                    let e = &mut self.tables[t][l.index[t]];
                     e.useful = e.useful.saturating_sub(1);
                 }
             }
@@ -238,6 +300,9 @@ impl TagePredictor {
         }
 
         // Advance history.
+        for f in &mut self.folds {
+            f.push(self.ghist, taken);
+        }
         self.ghist = (self.ghist << 1) | (taken as u128);
     }
 
@@ -281,6 +346,7 @@ impl TagePredictor {
         }
         let mut bp = TagePredictor::new(cfg);
         bp.ghist = r.u128("ghist")?;
+        bp.folds = Self::folds_of(bp.ghist, &cfg);
         bp.tick = r.u64("tick")?;
         bp.lookups = r.u64("lookups")?;
         bp.mispredicts = r.u64("mispredicts")?;
@@ -423,6 +489,71 @@ mod tests {
             }
         }
         assert_eq!(restored.state_bytes(), bp.state_bytes());
+    }
+
+    /// The newest `len` (at most 127) bits of `ghist` XOR-folded into
+    /// `width` bits, computed from scratch.
+    fn direct_fold(ghist: u128, len: u32, width: u32) -> u64 {
+        let mut h = ghist & ((1u128 << len.min(127)) - 1);
+        let mut folded = 0;
+        while h != 0 {
+            folded ^= (h as u64) & ((1u64 << width) - 1);
+            h >>= width;
+        }
+        folded
+    }
+
+    #[test]
+    fn incremental_folds_match_the_direct_fold_of_the_history() {
+        let cfg = TageConfig::default();
+        let mut bp = TagePredictor::default();
+        let mut restored: Option<TagePredictor> = None;
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        for i in 0..100_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // 257 pcs, each with its own period, and one outcome in 16 forced taken.
+            let pc = 4 * ((x >> 20) % 257) as usize;
+            let taken = !(i / (1 + pc as u64 % 5)).is_multiple_of(3) || x >> 60 == 0;
+
+            let l = bp.lookup(pc);
+            for (t, &len) in cfg.history_lengths.iter().enumerate() {
+                let folds = &bp.folds[t];
+                assert_eq!(folds.index.value, direct_fold(bp.ghist, len, cfg.tagged_bits));
+                assert_eq!(folds.tag.value, direct_fold(bp.ghist, len, cfg.tag_bits));
+                assert_eq!(folds.tag2.value, direct_fold(bp.ghist, len, cfg.tag_bits - 1));
+                let p = pc as u64;
+                let index =
+                    (p ^ (p >> cfg.tagged_bits) ^ direct_fold(bp.ghist, len, cfg.tagged_bits))
+                        & ((1 << cfg.tagged_bits) - 1);
+                let tag = (p
+                    ^ direct_fold(bp.ghist, len, cfg.tag_bits)
+                    ^ (direct_fold(bp.ghist, len, cfg.tag_bits - 1) << 1))
+                    & ((1 << cfg.tag_bits) - 1);
+                assert_eq!(
+                    (l.index[t], l.tag[t]),
+                    (index as usize, tag as u16),
+                    "table {t} at {i}"
+                );
+            }
+
+            let predicted = bp.predict(pc);
+            bp.update(pc, taken, predicted);
+            if let Some(r) = &mut restored {
+                let p = r.predict(pc);
+                assert_eq!(p, predicted, "the restored predictor diverged at branch {i}");
+                r.update(pc, taken, p);
+            }
+            if i == 50_000 {
+                let image = bp.state_bytes();
+                let r = TagePredictor::from_state_bytes(cfg, &image).expect("image parses");
+                assert_eq!(r.folds, bp.folds, "restore rebuilds the folds from ghist");
+                restored = Some(r);
+            }
+        }
+        assert_eq!(restored.expect("restored mid-stream").state_bytes(), bp.state_bytes());
+        assert!(bp.mispredict_rate() < 0.5, "the stream must exercise the tagged tables");
     }
 
     #[test]

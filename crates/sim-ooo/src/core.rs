@@ -6,6 +6,11 @@
 //! functional units, L1 ports), memory latencies through the shared
 //! [`MemoryHierarchy`], and branch-misprediction redirects (fetch stalls
 //! from resolution plus the 15-cycle front-end refill).
+//!
+//! Pipeline state is indexed by ring slot, `seq & ring_mask`: one ring
+//! holds the ROB and, behind it, the fetch queue, and the issue window and
+//! the ready set are one bit per slot, so each per-instruction step is a
+//! constant number of word operations.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -13,7 +18,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use sim_isa::{AluOp, Cpu, FxHashMap, Instr, MemAccess, Program, SparseMemory, NUM_REGS};
 use sim_mem::{
     AccessClass, HitLevel, ImpConfig, ImpPrefetcher, MemoryHierarchy, PrefetchSource,
-    StridePrefetcher,
+    StridePrefetcher, NEVER_COMPLETES,
 };
 
 use crate::branch::TagePredictor;
@@ -64,6 +69,24 @@ pub struct DynInst {
 const MEM_DEP: usize = 3;
 
 impl DynInst {
+    /// What a ring slot holds before fetch first writes it.
+    const VACANT: DynInst = DynInst {
+        seq: 0,
+        pc: 0,
+        instr: Instr::Nop,
+        mem: None,
+        branch_taken: None,
+        src_values: [0; 3],
+        dst_value: None,
+        mispredicted: false,
+        deps: [None; 4],
+        class: FuClass::Alu,
+        issued: false,
+        complete_at: u64::MAX,
+        pending: 0,
+        ready_at: u64::MAX,
+    };
+
     /// Whether this is a load.
     pub fn is_load(&self) -> bool {
         self.instr.is_load()
@@ -106,6 +129,50 @@ fn exec_latency(instr: &Instr) -> u64 {
     match instr {
         Instr::Alu { op, .. } | Instr::AluImm { op, .. } => op.latency() as u64,
         _ => 1,
+    }
+}
+
+/// One bit per ring slot, addressed by sequence number. The ring has a
+/// whole number of 64-slot words, so a word never straddles the wrap.
+#[derive(Clone, Debug)]
+struct SlotBits {
+    words: Vec<u64>,
+    mask: u64,
+}
+
+impl SlotBits {
+    fn new(slots: usize) -> Self {
+        SlotBits { words: vec![0; slots / 64], mask: slots as u64 - 1 }
+    }
+
+    fn set(&mut self, seq: u64) {
+        let s = seq & self.mask;
+        self.words[(s >> 6) as usize] |= 1 << (s & 63);
+    }
+
+    fn clear(&mut self, seq: u64) {
+        let s = seq & self.mask;
+        self.words[(s >> 6) as usize] &= !(1 << (s & 63));
+    }
+
+    fn get(&self, seq: u64) -> bool {
+        let s = seq & self.mask;
+        self.words[(s >> 6) as usize] >> (s & 63) & 1 != 0
+    }
+
+    /// The oldest sequence number in `[from, to)` whose bit is set.
+    fn first(&self, from: u64, to: u64) -> Option<u64> {
+        let mut seq = from;
+        while seq < to {
+            let s = seq & self.mask;
+            let word = self.words[(s >> 6) as usize] >> (s & 63);
+            if word != 0 {
+                let hit = seq + u64::from(word.trailing_zeros());
+                return (hit < to).then_some(hit);
+            }
+            seq += 64 - (s & 63);
+        }
+        None
     }
 }
 
@@ -170,26 +237,39 @@ pub struct OooCore {
     imp: Option<ImpPrefetcher>,
 
     cycle: u64,
-    seq_next: u64,
+    /// The oldest ROB entry. The ROB is `[head_seq, dispatch_seq)` and the
+    /// fetch queue `[dispatch_seq, seq_next)`.
     head_seq: u64,
-    rob: VecDeque<DynInst>,
-    /// Unissued ROB entries in age order; the first `iq_size` of them form
-    /// the issue window.
-    unissued: VecDeque<u64>,
-    /// Unissued entries whose producers have all completed, in age order.
-    ready: Vec<u64>,
-    /// Unissued entries whose producers have all issued, keyed by
-    /// `(ready_at, seq)`: the wake calendar of the issue stage.
-    calendar: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Consumer lists, slot `seq & ring_mask` per ROB entry: the entries
-    /// waiting for that one to issue. The ring is larger than the ROB, so
-    /// live entries never share a slot.
-    consumers: Vec<Vec<u64>>,
+    /// The oldest fetched entry not yet dispatched.
+    dispatch_seq: u64,
+    /// The next sequence number fetch hands out.
+    seq_next: u64,
+    /// The ROB and the fetch queue, entry `seq` at slot `seq & ring_mask`.
+    /// The ring holds at least `rob_size + fetch_queue` slots, so live
+    /// entries never share one.
+    ring: Vec<DynInst>,
     ring_mask: u64,
-    fetchq: VecDeque<DynInst>,
+    /// Unissued ROB entries.
+    unissued: SlotBits,
+    /// How many bits `unissued` has set.
+    unissued_count: usize,
+    /// The `iq_size`-th unissued entry, counting the oldest as the 0th:
+    /// the first one outside the issue window (`u64::MAX` when all fit).
+    window_end: u64,
+    /// Unissued entries whose producers have all completed.
+    ready: SlotBits,
+    /// Entries whose producers have all issued and which become ready next
+    /// cycle: the next issue stage drains them.
+    wake_next: Vec<u64>,
+    /// The later wakes, keyed by `(ready_at, seq)`.
+    calendar: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Consumer lists, one per ring slot: the entries waiting for that one
+    /// to issue.
+    consumers: Vec<Vec<u64>>,
     rename: [Option<u64>; NUM_REGS],
-    /// In-flight stores `(seq, addr, width)` for forwarding, in program order.
-    pending_stores: VecDeque<(u64, u64, u64)>,
+    /// The youngest in-flight store to each address, for a dispatching
+    /// load's store producer.
+    store_index: FxHashMap<u64, u64>,
     /// Post-commit store buffer: recently retired store addresses still
     /// forwardable to younger loads (drained write combining).
     retired_stores: VecDeque<u64>,
@@ -220,7 +300,7 @@ pub struct OooCore {
 impl OooCore {
     /// Creates a core in its reset state.
     pub fn new(cfg: CoreConfig) -> Self {
-        let ring = (cfg.rob_size + 1).next_power_of_two();
+        let ring = (cfg.rob_size + cfg.fetch_queue).next_power_of_two().max(64);
         OooCore {
             cfg,
             cpu: Cpu::new(),
@@ -228,17 +308,20 @@ impl OooCore {
             stride_pf: StridePrefetcher::paper_default(),
             imp: cfg.imp_prefetcher.then(|| ImpPrefetcher::new(ImpConfig::default())),
             cycle: 0,
-            seq_next: 0,
             head_seq: 0,
-            rob: VecDeque::with_capacity(cfg.rob_size + 1),
-            unissued: VecDeque::with_capacity(cfg.rob_size + 1),
-            ready: Vec::new(),
+            dispatch_seq: 0,
+            seq_next: 0,
+            ring: vec![DynInst::VACANT; ring],
+            ring_mask: ring as u64 - 1,
+            unissued: SlotBits::new(ring),
+            unissued_count: 0,
+            window_end: u64::MAX,
+            ready: SlotBits::new(ring),
+            wake_next: Vec::new(),
             calendar: BinaryHeap::new(),
             consumers: vec![Vec::new(); ring],
-            ring_mask: ring as u64 - 1,
-            fetchq: VecDeque::new(),
             rename: [None; NUM_REGS],
-            pending_stores: VecDeque::new(),
+            store_index: FxHashMap::default(),
             retired_stores: VecDeque::new(),
             retired_index: FxHashMap::default(),
             loads_in_rob: 0,
@@ -335,12 +418,12 @@ impl OooCore {
     ///
     /// Every failure mode is reported as a [`SimError`] instead of a
     /// panic: a functional executor fault ([`SimError::ExecFault`]), a
-    /// wedged pipeline caught by the forward-progress watchdog
-    /// ([`SimError::Deadlock`], with a diagnostic snapshot), an exceeded
-    /// cycle budget, a fatal injected fault from the fault-injection
-    /// harness, or a second call on the same core
-    /// ([`SimError::CoreReused`]). Statistics up to the failure point stay
-    /// readable through [`OooCore::stats`] either way.
+    /// wedged pipeline caught by the forward-progress watchdog or by an
+    /// idle span that never ends ([`SimError::Deadlock`], with a
+    /// diagnostic snapshot), an exceeded cycle budget, a fatal injected
+    /// fault from the fault-injection harness, or a second call on the
+    /// same core ([`SimError::CoreReused`]). Statistics up to the failure
+    /// point stay readable through [`OooCore::stats`] either way.
     pub fn run<E: RunaheadEngine + ?Sized>(
         &mut self,
         prog: &Program,
@@ -438,7 +521,9 @@ impl OooCore {
     /// # Errors
     ///
     /// The failure modes of [`OooCore::run`]; the session is dead after an
-    /// error.
+    /// error. An idle span that never ends (a dropped memory response with
+    /// the watchdog and the cycle budget off) is a [`SimError::Deadlock`]
+    /// at the cycle it starts, sanitized or not.
     pub fn step_cycle<E: RunaheadEngine + ?Sized>(
         &mut self,
         prog: &Program,
@@ -478,9 +563,7 @@ impl OooCore {
         } else if self.cfg.watchdog_cycles != 0
             && self.cycle - session.last_commit_cycle >= self.cfg.watchdog_cycles
         {
-            return Err(SimError::Deadlock(Box::new(
-                self.snapshot(hier, session.last_commit_cycle),
-            )));
+            return Err(self.deadlock(hier, session));
         }
 
         if self.cfg.max_cycles != 0 && self.cycle >= self.cfg.max_cycles {
@@ -490,13 +573,17 @@ impl OooCore {
             });
         }
 
-        if self.cpu.is_halted() && self.fetchq.is_empty() && self.rob.is_empty() {
+        if self.cpu.is_halted() && self.seq_next == self.head_seq {
             return Ok(Step::Done);
         }
         // `run` and `run_segment` read `stats.cycles` from the cycle that
         // reached the target, so the core never jumps past it.
         if self.stats.committed < session.target {
             let span = self.idle_span(session);
+            if span.until >= NEVER_COMPLETES {
+                // Only a response that never arrives ends no idle span.
+                return Err(self.deadlock(hier, session));
+            }
             if !self.cfg.sanitize {
                 self.skip(span);
             } else if self.predicted_idle.is_none_or(|p| p.until <= self.cycle + 1) {
@@ -515,16 +602,18 @@ impl OooCore {
         let soon = self.cycle + 1;
         let busy = IdleSpan { until: soon, window_full: false, blocked: (0, 0) };
         // Issue: a ready entry inside the window issues next cycle (issuing
-        // moved the window); otherwise the calendar names the next wake.
-        let mut until = match self.ready.first() {
-            Some(&seq) if seq < self.window_end() => return busy,
-            _ => self.calendar.peek().map_or(u64::MAX, |&Reverse((at, _))| at),
-        };
+        // moved the window), and a wake due next cycle makes one ready;
+        // otherwise the calendar names the next wake.
+        if !self.wake_next.is_empty() || self.ready.first(self.head_seq, self.issue_end()).is_some()
+        {
+            return busy;
+        }
+        let mut until = self.calendar.peek().map_or(u64::MAX, |&Reverse((at, _))| at);
         // Dispatch: acts next cycle unless the window is full. A window
         // full on the LQ or SQ alone leaves ROB room, so dispatch re-arms
         // the stall trigger and it fires on every such cycle.
-        if let Some(front) = self.fetchq.front() {
-            let armed = self.stall_episode_armed || self.rob.len() < self.cfg.rob_size;
+        if let Some(front) = self.fetch_front() {
+            let armed = self.stall_episode_armed || self.rob_len() < self.cfg.rob_size;
             if !self.window_full(front) || (armed && self.head_waits_on_memory(soon)) {
                 return busy;
             }
@@ -533,14 +622,14 @@ impl OooCore {
         // commit go; until then each cycle past its completion counts as
         // blocked by the engine.
         let mut blocked = (0, 0);
-        if let Some(head) = self.rob.front().filter(|h| h.issued) {
+        if let Some(head) = self.rob_head().filter(|h| h.issued) {
             until = until.min(head.complete_at.max(self.commit_block_until));
             blocked = (head.complete_at, self.commit_block_until);
         }
         // Fetch: resumes when a redirect's refill ends.
         if !self.cpu.is_halted()
             && self.fetch_blocked_on.is_none()
-            && self.fetchq.len() < self.cfg.fetch_queue
+            && self.fetch_len() < self.cfg.fetch_queue
         {
             until = until.min(self.fetch_stall_until);
         }
@@ -551,7 +640,7 @@ impl OooCore {
         if self.cfg.max_cycles != 0 {
             until = until.min(self.cfg.max_cycles);
         }
-        IdleSpan { until: until.max(soon), window_full: !self.fetchq.is_empty(), blocked }
+        IdleSpan { until: until.max(soon), window_full: self.fetch_len() > 0, blocked }
     }
 
     /// Jumps over an idle span: adds what its cycles would have added to
@@ -567,7 +656,7 @@ impl OooCore {
             self.stats.rob_full_stall_cycles += n;
         }
         self.stats.commit_blocked_engine_cycles += span.blocked_cycles(from, span.until);
-        if self.rob.len() < self.cfg.rob_size {
+        if self.rob_len() < self.cfg.rob_size {
             self.stall_episode_armed = true;
         }
         self.work.skipped += n;
@@ -578,10 +667,10 @@ impl OooCore {
     fn activity(&self) -> Activity {
         Activity {
             committed: self.stats.committed,
-            dispatched: self.head_seq + self.rob.len() as u64,
+            dispatched: self.dispatch_seq,
             fetched: self.seq_next,
             halted: self.cpu.is_halted(),
-            unissued: self.unissued.len(),
+            unissued: self.unissued_count,
             stall_triggers: self.stats.full_rob_stall_events,
             rob_full_cycles: self.stats.rob_full_stall_cycles,
             blocked_cycles: self.stats.commit_blocked_engine_cycles,
@@ -611,6 +700,38 @@ impl OooCore {
         self.cpu.regs()
     }
 
+    /// The ring slot of entry `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.ring_mask) as usize
+    }
+
+    /// Whether `seq` is in the ROB.
+    fn in_rob(&self, seq: u64) -> bool {
+        seq >= self.head_seq && seq < self.dispatch_seq
+    }
+
+    fn rob_len(&self) -> usize {
+        (self.dispatch_seq - self.head_seq) as usize
+    }
+
+    fn fetch_len(&self) -> usize {
+        (self.seq_next - self.dispatch_seq) as usize
+    }
+
+    fn rob_head(&self) -> Option<&DynInst> {
+        (self.head_seq < self.dispatch_seq).then(|| &self.ring[self.slot(self.head_seq)])
+    }
+
+    fn fetch_front(&self) -> Option<&DynInst> {
+        (self.dispatch_seq < self.seq_next).then(|| &self.ring[self.slot(self.dispatch_seq)])
+    }
+
+    /// Seq one past the entries the issue stage may look at: the window
+    /// end, or the ROB's end when every unissued entry fits the window.
+    fn issue_end(&self) -> u64 {
+        self.window_end.min(self.dispatch_seq)
+    }
+
     /// One read-only structural sweep of the pipeline. Every condition is
     /// computed from `&self` state; findings go to the ledger only, so the
     /// sweep cannot perturb timing. `before` is the [`Activity`] as the
@@ -637,28 +758,35 @@ impl OooCore {
             });
         }
 
-        san.check(self.rob.len() <= self.cfg.rob_size, || {
-            format!("cycle {cycle}: rob holds {} > {} entries", self.rob.len(), self.cfg.rob_size)
+        san.check(self.rob_len() <= self.cfg.rob_size, || {
+            format!("cycle {cycle}: rob holds {} > {} entries", self.rob_len(), self.cfg.rob_size)
+        });
+        san.check(self.fetch_len() <= self.cfg.fetch_queue, || {
+            format!(
+                "cycle {cycle}: fetch queue holds {} > {} entries",
+                self.fetch_len(),
+                self.cfg.fetch_queue
+            )
         });
 
-        // Age ordering: sequence numbers are contiguous from the head, and
+        // Each ring slot holds the entry its sequence number names, and
         // nothing is "complete" without having issued.
         let mut loads = 0usize;
         let mut stores = 0usize;
-        let mut unissued_in_rob = 0usize;
-        for (i, di) in self.rob.iter().enumerate() {
-            san.check(di.seq == self.head_seq + i as u64, || {
-                format!(
-                    "cycle {cycle}: rob[{i}] seq {} breaks age order (head seq {})",
-                    di.seq, self.head_seq
-                )
+        for seq in self.head_seq..self.seq_next {
+            let di = &self.ring[self.slot(seq)];
+            san.check(di.seq == seq, || {
+                format!("cycle {cycle}: ring slot of seq {seq} holds seq {}", di.seq)
             });
             san.check(di.issued || di.complete_at == u64::MAX, || {
-                format!("cycle {cycle}: rob[{i}] has a completion time but never issued")
+                format!("cycle {cycle}: seq {seq} has a completion time but never issued")
             });
-            loads += di.is_load() as usize;
-            stores += di.is_store() as usize;
-            unissued_in_rob += !di.issued as usize;
+            if seq < self.dispatch_seq {
+                loads += di.is_load() as usize;
+                stores += di.is_store() as usize;
+            } else {
+                san.check(!di.issued, || format!("cycle {cycle}: undispatched seq {seq} issued"));
+            }
         }
 
         // LQ/SQ counters balance against the ROB contents and capacity.
@@ -678,49 +806,18 @@ impl OooCore {
             )
         });
 
-        // The unissued list holds exactly the unissued ROB entries, in age
-        // order.
-        san.check(unissued_in_rob == self.unissued.len(), || {
-            format!(
-                "cycle {cycle}: {} unissued rob entries but {} unissued-list entries",
-                unissued_in_rob,
-                self.unissued.len()
-            )
-        });
-        let mut prev: Option<u64> = None;
-        for &seq in &self.unissued {
-            let idx = seq.wrapping_sub(self.head_seq) as usize;
-            let ok = idx < self.rob.len() && !self.rob[idx].issued && prev.is_none_or(|p| p < seq);
-            san.check(ok, || {
-                format!("cycle {cycle}: unissued-list seq {seq} is not a live unissued entry")
-            });
-            prev = Some(seq);
-        }
+        self.sanitize_window(&mut san);
         self.sanitize_wakeup(&mut san);
 
         // Rename table points at live producers of the right register.
         for (r, slot) in self.rename.iter().enumerate() {
             if let Some(seq) = *slot {
-                let idx = seq.wrapping_sub(self.head_seq) as usize;
-                let ok = seq >= self.head_seq
-                    && idx < self.rob.len()
-                    && self.rob[idx].instr.dst().map(|d| d.index()) == Some(r);
+                let ok = self.in_rob(seq)
+                    && self.ring[self.slot(seq)].instr.dst().map(|d| d.index()) == Some(r);
                 san.check(ok, || {
                     format!("cycle {cycle}: rename[r{r}] = {seq} is not a live producer of r{r}")
                 });
             }
-        }
-
-        // In-flight stores: program order, alive, and actually stores.
-        let mut prev: Option<u64> = None;
-        for &(seq, _, _) in &self.pending_stores {
-            let idx = seq.wrapping_sub(self.head_seq) as usize;
-            let ok = seq >= self.head_seq && idx < self.rob.len() && self.rob[idx].is_store();
-            san.check(ok, || format!("cycle {cycle}: pending store seq {seq} is not a live store"));
-            san.check(prev.is_none_or(|p| p < seq), || {
-                format!("cycle {cycle}: pending stores out of program order at seq {seq}")
-            });
-            prev = Some(seq);
         }
 
         // Post-commit store buffer and its multiplicity index agree.
@@ -740,66 +837,103 @@ impl OooCore {
         self.san = san;
     }
 
+    /// The issue window: a slot's unissued bit is set exactly when it holds
+    /// an unissued ROB entry, the count matches, and the window end is the
+    /// `iq_size`-th of those entries.
+    fn sanitize_window(&self, san: &mut SanitizeReport) {
+        let cycle = self.cycle;
+        let (mut count, mut end, mut stray) = (0usize, u64::MAX, None);
+        for seq in self.head_seq..self.head_seq + self.ring.len() as u64 {
+            let live = self.in_rob(seq) && !self.ring[self.slot(seq)].issued;
+            if self.unissued.get(seq) != live {
+                stray.get_or_insert(seq);
+            }
+            if live {
+                if count == self.cfg.iq_size {
+                    end = seq;
+                }
+                count += 1;
+            }
+        }
+        san.check(stray.is_none(), || {
+            format!("cycle {cycle}: unissued bit of seq {stray:?} disagrees with the rob")
+        });
+        san.check(count == self.unissued_count, || {
+            format!(
+                "cycle {cycle}: {count} unissued rob entries but an unissued count of {}",
+                self.unissued_count
+            )
+        });
+        san.check(end == self.window_end, || {
+            format!("cycle {cycle}: window end {} but the window ends at {end}", self.window_end)
+        });
+    }
+
     /// The wakeup bookkeeping: each unissued entry waits on producers, sits
-    /// in the calendar or is ready (exactly one of the three), its pending
-    /// count is the number of its producers that have not issued, its
-    /// store producer is the youngest older in-flight store to its address,
-    /// and the consumer lists hold exactly the pending waits.
+    /// in the calendar or the next-cycle lane, or is ready (exactly one of
+    /// the four), its pending count is the number of its producers that
+    /// have not issued, its store producer is the youngest older in-flight
+    /// store to its address, the store index names the youngest in-flight
+    /// store of each address, and the consumer lists hold exactly the
+    /// pending waits.
     fn sanitize_wakeup(&self, san: &mut SanitizeReport) {
         // Plain loops and one ledger check in all: this runs on every
         // sanitized cycle, in debug builds too.
-        let (cycle, head, len) = (self.cycle, self.head_seq, self.rob.len());
+        let (cycle, head, len) = (self.cycle, self.head_seq, self.rob_len());
+        let waits = |seq: u64| self.in_rob(seq) && !self.ring[self.slot(seq)].issued;
         let mut places = vec![0u32; len];
         let mut bad: Option<String> = None;
         for &Reverse((at, seq)) in &self.calendar {
-            let i = seq.wrapping_sub(head) as usize;
-            if i < len && !self.rob[i].issued && self.rob[i].ready_at == at && at > cycle {
-                places[i] += 1;
+            if waits(seq) && self.ring[self.slot(seq)].ready_at == at && at > cycle {
+                places[(seq - head) as usize] += 1;
             } else {
                 bad.get_or_insert_with(|| format!("calendar entry ({at}, {seq}) is not a wake"));
             }
         }
-        let mut prev: Option<u64> = None;
-        for &seq in &self.ready {
-            let i = seq.wrapping_sub(head) as usize;
-            if i < len && !self.rob[i].issued && self.rob[i].ready_at <= cycle && prev < Some(seq) {
-                places[i] += 1;
+        for &seq in &self.wake_next {
+            if waits(seq) && self.ring[self.slot(seq)].ready_at == cycle + 1 {
+                places[(seq - head) as usize] += 1;
             } else {
-                bad.get_or_insert_with(|| {
-                    format!("ready-set seq {seq} is out of order or not ready")
-                });
+                bad.get_or_insert_with(|| format!("next-cycle wake {seq} is not due next cycle"));
             }
-            prev = Some(seq);
+        }
+        for seq in head..head + self.ring.len() as u64 {
+            if !self.ready.get(seq) {
+                continue;
+            }
+            if waits(seq) && self.ring[self.slot(seq)].ready_at <= cycle {
+                places[(seq - head) as usize] += 1;
+            } else {
+                bad.get_or_insert_with(|| format!("ready bit of seq {seq} is set but not ready"));
+            }
         }
         let mut pending = 0usize;
-        for (i, di) in self.rob.iter().enumerate() {
+        let mut youngest_store: FxHashMap<u64, u64> = FxHashMap::default();
+        for (i, seq) in (head..self.dispatch_seq).enumerate() {
+            let di = &self.ring[self.slot(seq)];
+            let want_store = match di.mem {
+                Some(m) if di.class == FuClass::Load => youngest_store.get(&m.addr).copied(),
+                Some(m) if di.class == FuClass::Store => {
+                    youngest_store.insert(m.addr, seq);
+                    None
+                }
+                _ => None,
+            };
             if di.issued {
                 continue;
             }
             // Committed producers have issued; in-flight ones either issued
             // (and bound `ready_at`) or are pending.
             let (mut unissued, mut covered) = (0u32, true);
-            for k in 0..di.deps.len() {
-                let Some(p) = di.deps[k] else { continue };
-                let j = p.wrapping_sub(head) as usize;
-                if j < len {
-                    let producer = &self.rob[j];
-                    if producer.issued {
-                        covered &= producer.complete_at <= di.ready_at;
-                    } else {
-                        unissued += 1;
-                    }
+            for p in di.deps.into_iter().flatten().filter(|&p| self.in_rob(p)) {
+                let producer = &self.ring[self.slot(p)];
+                if producer.issued {
+                    covered &= producer.complete_at <= di.ready_at;
+                } else {
+                    unissued += 1;
                 }
             }
-            let store = di.deps[MEM_DEP].filter(|&p| p.wrapping_sub(head) < len as u64);
-            let mut want_store = None;
-            if let Some(m) = di.mem.filter(|_| di.class == FuClass::Load) {
-                for &(seq, addr, _) in &self.pending_stores {
-                    if seq < di.seq && addr == m.addr {
-                        want_store = Some(seq);
-                    }
-                }
-            }
+            let store = di.deps[MEM_DEP].filter(|&p| self.in_rob(p));
             let ok = places[i] + (di.pending > 0) as u32 == 1
                 && di.pending == unissued
                 && covered
@@ -814,6 +948,16 @@ impl OooCore {
                 });
             }
             pending += di.pending as usize;
+        }
+        if youngest_store != self.store_index {
+            bad.get_or_insert_with(|| {
+                format!(
+                    "store index names {} addresses, not the youngest in-flight store of each \
+                     of {}",
+                    self.store_index.len(),
+                    youngest_store.len()
+                )
+            });
         }
         let listed: usize = self.consumers.iter().map(Vec::len).sum();
         if listed != pending {
@@ -830,30 +974,31 @@ impl OooCore {
         self.san = san;
     }
 
-    /// Captures the pipeline state for a deadlock diagnostic.
-    fn snapshot(&self, hier: &MemoryHierarchy, last_commit_cycle: u64) -> DeadlockSnapshot {
-        DeadlockSnapshot {
+    /// A deadlock at the current cycle, with the pipeline's diagnostic
+    /// snapshot.
+    fn deadlock(&self, hier: &MemoryHierarchy, session: &StepSession) -> SimError {
+        SimError::Deadlock(Box::new(DeadlockSnapshot {
             cycle: self.cycle,
-            last_commit_cycle,
+            last_commit_cycle: session.last_commit_cycle,
             committed: self.stats.committed,
-            rob_len: self.rob.len(),
-            rob_head: self.rob.front().map(|di| {
+            rob_len: self.rob_len(),
+            rob_head: self.rob_head().map(|di| {
                 format!(
                     "seq {} pc {} {:?} (issued: {}, complete_at: {})",
                     di.seq, di.pc, di.instr, di.issued, di.complete_at
                 )
             }),
-            iq_unissued: self.unissued.len(),
-            fetchq_len: self.fetchq.len(),
+            iq_unissued: self.unissued_count,
+            fetchq_len: self.fetch_len(),
             mshrs_in_use: hier.mshrs_in_use(self.cycle),
             dram_calendar_depth: hier.dram_calendar_depth(),
-        }
+        }))
     }
 
     fn commit(&mut self, hier: &mut MemoryHierarchy) {
         // Engine-imposed commit block (VR delayed termination).
         if self.commit_block_until > self.cycle {
-            if let Some(head) = self.rob.front() {
+            if let Some(head) = self.rob_head() {
                 if head.issued && head.complete_at <= self.cycle {
                     self.stats.commit_blocked_engine_cycles += 1;
                 }
@@ -862,28 +1007,29 @@ impl OooCore {
         }
         let mut n = 0;
         while n < self.cfg.width {
-            let Some(head) = self.rob.front() else { break };
+            let Some(head) = self.rob_head() else { break };
             if !head.issued || head.complete_at > self.cycle {
                 break;
             }
-            let di = self.rob.pop_front().expect("head exists");
+            let (seq, instr, mem, mispredicted) =
+                (head.seq, head.instr, head.mem, head.mispredicted);
             self.head_seq += 1;
-            if let Some(dst) = di.instr.dst() {
-                if self.rename[dst.index()] == Some(di.seq) {
+            if let Some(dst) = instr.dst() {
+                if self.rename[dst.index()] == Some(seq) {
                     self.rename[dst.index()] = None;
                 }
             }
-            if di.is_load() {
+            if instr.is_load() {
                 self.loads_in_rob -= 1;
             }
-            if di.is_store() {
+            if instr.is_store() {
                 self.stores_in_rob -= 1;
-                let m = di.mem.expect("store has a memory access");
+                let m = mem.expect("store has a memory access");
                 hier.store(self.cycle, m.addr, AccessClass::Demand);
                 // Stores commit in order; move the forwarding entry into the
                 // post-commit store buffer.
-                if let Some(pos) = self.pending_stores.iter().position(|(s, _, _)| *s == di.seq) {
-                    self.pending_stores.remove(pos);
+                if self.store_index.get(&m.addr) == Some(&seq) {
+                    self.store_index.remove(&m.addr);
                 }
                 self.retired_stores.push_back(m.addr);
                 *self.retired_index.entry(m.addr).or_insert(0) += 1;
@@ -896,9 +1042,9 @@ impl OooCore {
                     }
                 }
             }
-            if di.instr.is_cond_branch() {
+            if instr.is_cond_branch() {
                 self.stats.cond_branches += 1;
-                if di.mispredicted {
+                if mispredicted {
                     self.stats.branch_mispredicts += 1;
                 }
             }
@@ -920,12 +1066,15 @@ impl OooCore {
         hier: &mut MemoryHierarchy,
         engine: &mut E,
     ) {
+        for seq in self.wake_next.drain(..) {
+            self.ready.set(seq);
+        }
         while let Some(&Reverse((at, seq))) = self.calendar.peek() {
             if at > self.cycle {
                 break;
             }
             self.calendar.pop();
-            insert_sorted(&mut self.ready, seq);
+            self.ready.set(seq);
         }
         let mut slots = self.cfg.issue_width;
         let mut alu = self.cfg.int_alu;
@@ -934,13 +1083,14 @@ impl OooCore {
         let mut ld = self.cfg.load_ports;
         let mut st = self.cfg.store_ports;
 
-        let window_end = self.window_end();
-        let mut i = 0;
-        while slots > 0 && i < self.ready.len() && self.ready[i] < window_end {
-            let seq = self.ready[i];
+        let end = self.issue_end();
+        let mut from = self.head_seq;
+        while slots > 0 {
+            let Some(seq) = self.ready.first(from, end) else { break };
+            from = seq + 1;
             self.work.issue_candidates += 1;
-            let idx = (seq - self.head_seq) as usize;
-            let class = self.rob[idx].class;
+            let idx = self.slot(seq);
+            let class = self.ring[idx].class;
             let unit = match class {
                 FuClass::Alu => &mut alu,
                 FuClass::Mul => &mut mul,
@@ -949,26 +1099,31 @@ impl OooCore {
                 FuClass::Store => &mut st,
             };
             if *unit == 0 {
-                i += 1;
                 continue;
             }
 
             // Issue it.
             *unit -= 1;
             slots -= 1;
-            self.ready.remove(i);
-            let pos = self.unissued.binary_search(&seq).expect("a ready entry is unissued");
-            self.unissued.remove(pos);
+            self.ready.clear(seq);
+            self.unissued.clear(seq);
+            self.unissued_count -= 1;
+            if self.window_end != u64::MAX {
+                // The window slides to take in the next unissued entry.
+                self.window_end =
+                    self.unissued.first(self.window_end + 1, self.dispatch_seq).unwrap_or(u64::MAX);
+            }
             let cycle = self.cycle;
-            let di = &mut self.rob[idx];
+            let di = &mut self.ring[idx];
             di.issued = true;
             let instr = di.instr;
             let m = di.mem;
             let pcv = di.pc;
+            let store = di.deps[MEM_DEP];
             let complete_at = if class == FuClass::Load {
                 let m = m.expect("load access");
                 self.stats.loads += 1;
-                if self.forwards(seq, m.addr) {
+                if self.forwards(store, m.addr) {
                     self.stats.store_forwards += 1;
                     cycle + 1
                 } else {
@@ -1000,7 +1155,7 @@ impl OooCore {
             } else {
                 cycle + exec_latency(&instr)
             };
-            let di = &mut self.rob[idx];
+            let di = &mut self.ring[idx];
             di.complete_at = complete_at;
 
             // A resolving mispredicted branch redirects fetch.
@@ -1012,40 +1167,46 @@ impl OooCore {
         }
     }
 
-    /// Seq one past the issue window: the oldest unissued entry outside the
-    /// first `iq_size` (`u64::MAX` when all of them fit).
-    fn window_end(&self) -> u64 {
-        self.unissued.get(self.cfg.iq_size).copied().unwrap_or(u64::MAX)
-    }
-
     /// Hands an issued producer's completion time to the entries waiting on
-    /// it. One whose last producer this was enters the calendar, or the
-    /// ready set if the producer completes this very cycle.
+    /// it. One whose last producer this was is scheduled for the cycle it
+    /// becomes ready.
     fn wake_consumers(&mut self, producer: u64, complete_at: u64) {
-        let slot = (producer & self.ring_mask) as usize;
+        let slot = self.slot(producer);
         let mut consumers = std::mem::take(&mut self.consumers[slot]);
         for &seq in &consumers {
-            let di = &mut self.rob[(seq - self.head_seq) as usize];
+            let idx = self.slot(seq);
+            let di = &mut self.ring[idx];
             di.ready_at = di.ready_at.max(complete_at);
             di.pending -= 1;
             if di.pending == 0 {
-                if di.ready_at <= self.cycle {
-                    insert_sorted(&mut self.ready, seq);
-                } else {
-                    self.calendar.push(Reverse((di.ready_at, seq)));
-                }
+                let at = di.ready_at;
+                self.schedule(seq, at);
             }
         }
         consumers.clear();
         self.consumers[slot] = consumers;
     }
 
-    /// Whether a load of `addr` takes its data from an older store: an
-    /// in-flight one (the load waited for it as a producer, so it has
-    /// completed) or one still in the post-commit store buffer.
-    fn forwards(&self, load_seq: u64, addr: u64) -> bool {
-        self.pending_stores.iter().any(|&(seq, a, _)| seq < load_seq && a == addr)
-            || self.retired_index.contains_key(&addr)
+    /// Files an entry whose producers have all issued under the cycle `at`
+    /// it becomes ready: the ready set if that is now, the next-cycle lane,
+    /// or the calendar.
+    fn schedule(&mut self, seq: u64, at: u64) {
+        if at <= self.cycle {
+            self.ready.set(seq);
+        } else if at == self.cycle + 1 {
+            self.wake_next.push(seq);
+        } else {
+            self.calendar.push(Reverse((at, seq)));
+        }
+    }
+
+    /// Whether a load of `addr` whose store producer is `store` takes its
+    /// data from an older store: an in-flight one (the load waited for it,
+    /// so it has completed) or one still in the post-commit store buffer.
+    /// Stores commit in order, so once the youngest older store to `addr`
+    /// retires, every older one has too.
+    fn forwards(&self, store: Option<u64>, addr: u64) -> bool {
+        store.is_some_and(|s| s >= self.head_seq) || self.retired_index.contains_key(&addr)
     }
 
     fn dispatch<E: RunaheadEngine + ?Sized>(
@@ -1055,51 +1216,56 @@ impl OooCore {
         hier: &mut MemoryHierarchy,
         engine: &mut E,
     ) {
-        if self.rob.len() < self.cfg.rob_size {
+        if self.rob_len() < self.cfg.rob_size {
             self.stall_episode_armed = true;
         }
         let mut n = 0;
         while n < self.cfg.width {
-            let Some(next) = self.fetchq.front() else { break };
+            let Some(next) = self.fetch_front() else { break };
             if self.window_full(next) {
                 self.note_window_full(prog, mem, hier, engine);
                 break;
             }
 
-            let mut di = self.fetchq.pop_front().expect("nonempty");
+            let seq = self.dispatch_seq;
+            let idx = self.slot(seq);
+            let di = &mut self.ring[idx];
             for (k, r) in di.instr.srcs().enumerate() {
                 di.deps[k] = self.rename[r.index()];
             }
-            if let Some(m) = di.mem.filter(|_| di.is_load()) {
-                let store = self.pending_stores.iter().rev().find(|&&(_, a, _)| a == m.addr);
-                di.deps[MEM_DEP] = store.map(|&(seq, _, _)| seq);
-            }
             if let Some(dst) = di.instr.dst() {
-                self.rename[dst.index()] = Some(di.seq);
+                self.rename[dst.index()] = Some(seq);
             }
-            if di.is_load() {
-                self.loads_in_rob += 1;
-            }
-            if di.is_store() {
-                self.stores_in_rob += 1;
-                let m = di.mem.expect("store access");
-                self.pending_stores.push_back((di.seq, m.addr, m.width));
-            }
-
-            {
-                let mut ctx = EngineCtx {
-                    cycle: self.cycle,
-                    prog,
-                    frontier: ArchSnapshot::of(&self.cpu),
-                    mem,
-                    hier,
-                };
-                engine.on_dispatch(&mut ctx, &di);
+            match di.class {
+                FuClass::Load => {
+                    self.loads_in_rob += 1;
+                    let m = di.mem.expect("load access");
+                    di.deps[MEM_DEP] = self.store_index.get(&m.addr).copied();
+                }
+                FuClass::Store => {
+                    self.stores_in_rob += 1;
+                    let m = di.mem.expect("store access");
+                    self.store_index.insert(m.addr, seq);
+                }
+                _ => {}
             }
 
-            self.register(&mut di);
-            self.unissued.push_back(di.seq);
-            self.rob.push_back(di);
+            let mut ctx = EngineCtx {
+                cycle: self.cycle,
+                prog,
+                frontier: ArchSnapshot::of(&self.cpu),
+                mem,
+                hier,
+            };
+            engine.on_dispatch(&mut ctx, &self.ring[idx]);
+
+            self.dispatch_seq += 1;
+            self.register(seq);
+            self.unissued.set(seq);
+            self.unissued_count += 1;
+            if self.unissued_count == self.cfg.iq_size + 1 {
+                self.window_end = seq;
+            }
             n += 1;
         }
     }
@@ -1109,27 +1275,33 @@ impl OooCore {
     /// dispatch and constitute the classic runahead trigger when a load
     /// miss blocks the head.
     fn window_full(&self, next: &DynInst) -> bool {
-        self.rob.len() >= self.cfg.rob_size
+        self.rob_len() >= self.cfg.rob_size
             || (next.is_load() && self.loads_in_rob >= self.cfg.lq_size)
             || (next.is_store() && self.stores_in_rob >= self.cfg.sq_size)
     }
 
     /// Counts a dispatching entry's unissued producers and puts it on
-    /// their consumer lists; an entry without one goes into the calendar.
-    fn register(&mut self, di: &mut DynInst) {
-        di.ready_at = self.cycle + 1;
-        di.pending = 0;
-        for &p in di.deps.iter().flatten() {
-            let producer = &self.rob[(p - self.head_seq) as usize];
+    /// their consumer lists; an entry without one is scheduled for the
+    /// cycle it becomes ready.
+    fn register(&mut self, seq: u64) {
+        let idx = self.slot(seq);
+        let mut ready_at = self.cycle + 1;
+        let mut pending = 0;
+        for p in self.ring[idx].deps.into_iter().flatten() {
+            let producer = &self.ring[self.slot(p)];
             if producer.issued {
-                di.ready_at = di.ready_at.max(producer.complete_at);
+                ready_at = ready_at.max(producer.complete_at);
             } else {
-                di.pending += 1;
-                self.consumers[(p & self.ring_mask) as usize].push(di.seq);
+                pending += 1;
+                let slot = self.slot(p);
+                self.consumers[slot].push(seq);
             }
         }
-        if di.pending == 0 {
-            self.calendar.push(Reverse((di.ready_at, di.seq)));
+        let di = &mut self.ring[idx];
+        di.ready_at = ready_at;
+        di.pending = pending;
+        if pending == 0 {
+            self.schedule(seq, ready_at);
         }
     }
 
@@ -1137,7 +1309,7 @@ impl OooCore {
     /// *long-latency* load blocks the head (an L2-hit blip does not send
     /// the core into runahead).
     fn head_waits_on_memory(&self, at: u64) -> bool {
-        self.rob.front().is_some_and(|h| h.is_load() && h.issued && h.complete_at > at + 30)
+        self.rob_head().is_some_and(|h| h.is_load() && h.issued && h.complete_at > at + 30)
     }
 
     fn note_window_full<E: RunaheadEngine + ?Sized>(
@@ -1154,7 +1326,7 @@ impl OooCore {
         if self.stall_episode_armed && self.head_waits_on_memory(self.cycle) {
             self.stall_episode_armed = false;
             self.stats.full_rob_stall_events += 1;
-            let head_complete = self.rob.front().expect("a load blocks the head").complete_at;
+            let head_complete = self.rob_head().expect("a load blocks the head").complete_at;
             let mut ctx = EngineCtx {
                 cycle: self.cycle,
                 prog,
@@ -1175,7 +1347,7 @@ impl OooCore {
             return Ok(());
         }
         let mut n = 0;
-        while n < self.cfg.width && self.fetchq.len() < self.cfg.fetch_queue {
+        while n < self.cfg.width && self.fetch_len() < self.cfg.fetch_queue {
             let pc = self.cpu.pc();
             let Some(instr) = prog.fetch(pc).copied() else {
                 // Off the end: the functional step reports Halted for a
@@ -1193,36 +1365,32 @@ impl OooCore {
             }
             match self.cpu.step(prog, mem) {
                 Ok(sim_isa::StepEvent::Executed(step)) => {
-                    let mut di = DynInst {
-                        seq: self.seq_next,
+                    let seq = self.seq_next;
+                    let mut mispredicted = false;
+                    if let Some(taken) = step.branch_taken {
+                        let predicted = self.bp.predict(pc);
+                        self.bp.update(pc, taken, predicted);
+                        if predicted != taken {
+                            mispredicted = true;
+                            self.fetch_blocked_on = Some(seq);
+                        }
+                    }
+                    let idx = self.slot(seq);
+                    self.ring[idx] = DynInst {
+                        seq,
                         pc,
                         instr: step.instr,
                         mem: step.mem,
                         branch_taken: step.branch_taken,
                         src_values,
                         dst_value: step.dst_value,
-                        mispredicted: false,
-                        deps: [None; 4],
+                        mispredicted,
                         class: fu_class(&step.instr),
-                        issued: false,
-                        complete_at: u64::MAX,
-                        pending: 0,
-                        ready_at: u64::MAX,
+                        ..DynInst::VACANT
                     };
                     self.seq_next += 1;
-                    let mut stop = false;
-                    if let Some(taken) = step.branch_taken {
-                        let predicted = self.bp.predict(pc);
-                        self.bp.update(pc, taken, predicted);
-                        if predicted != taken {
-                            di.mispredicted = true;
-                            self.fetch_blocked_on = Some(di.seq);
-                            stop = true;
-                        }
-                    }
-                    self.fetchq.push_back(di);
                     n += 1;
-                    if stop {
+                    if mispredicted {
                         break;
                     }
                 }
@@ -1232,12 +1400,6 @@ impl OooCore {
         }
         Ok(())
     }
-}
-
-/// Inserts `seq` into an age-ordered list.
-fn insert_sorted(list: &mut Vec<u64>, seq: u64) {
-    let pos = list.partition_point(|&s| s < seq);
-    list.insert(pos, seq);
 }
 
 /// Cycles after the current one in which no stage can act: the skip

@@ -194,7 +194,8 @@ echo "== event-driven core: work counters match the golden, stepping matches ski
 # deterministic, so a change that quietly stops skipping diffs against
 # tests/golden/work_counters.txt (cells are bench[/input]:technique). A
 # sanitized run steps every cycle and must print the same JSON; Camel under
-# VR covers the engine's commit-block path.
+# VR covers the engine's commit-block path, bfs/UR under DVR the busy,
+# few-idle-cycle path, and a 64-entry ROB a ring its window wraps often.
 cargo build -q --release -p dvr-sim --bin dvrsim
 dvrsim=target/release/dvrsim
 cell_args() {
@@ -211,12 +212,15 @@ work="$(for cell in hj8:ooo camel:vr nas-is:dvr bfs/ur:oracle; do
 done)"
 diff -u tests/golden/work_counters.txt <(echo "$work") \
     || { echo "work counters drifted from tests/golden/work_counters.txt"; exit 1; }
-for cell in hj8:ooo camel:vr; do
-  # shellcheck disable=SC2046
-  plain="$("$dvrsim" $(cell_args "$cell") --size test --instrs 20000 --json | strip_clock)"
-  # shellcheck disable=SC2046
-  sane="$("$dvrsim" $(cell_args "$cell") --size test --instrs 20000 --json --sanitize | strip_clock)"
-  [ "$plain" = "$sane" ] || { echo "$cell: stepping (sanitized) JSON diverged from skipping"; exit 1; }
+for run in hj8:ooo camel:vr bfs/ur:dvr "bfs/ur:dvr --rob 64"; do
+  cell="${run%% *}"
+  extra="${run#"$cell"}"
+  # shellcheck disable=SC2046,SC2086
+  plain="$("$dvrsim" $(cell_args "$cell") $extra --size test --instrs 20000 --json | strip_clock)"
+  # shellcheck disable=SC2046,SC2086
+  sane="$("$dvrsim" $(cell_args "$cell") $extra --size test --instrs 20000 --json --sanitize \
+      | strip_clock)"
+  [ "$plain" = "$sane" ] || { echo "$run: stepping (sanitized) JSON diverged from skipping"; exit 1; }
 done
 
 echo "== sanitize smoke: one figure cell under the sanitizer =="

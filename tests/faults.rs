@@ -56,6 +56,35 @@ fn dropped_responses_charge_mlp_only_until_the_run_stops() {
     assert!(r.mlp > 0.0 && r.mlp <= mshrs, "mlp {} outside (0, {mshrs}]", r.mlp);
 }
 
+/// With the watchdog off, a dropped response still ends the run: the idle
+/// span after it never ends, so the core reports a deadlock where the span
+/// starts instead of jumping to the never-completing cycle. A sanitized
+/// run, which steps every cycle, stops at the same cycle.
+#[test]
+fn a_wedged_run_with_the_watchdog_off_is_a_deadlock() {
+    let wl = Benchmark::NasIs.build(None, SizeClass::Test, 42);
+    let cfg = SimConfig::new(Technique::Baseline)
+        .with_max_instructions(20_000)
+        .with_faults(FaultConfig::seeded(1).with_drop(1))
+        .with_watchdog_cycles(0);
+    let snapshot = |sanitize: bool| {
+        let r = simulate(&wl, &cfg.with_sanitize(sanitize));
+        let RunOutcome::Failed(SimError::Deadlock(snap)) = &r.outcome else {
+            panic!("expected a deadlock, got {:?}", r.outcome);
+        };
+        assert_eq!(r.core.cycles, snap.cycle, "the run stops where the wedge starts");
+        assert!(r.to_json().contains("\"outcome\":\"deadlock\""));
+        if let Some(ledger) = &r.sanitizer {
+            assert!(ledger.is_clean(), "{} {:?}", ledger.summary(), ledger.first);
+        }
+        snap.clone()
+    };
+    let plain = snapshot(false);
+    assert!(plain.cycle < 1_000_000, "no jump towards the never-completing cycle: {plain:?}");
+    assert!(plain.rob_len > 0 && plain.mshrs_in_use >= 1, "{plain:?}");
+    assert_eq!(snapshot(true), plain, "stepping and skipping stop at the same wedge");
+}
+
 /// A fatal injected fault surfaces as a typed error with the faulting
 /// line, and partial statistics remain coherent.
 #[test]

@@ -121,6 +121,51 @@ fn idle_skip_matches_stepping_for_every_technique() {
 }
 
 #[test]
+fn idle_skip_matches_stepping_on_small_and_odd_windows() {
+    // The core indexes its ROB, fetch queue, issue window and ready set by
+    // ring slot. Small ROBs wrap the ring every few dozen instructions, an
+    // odd size leaves slots the ROB never fills at once, a one-entry IQ or
+    // fetch queue moves the window end on every issue, and an IQ at least
+    // as large as the ROB never closes the window. The sanitizer checks
+    // each slot every cycle; skipping must still match stepping.
+    let strip = |mut r: SimReport| {
+        r.host_seconds = 0.0;
+        r.to_json()
+    };
+    // (rob_size, iq_size, fetch_queue, lq_size and sq_size)
+    let windows = [(8, 1, 1, 128, 72), (8, 8, 8, 2, 2), (33, 1, 8, 2, 2), (33, 64, 1, 128, 72)];
+    let cells = [(Benchmark::Camel, None), (Benchmark::Bfs, Some(GraphInput::Ur))];
+    for (bench, input) in cells {
+        let wl = bench.build(input, SizeClass::Test, 42);
+        for (rob_size, iq_size, fetch_queue, lq_size, sq_size) in windows {
+            for t in [Technique::Baseline, Technique::Vr, Technique::Dvr] {
+                let mut cfg = SimConfig::new(t).with_max_instructions(5_000);
+                cfg.core = dvr_sim::CoreConfig {
+                    rob_size,
+                    iq_size,
+                    fetch_queue,
+                    lq_size,
+                    sq_size,
+                    ..cfg.core
+                };
+                let plain = simulate(&wl, &cfg);
+                let sane = simulate(&wl, &cfg.with_sanitize(true));
+                let what = format!(
+                    "{} under {} (rob {rob_size}, iq {iq_size}, fetch queue {fetch_queue}, \
+                     lq/sq {lq_size}/{sq_size})",
+                    wl.name,
+                    t.name()
+                );
+                assert!(plain.outcome.is_complete(), "{what}: {:?}", plain.outcome);
+                let ledger = sane.sanitizer.as_ref().expect("sanitizer ledger attached");
+                assert!(ledger.is_clean(), "{what}: {} {:?}", ledger.summary(), ledger.first);
+                assert_eq!(strip(plain), strip(sane), "{what}: skipping changed the report");
+            }
+        }
+    }
+}
+
+#[test]
 fn work_counters_match_the_golden_file() {
     // The cycle loop's work is deterministic, so a change that stops
     // skipping idle cycles or examines more issue candidates diffs here,
