@@ -170,7 +170,7 @@ fn main() {
         "[figures] {experiment} done in {:?} on {} thread(s): {}",
         t0.elapsed(),
         dvr_sim::resolve_threads(threads),
-        ctx.throughput_summary()
+        ctx.throughput_summary(total_wall)
     );
     if cache_dir.is_some() {
         let (hits, misses, stores, corrupt) = ctx.cache_totals();
@@ -214,7 +214,7 @@ fn write_bench_json(
     timings: &[(&str, f64)],
     total_wall: f64,
 ) -> String {
-    let (runs, sim_instrs, _) = ctx.throughput_totals();
+    let (runs, sim_instrs) = ctx.throughput_totals();
     let minstr_per_sec = if total_wall > 0.0 { sim_instrs as f64 / total_wall / 1e6 } else { 0.0 };
     let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
     let run_probes = host_cores != 1;

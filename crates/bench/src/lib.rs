@@ -103,7 +103,6 @@ pub struct Ctx {
     failures: Vec<CellFailure>,
     runs: u64,
     sim_committed: u64,
-    sim_seconds: f64,
     san_checks: u64,
     san_violations: u64,
 }
@@ -125,7 +124,6 @@ impl Ctx {
             failures: Vec::new(),
             runs: 0,
             sim_committed: 0,
-            sim_seconds: 0.0,
             san_checks: 0,
             san_violations: 0,
         }
@@ -325,7 +323,6 @@ impl Ctx {
             // Covered instructions: committed for exact runs, fast-forward +
             // detailed for sampled ones (the honest throughput numerator).
             self.sim_committed += r.simulated_instructions;
-            self.sim_seconds += r.host_seconds;
             if let Some(san) = &r.sanitizer {
                 self.san_checks += san.checks;
                 self.san_violations += san.violations;
@@ -339,27 +336,25 @@ impl Ctx {
         (self.san_checks, self.san_violations)
     }
 
-    /// Aggregate simulation cost over every run through this context:
-    /// `(runs, covered instructions, seconds inside simulate())`. Covered
-    /// means committed for exact runs and fast-forward + detailed for
-    /// sampled ones.
-    /// Seconds are summed per-run host time (CPU time when batches run on
-    /// several threads, wall time when serial).
-    pub fn throughput_totals(&self) -> (u64, u64, f64) {
-        (self.runs, self.sim_committed, self.sim_seconds)
+    /// Aggregate simulation work over every run through this context:
+    /// `(runs, covered instructions)`. Covered means committed for exact
+    /// runs and fast-forward + detailed for sampled ones.
+    pub fn throughput_totals(&self) -> (u64, u64) {
+        (self.runs, self.sim_committed)
     }
 
-    /// One-line aggregate throughput summary (for stderr diagnostics —
-    /// never part of experiment text, which must stay deterministic).
-    pub fn throughput_summary(&self) -> String {
-        let (runs, instrs, secs) = self.throughput_totals();
-        let ips = if secs > 0.0 { instrs as f64 / secs / 1e6 } else { 0.0 };
+    /// One-line aggregate throughput summary over a run that took
+    /// `wall_seconds` of wall clock, workload builds included: covered
+    /// instructions per wall second, as `BENCH_*.json` records it (for
+    /// stderr diagnostics — never part of experiment text, which must stay
+    /// deterministic).
+    pub fn throughput_summary(&self, wall_seconds: f64) -> String {
+        let (runs, instrs) = self.throughput_totals();
+        let ips = if wall_seconds > 0.0 { instrs as f64 / wall_seconds / 1e6 } else { 0.0 };
         format!(
-            "{} runs, {:.1}M instrs simulated in {:.2}s simulate() time ({:.2}M instr/s)",
-            runs,
-            instrs as f64 / 1e6,
-            secs,
-            ips
+            "{runs} runs, {:.1}M instrs simulated in {wall_seconds:.2}s wall clock \
+             ({ips:.2}M instr/s)",
+            instrs as f64 / 1e6
         )
     }
 }
@@ -1317,10 +1312,10 @@ mod tests {
         let reports = ctx.run_batch(&cells);
         let techs: Vec<Technique> = reports.iter().map(|r| r.technique).collect();
         assert_eq!(techs, vec![Technique::Baseline, Technique::Vr, Technique::Dvr]);
-        let (runs, instrs, secs) = ctx.throughput_totals();
+        let (runs, instrs) = ctx.throughput_totals();
         assert_eq!(runs, 3);
-        assert!(instrs > 0 && secs > 0.0);
-        assert!(ctx.throughput_summary().contains("3 runs"));
+        assert!(instrs > 0);
+        assert!(ctx.throughput_summary(1.0).contains("3 runs"));
     }
 
     #[test]

@@ -427,8 +427,12 @@ pub fn simulate_mix(spec: &MixSpec, size: SizeClass, seed: u64, base: &SimConfig
     let n = spec.cores.len();
     let cfgs: Vec<SimConfig> =
         spec.cores.iter().map(|c| base.with_technique(c.technique)).collect();
-    let workloads: Vec<Workload> =
+    let mut workloads: Vec<Workload> =
         spec.cores.iter().map(|c| c.bench.build(c.input, size, seed)).collect();
+    // Each core runs on a clone that shares the built image's pages and
+    // copies only the pages it writes; the image itself stays as built for
+    // the sanitizer's digest replay.
+    workloads.iter_mut().for_each(|w| w.mem.share());
 
     let shared = SharedLlc::new_handle(base.hierarchy.l3, base.hierarchy.dram);
     let mut mems: Vec<SparseMemory> = workloads.iter().map(|w| w.mem.clone()).collect();

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_isa::{Asm, Reg, SparseMemory};
 
-use crate::graphs::{Csr, GraphInput};
+use crate::graphs::{largest_frontier, Csr, GraphInput};
 use crate::hpcdb::busy_work;
 use crate::suite::{Layout, SizeClass, Workload};
 
@@ -46,7 +46,7 @@ pub(crate) fn build_bfs_like(name: &str, g: &Csr, input_name: &str) -> Workload 
     let (offs, edges) = write_csr(&mut mem, &mut layout, g);
 
     let depth = g.bfs_depths(0);
-    let (fd, frontier) = g.largest_frontier(0);
+    let (fd, frontier) = largest_frontier(&depth);
     let visited = layout.alloc_words(g.n);
     for (v, d) in depth.iter().enumerate() {
         if *d != u32::MAX && *d <= fd {
@@ -285,7 +285,7 @@ pub fn sssp(input: GraphInput, size: SizeClass, seed: u64) -> Workload {
         mem.write_u64(weights + 8 * k as u64, rng.random_range(1..16));
     }
     let depth = g.bfs_depths(0);
-    let (_, frontier) = g.largest_frontier(0);
+    let (_, frontier) = largest_frontier(&depth);
     // Mid-algorithm snapshot: approximate distances with per-vertex slack
     // so the relaxation branch fires on a realistic fraction of edges.
     let dist = layout.alloc_words(g.n);
@@ -384,7 +384,7 @@ pub fn bc(input: GraphInput, size: SizeClass, seed: u64) -> Workload {
     let (offs, edges) = write_csr(&mut mem, &mut layout, &g);
 
     let depth = g.bfs_depths(0);
-    let (fd, frontier) = g.largest_frontier(0);
+    let (fd, frontier) = largest_frontier(&depth);
     let depths_arr = layout.alloc_words(g.n);
     let sigma = layout.alloc_words(g.n);
     for (v, dv) in depth.iter().enumerate() {
@@ -491,7 +491,7 @@ mod tests {
         let input = GraphInput::Ur;
         let g = input.generate(SizeClass::Test.graph_scale_shift(), 7);
         let depth = g.bfs_depths(0);
-        let (fd, frontier) = g.largest_frontier(0);
+        let (fd, frontier) = largest_frontier(&depth);
         // Expected newly visited: distinct depth == fd+1 vertices reachable
         // from the frontier.
         let mut expect = 0u64;

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_isa::{Asm, Reg, SparseMemory};
 
-use crate::graphs::rmat;
+use crate::graphs::{rmat, GRAPH500_ABC};
 use crate::suite::{Layout, SizeClass, Workload};
 
 /// Knuth's multiplicative-hash constant (fits in an i64 immediate).
@@ -95,7 +95,7 @@ pub fn camel(size: SizeClass, seed: u64) -> Workload {
 /// Graph500: top-down BFS on a Graph500-parameter Kronecker graph.
 pub fn graph500(size: SizeClass, seed: u64) -> Workload {
     let scale = 16u32.saturating_sub(size.graph_scale_shift()).max(6);
-    let g = rmat(scale, 16, 0.57, 0.19, 0.19, seed ^ 0x500);
+    let g = rmat(scale, 16, GRAPH500_ABC, seed ^ 0x500);
     let mut wl = crate::gap::build_bfs_like("Graph500", &g, "Kron(graph500)");
     wl.description = "Graph500 top-down BFS step on a scale-16 Kronecker graph".to_string();
     wl

@@ -22,6 +22,23 @@ cargo fmt --check --manifest-path perf-bench/Cargo.toml
 cargo clippy "${perf_bench[@]}" --all-targets -- -D warnings
 cargo test -q "${perf_bench[@]}"
 
+echo "== perf-bench digests: Paper-size model digests of all four workloads match the golden =="
+# model_digest hashes every report a plain run simulates, from the Paper-size
+# input builds on, so a change that moves any simulated byte of the four
+# workloads at seed 42 diffs against tests/golden/perf_bench_digests.txt.
+# A run whose own checks fail exits 1 and fails the stage.
+cargo build -q --release "${perf_bench[@]}"
+pb_out="$(mktemp)"
+digests=""
+for w in ooo_stall dvr_gap sampled mix4; do
+  perf-bench/target/release/perf-bench --workload "$w" --seed 42 >"$pb_out" \
+      || { echo "perf-bench --workload $w failed its checks:"; cat "$pb_out"; exit 1; }
+  digests+="$w $(grep '^model_digest ' "$pb_out")"$'\n'
+done
+rm -f "$pb_out"
+diff -u tests/golden/perf_bench_digests.txt <(printf '%s' "$digests") \
+    || { echo "perf-bench model digests drifted from tests/golden/perf_bench_digests.txt"; exit 1; }
+
 echo "== fault smoke: dvr-sim fault/watchdog suite =="
 cargo test -q -p dvr-sim --test faults
 
