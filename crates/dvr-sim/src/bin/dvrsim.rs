@@ -972,10 +972,11 @@ fn sample_worker_main(args: &[String]) -> Result<ExitCode, String> {
             return Ok(ExitCode::SUCCESS);
         }
     };
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let ck = dvr_sim::PeriodCheckpoint::decode(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let wl = cell.bench.build(cell.input, cell.size, cell.seed);
     let cfg = cell.config();
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let ck = dvr_sim::PeriodCheckpoint::decode(cfg.hierarchy, &bytes)
+        .map_err(|e| format!("{path}: {e}"))?;
+    let wl = cell.bench.build(cell.input, cell.size, cell.seed);
     let scfg = scfg.with_max_instructions(cell.instrs);
     let line = match sim_sample::measure_period(
         &wl.prog,

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use sim_isa::bytes::{DecodeError, Reader};
 use sim_isa::{lane_taint_step, BoundsTracker, FxHashMap, Instr, Program};
 
-use crate::cache::{Cache, CacheConfig};
+use crate::cache::{Cache, CacheConfig, TagArray};
 use crate::dram::DramConfig;
 use crate::fault::{FaultConfig, FaultEvent, FaultState, NEVER_COMPLETES};
 use crate::line_of;
@@ -254,11 +254,40 @@ impl MemoryHierarchy {
     /// some configuration already); everything else in `cfg` is private
     /// per-core state.
     pub fn attach_shared(cfg: HierarchyConfig, shared: &SharedLlcHandle) -> Self {
+        Self::assemble(cfg, Cache::new(cfg.l1), Cache::new(cfg.l2), shared)
+    }
+
+    /// Builds a fresh hierarchy under `cfg` around the tag arrays of `warm`,
+    /// with every fill complete: tags, LRU order and dirty bits are the
+    /// warm ones; MSHRs, DRAM, prefetch tracking and statistics start
+    /// empty, exactly as after the functional pass that warmed them.
+    ///
+    /// # Errors
+    ///
+    /// [`GeometryMismatch`] if `warm` was taken under another L1, L2 or L3
+    /// geometry than `cfg`'s.
+    pub fn from_warm_caches(
+        cfg: HierarchyConfig,
+        warm: WarmCaches,
+    ) -> Result<Self, GeometryMismatch> {
+        let level = |level, geometry, tags| {
+            Cache::from_tags(geometry, tags).ok_or(GeometryMismatch { level })
+        };
+        let WarmCaches { l1, l2, l3 } = warm;
+        let (l1, l2, l3) =
+            (level("L1", cfg.l1, l1)?, level("L2", cfg.l2, l2)?, level("L3", cfg.l3, l3)?);
+        let shared = Rc::new(RefCell::new(SharedLlc::with_l3(l3, cfg.dram)));
+        Ok(Self::assemble(cfg, l1, l2, &shared))
+    }
+
+    /// A hierarchy of `l1` and `l2` fronting `shared`, registered with it;
+    /// everything else starts empty.
+    fn assemble(cfg: HierarchyConfig, l1: Cache, l2: Cache, shared: &SharedLlcHandle) -> Self {
         let core_id = shared.borrow_mut().register_core();
         MemoryHierarchy {
             cfg,
-            l1: Cache::new(cfg.l1),
-            l2: Cache::new(cfg.l2),
+            l1,
+            l2,
             mshr: MshrFile::with_prefetch_cap(cfg.mshrs, MSHR_PREFETCH_CAP.min(cfg.mshrs)),
             shared: Rc::clone(shared),
             core_id,
@@ -635,40 +664,21 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Serializes the warm cache state — the three tag arrays, nothing
-    /// else — as a magic-prefixed little-endian image for a sampling
-    /// checkpoint ([`MemoryHierarchy::from_warm_state`] restores it).
+    /// Copies the warm cache state — the three tag arrays, nothing else —
+    /// for a sampling checkpoint ([`MemoryHierarchy::from_warm_caches`]
+    /// builds a hierarchy around it).
     ///
     /// Only meaningful on a hierarchy whose state comes purely from
     /// functional warming ([`MemoryHierarchy::warm_touch`]): warming
     /// engages no MSHRs, DRAM calendar slots, pending-prefetch tracking,
-    /// or statistics, so the tag arrays *are* the whole warm state.
-    pub fn warm_state_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&WARM_STATE_MAGIC.to_le_bytes());
-        self.l1.save_state(&mut out);
-        self.l2.save_state(&mut out);
-        self.shared.borrow().save_l3(&mut out);
-        out
-    }
-
-    /// Builds a fresh hierarchy under `cfg` with the warm cache state of a
-    /// [`MemoryHierarchy::warm_state_bytes`] image installed: tags, LRU
-    /// order, and dirty bits are restored; MSHRs, DRAM, prefetch tracking,
-    /// and statistics start empty, exactly as after the functional pass
-    /// that produced the image.
-    ///
-    /// Fails if the image is malformed, was produced under a different
-    /// cache geometry, or carries trailing bytes.
-    pub fn from_warm_state(cfg: HierarchyConfig, b: &[u8]) -> Result<Self, DecodeError> {
-        let mut h = MemoryHierarchy::new(cfg);
-        let mut r = Reader::new(b);
-        r.magic(WARM_STATE_MAGIC)?;
-        h.l1.load_state(&mut r)?;
-        h.l2.load_state(&mut r)?;
-        h.shared.borrow_mut().load_l3(&mut r)?;
-        r.finish()?;
-        Ok(h)
+    /// statistics or in-flight fills, so the tag arrays *are* the whole
+    /// warm state.
+    pub fn warm_caches(&self) -> WarmCaches {
+        WarmCaches {
+            l1: self.l1.tags().clone(),
+            l2: self.l2.tags().clone(),
+            l3: self.shared.borrow().l3().tags().clone(),
+        }
     }
 
     /// Drains all in-flight timing state at a sampling interval boundary:
@@ -681,7 +691,9 @@ impl MemoryHierarchy {
     /// of the previous interval's clock; without this drain, stale
     /// far-future completion times would wedge the next interval. Warm
     /// state (tags, LRU, dirty bits, prefetch provenance) and all
-    /// cumulative statistics survive.
+    /// cumulative statistics survive. A sampled period needs no drain: it
+    /// builds its hierarchy fresh ([`MemoryHierarchy::from_warm_caches`])
+    /// and drops it at its end.
     pub fn quiesce(&mut self) {
         self.l1.quiesce();
         self.l2.quiesce();
@@ -734,8 +746,69 @@ enum Tier {
 }
 
 /// `"DVRH"`: magic prefix of a warm-hierarchy image
-/// ([`MemoryHierarchy::warm_state_bytes`]).
+/// ([`WarmCaches::to_bytes`]).
 pub const WARM_STATE_MAGIC: u32 = 0x4456_5248;
+
+/// The warm state of a hierarchy's L1, L2 and L3: for each, the probe
+/// tick and every way's tag, LRU stamp and dirty bit, without in-flight
+/// fill times ([`MemoryHierarchy::warm_caches`]). In-process sampling hands
+/// it to each period as it is; it becomes bytes only where a checkpoint
+/// leaves the process ([`WarmCaches::to_bytes`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct WarmCaches {
+    l1: TagArray,
+    l2: TagArray,
+    l3: TagArray,
+}
+
+impl WarmCaches {
+    /// Serializes to the magic-prefixed little-endian warm-hierarchy
+    /// image: per level, the probe tick, the number of resident lines and
+    /// each resident way as `(way index, tag, LRU stamp, dirty flag)`.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&WARM_STATE_MAGIC.to_le_bytes());
+        for level in [&self.l1, &self.l2, &self.l3] {
+            level.save_state(&mut out);
+        }
+        out
+    }
+
+    /// Parses a [`WarmCaches::to_bytes`] image taken under `cfg`'s cache
+    /// geometry.
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`] if the image is malformed, holds what no encoder
+    /// of this geometry writes (see the per-level rules on way indices,
+    /// sets, the empty-way tag, stamps and flags), or carries trailing
+    /// bytes.
+    pub fn decode(cfg: HierarchyConfig, b: &[u8]) -> Result<Self, DecodeError> {
+        let mut r = Reader::new(b);
+        r.magic(WARM_STATE_MAGIC)?;
+        let l1 = TagArray::load_state(cfg.l1, &mut r)?;
+        let l2 = TagArray::load_state(cfg.l2, &mut r)?;
+        let l3 = TagArray::load_state(cfg.l3, &mut r)?;
+        r.finish()?;
+        Ok(WarmCaches { l1, l2, l3 })
+    }
+}
+
+/// [`MemoryHierarchy::from_warm_caches`] was handed warm caches taken under
+/// another cache geometry.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct GeometryMismatch {
+    /// The first level whose geometry differs: `"L1"`, `"L2"` or `"L3"`.
+    pub level: &'static str,
+}
+
+impl std::fmt::Display for GeometryMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "warm {} tags were taken under another cache geometry", self.level)
+    }
+}
+
+impl std::error::Error for GeometryMismatch {}
 
 #[cfg(test)]
 mod tests {
@@ -990,13 +1063,17 @@ mod tests {
         for i in 0..40_000u64 {
             m.warm_touch(i * 192, i % 7 == 0);
         }
-        let bytes = m.warm_state_bytes();
-        let mut r = MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &bytes)
-            .expect("warm image restores");
+        let warm = m.warm_caches();
+        let bytes = warm.to_bytes();
+        let decoded =
+            WarmCaches::decode(HierarchyConfig::default(), &bytes).expect("warm image decodes");
+        assert_eq!(decoded, warm, "the image carries the whole warm state");
+        let mut r = MemoryHierarchy::from_warm_caches(HierarchyConfig::default(), decoded)
+            .expect("same geometry");
         // Identical residency and a byte-identical re-serialization.
         assert_eq!(r.l1().resident_lines(), m.l1().resident_lines());
         assert_eq!(r.l3().resident_lines(), m.l3().resident_lines());
-        assert_eq!(r.warm_state_bytes(), bytes);
+        assert_eq!(r.warm_caches().to_bytes(), bytes);
         // Restored hierarchy starts with clean dynamic state...
         assert_eq!(r.stats().demand_loads, 0);
         assert_eq!(r.mshr_busy_integral(0), 0);
@@ -1012,21 +1089,21 @@ mod tests {
     fn warm_state_rejects_corrupt_and_mismatched_images() {
         let mut m = hier();
         m.warm_touch(0x4000, true);
-        let bytes = m.warm_state_bytes();
-        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &bytes[1..]).is_err());
+        let bytes = m.warm_caches().to_bytes();
+        let load = |b: &[u8]| WarmCaches::decode(HierarchyConfig::default(), b);
+        assert!(load(&bytes[1..]).is_err());
         let mut truncated = bytes.clone();
         truncated.pop();
-        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &truncated).is_err());
+        assert!(load(&truncated).is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(MemoryHierarchy::from_warm_state(HierarchyConfig::default(), &trailing).is_err());
+        assert!(load(&trailing).is_err());
         // Way indices are strictly ascending, and each line sits in its own
         // set: a repeated, reordered or misplaced L1 line is not an encoder's.
         // The L1 lines start after the magic, tick and count, 21 bytes each.
         m.warm_touch(0x4040, false);
-        let bytes = m.warm_state_bytes();
+        let bytes = m.warm_caches().to_bytes();
         let (first, second) = (20..41, 41..62);
-        let load = |b: &[u8]| MemoryHierarchy::from_warm_state(HierarchyConfig::default(), b);
         let mut repeated = bytes.clone();
         repeated.copy_within(first.clone(), second.start);
         assert_eq!(load(&repeated).err(), Some(DecodeError::Invalid { field: "way" }));
@@ -1047,7 +1124,49 @@ mod tests {
         for i in 0..100_000u64 {
             big.warm_touch(i * 64, false);
         }
-        assert!(MemoryHierarchy::from_warm_state(tiny, &big.warm_state_bytes()).is_err());
+        assert!(WarmCaches::decode(tiny, &big.warm_caches().to_bytes()).is_err());
+    }
+
+    #[test]
+    fn warm_image_rejects_a_line_holding_the_empty_way_tag() {
+        // The empty-way tag is all ones, so it belongs to the last set. Move
+        // the one L1 line there (way index 504 of 64 sets x 8 ways) and give
+        // it that tag: the set check passes, and an accepted record would
+        // lose the line and re-encode to other bytes.
+        let mut m = hier();
+        m.warm_touch(0x4000, false);
+        let mut bytes = m.warm_caches().to_bytes();
+        let way = 20..41;
+        bytes[way.start..way.start + 4].copy_from_slice(&504u32.to_le_bytes());
+        bytes[way.start + 4..way.start + 12].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            WarmCaches::decode(HierarchyConfig::default(), &bytes).err(),
+            Some(DecodeError::Invalid { field: "tag" })
+        );
+        // The same record with a real line of that set decodes.
+        bytes[way.start + 4..way.start + 12].copy_from_slice(&63u64.to_le_bytes());
+        assert!(WarmCaches::decode(HierarchyConfig::default(), &bytes).is_ok());
+    }
+
+    #[test]
+    fn warm_caches_of_another_geometry_are_refused() {
+        let mut m = hier();
+        m.warm_touch(0x4000, true);
+        let cfg = HierarchyConfig::default();
+        let half_l1 = HierarchyConfig {
+            l1: CacheConfig { size_bytes: cfg.l1.size_bytes / 2, ..cfg.l1 },
+            ..cfg
+        };
+        let four_way_l2 = HierarchyConfig { l2: CacheConfig { assoc: 4, ..cfg.l2 }, ..cfg };
+        let small_l3 = HierarchyConfig { l3: CacheConfig { size_bytes: 1 << 20, ..cfg.l3 }, ..cfg };
+        for (other, level) in [(half_l1, "L1"), (four_way_l2, "L2"), (small_l3, "L3")] {
+            let err = MemoryHierarchy::from_warm_caches(other, m.warm_caches()).err();
+            assert_eq!(err, Some(GeometryMismatch { level }));
+        }
+        // Anything but the geometry may differ: the MSHRs and DRAM are the
+        // period's own.
+        let fewer_mshrs = HierarchyConfig { mshrs: 12, ..cfg };
+        assert!(MemoryHierarchy::from_warm_caches(fewer_mshrs, m.warm_caches()).is_ok());
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub use cache::{Cache, CacheConfig};
 pub use dram::{Dram, DramConfig};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, NEVER_COMPLETES};
 pub use hierarchy::{
-    Access, AccessClass, HierarchyConfig, HitLevel, LaneObservations, MemoryHierarchy,
-    PrefetchResult, PrefetchSource, TaintFill, WARM_STATE_MAGIC,
+    Access, AccessClass, GeometryMismatch, HierarchyConfig, HitLevel, LaneObservations,
+    MemoryHierarchy, PrefetchResult, PrefetchSource, TaintFill, WarmCaches, WARM_STATE_MAGIC,
 };
 pub use imp::{ImpConfig, ImpPrefetcher};
 pub use mshr::MshrFile;

@@ -18,7 +18,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sim_isa::bytes::{DecodeError, Reader};
 use sim_isa::FxHashMap;
 
 use crate::cache::{Cache, CacheConfig, Probe};
@@ -71,8 +70,14 @@ pub struct SharedLlc {
 impl SharedLlc {
     /// Creates an empty shared LLC.
     pub fn new(l3: CacheConfig, dram: DramConfig) -> Self {
+        SharedLlc::with_l3(Cache::new(l3), dram)
+    }
+
+    /// Creates a shared LLC around the tag array `l3`, with no core
+    /// attached and no provenance.
+    pub(crate) fn with_l3(l3: Cache, dram: DramConfig) -> Self {
         SharedLlc {
-            l3: Cache::new(l3),
+            l3,
             dram: Dram::new(dram),
             provenance: FxHashMap::default(),
             per_core: Vec::new(),
@@ -200,16 +205,6 @@ impl SharedLlc {
     /// Number of busy intervals in the shared DRAM slot calendar.
     pub fn dram_calendar_depth(&self) -> usize {
         self.dram.calendar_intervals()
-    }
-
-    /// Serializes the L3 tag array (warm-state image segment).
-    pub(crate) fn save_l3(&self, out: &mut Vec<u8>) {
-        self.l3.save_state(out);
-    }
-
-    /// Restores the L3 tag array from a warm-state image segment.
-    pub(crate) fn load_l3(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
-        self.l3.load_state(r)
     }
 
     /// Drains in-flight timing state (sampling interval boundaries).

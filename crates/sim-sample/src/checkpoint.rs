@@ -10,13 +10,17 @@
 //! * the architectural CPU state ([`sim_isa::CpuCheckpoint`]),
 //! * the dirty-page memory delta against the workload's pristine image
 //!   ([`sim_isa::MemoryCheckpoint`]),
-//! * the warm cache tag arrays
-//!   ([`sim_mem::MemoryHierarchy::warm_state_bytes`]), and
+//! * the warm cache tag arrays, typed ([`sim_mem::WarmCaches`]), and
 //! * the warm branch-predictor image
 //!   ([`sim_ooo::TagePredictor::state_bytes`]).
 //!
-//! A `dvrsim sample-worker` process measures one period and answers with
-//! its [`PeriodResult`] image. The result carries integers only — every
+//! In-process, a period builds its hierarchy straight around a copy of
+//! the warm tag arrays; they become bytes only in
+//! [`PeriodCheckpoint::to_bytes`], the file a `dvrsim sample-worker`
+//! process reads. [`PeriodCheckpoint::decode`] takes the hierarchy
+//! geometry, so a warm cache image that does not fit it is refused when
+//! the file is read. The worker measures one period and answers with its
+//! [`PeriodResult`] image. The result carries integers only — every
 //! derived float (IPC, MLP, the report aggregates) is recomputed at merge
 //! time from the counters — so a result that crosses the process boundary
 //! is bit-exactly the result that would have been produced in-process.
@@ -30,7 +34,7 @@
 
 use sim_isa::bytes::{put_blob, DecodeError, Reader};
 use sim_isa::{CpuCheckpoint, MemoryCheckpoint};
-use sim_mem::MemStats;
+use sim_mem::{HierarchyConfig, MemStats, WarmCaches};
 use sim_ooo::CoreStats;
 
 use crate::driver::PeriodResult;
@@ -61,8 +65,8 @@ pub struct PeriodCheckpoint {
     /// Dirty-page delta of the memory image against the workload's
     /// pristine base at the warmup start.
     pub mem: MemoryCheckpoint,
-    /// Warm cache tag arrays ([`sim_mem::MemoryHierarchy::warm_state_bytes`]).
-    pub warm_mem: Vec<u8>,
+    /// Warm cache tag arrays ([`sim_mem::MemoryHierarchy::warm_caches`]).
+    pub warm_mem: WarmCaches,
     /// Warm branch-predictor image ([`sim_ooo::TagePredictor::state_bytes`]).
     pub warm_bp: Vec<u8>,
 }
@@ -77,16 +81,17 @@ impl PeriodCheckpoint {
         out.extend_from_slice(&self.measure_at.to_le_bytes());
         put_blob(&mut out, &self.cpu.to_bytes());
         put_blob(&mut out, &self.mem.to_bytes());
-        put_blob(&mut out, &self.warm_mem);
+        put_blob(&mut out, &self.warm_mem.to_bytes());
         put_blob(&mut out, &self.warm_bp);
         out
     }
 
-    /// Parses a [`PeriodCheckpoint::to_bytes`] image, naming the first
+    /// Parses a [`PeriodCheckpoint::to_bytes`] image whose warm caches
+    /// were taken under `hier`'s cache geometry, naming the first
     /// structural violation on failure: bad magic, unknown version,
     /// truncation (which field ran dry), trailing bytes, or an embedded
     /// image that fails its own validation.
-    pub fn decode(b: &[u8]) -> Result<Self, DecodeError> {
+    pub fn decode(hier: HierarchyConfig, b: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(b);
         r.magic(PERIOD_CKPT_MAGIC)?;
         r.version(PERIOD_CKPT_VERSION)?;
@@ -96,7 +101,8 @@ impl PeriodCheckpoint {
             .map_err(|_| DecodeError::BadEmbedded { field: "cpu" })?;
         let mem = MemoryCheckpoint::from_bytes(r.blob("mem")?)
             .map_err(|_| DecodeError::BadEmbedded { field: "mem" })?;
-        let warm_mem = r.blob("warm_mem")?.to_vec();
+        let warm_mem = WarmCaches::decode(hier, r.blob("warm_mem")?)
+            .map_err(|_| DecodeError::BadEmbedded { field: "warm_mem" })?;
         let warm_bp = r.blob("warm_bp")?.to_vec();
         r.finish()?;
         Ok(PeriodCheckpoint { index, measure_at, cpu, mem, warm_mem, warm_bp })
@@ -156,8 +162,13 @@ impl PeriodResult {
 mod tests {
     use super::*;
     use sim_isa::{Cpu, SparseMemory};
-    use sim_mem::{HierarchyConfig, MemoryHierarchy};
+    use sim_mem::MemoryHierarchy;
     use sim_ooo::TagePredictor;
+
+    /// Decodes under the default geometry, the one the images here use.
+    fn decode(b: &[u8]) -> Result<PeriodCheckpoint, DecodeError> {
+        PeriodCheckpoint::decode(HierarchyConfig::default(), b)
+    }
 
     fn sample_checkpoint() -> PeriodCheckpoint {
         let mut cpu = Cpu::new();
@@ -180,7 +191,7 @@ mod tests {
             measure_at: 12_345,
             cpu: cpu.checkpoint(),
             mem: mem.checkpoint_delta(&SparseMemory::new()),
-            warm_mem: hier.warm_state_bytes(),
+            warm_mem: hier.warm_caches(),
             warm_bp: bp.state_bytes(),
         }
     }
@@ -189,7 +200,7 @@ mod tests {
     fn roundtrip_is_byte_identical() {
         let ck = sample_checkpoint();
         let bytes = ck.to_bytes();
-        let back = PeriodCheckpoint::decode(&bytes).expect("image parses");
+        let back = decode(&bytes).expect("image parses");
         assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.index, 3);
         assert_eq!(back.measure_at, 12_345);
@@ -198,21 +209,21 @@ mod tests {
     #[test]
     fn corrupt_images_are_rejected() {
         let bytes = sample_checkpoint().to_bytes();
-        assert!(PeriodCheckpoint::decode(&bytes[1..]).is_err(), "bad magic");
-        assert!(PeriodCheckpoint::decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
+        assert!(decode(&bytes[1..]).is_err(), "bad magic");
+        assert!(decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(PeriodCheckpoint::decode(&trailing).is_err(), "trailing bytes");
+        assert!(decode(&trailing).is_err(), "trailing bytes");
         let mut wrong_version = bytes;
         wrong_version[4] ^= 0xFF;
-        assert!(PeriodCheckpoint::decode(&wrong_version).is_err(), "unknown version");
+        assert!(decode(&wrong_version).is_err(), "unknown version");
     }
 
     #[test]
     fn decode_names_the_violation() {
         use DecodeError as E;
         let bytes = sample_checkpoint().to_bytes();
-        let fail = |b: &[u8]| PeriodCheckpoint::decode(b).expect_err("image must not parse");
+        let fail = |b: &[u8]| decode(b).expect_err("image must not parse");
 
         assert_eq!(fail(&bytes[..3]), E::BadMagic { found: None });
         assert!(matches!(
@@ -246,9 +257,33 @@ mod tests {
         let mut mem = ck.mem.to_bytes()[..4].to_vec();
         mem.extend_from_slice(&(1u64 << 61).to_le_bytes());
         put_blob(&mut crafted, &mem);
-        put_blob(&mut crafted, &ck.warm_mem);
+        put_blob(&mut crafted, &ck.warm_mem.to_bytes());
         put_blob(&mut crafted, &ck.warm_bp);
         assert_eq!(fail(&crafted), E::BadEmbedded { field: "mem" });
+    }
+
+    #[test]
+    fn a_warm_cache_image_is_checked_when_the_checkpoint_is_read() {
+        let ck = sample_checkpoint();
+        let bytes = ck.to_bytes();
+        let back = decode(&bytes).expect("image parses");
+        assert_eq!(back.warm_mem, ck.warm_mem, "the warm caches survive the file");
+        // Another geometry: the saved L1 way index does not fit 4 ways.
+        let cfg = HierarchyConfig::default();
+        let narrow = HierarchyConfig { l1: sim_mem::CacheConfig { assoc: 4, ..cfg.l1 }, ..cfg };
+        assert_eq!(
+            PeriodCheckpoint::decode(narrow, &bytes).err(),
+            Some(DecodeError::BadEmbedded { field: "warm_mem" })
+        );
+        // A warm image whose one L1 line sits in the wrong set.
+        let mut warm = ck.warm_mem.to_bytes();
+        warm[20 + 4] ^= 1;
+        let mut crafted = bytes[..24].to_vec();
+        put_blob(&mut crafted, &ck.cpu.to_bytes());
+        put_blob(&mut crafted, &ck.mem.to_bytes());
+        put_blob(&mut crafted, &warm);
+        put_blob(&mut crafted, &ck.warm_bp);
+        assert_eq!(decode(&crafted).err(), Some(DecodeError::BadEmbedded { field: "warm_mem" }));
     }
 
     #[test]
@@ -257,8 +292,7 @@ mod tests {
         // Every proper prefix must fail with *some* typed reason — and
         // never panic — no matter where the cut lands.
         for len in 0..bytes.len() {
-            let err =
-                PeriodCheckpoint::decode(&bytes[..len]).expect_err("proper prefix must not parse");
+            let err = decode(&bytes[..len]).expect_err("proper prefix must not parse");
             let _ = err.to_string(); // Display is total
         }
     }

@@ -259,7 +259,7 @@ where
             measure_at,
             cpu: cpu.checkpoint(),
             mem: mem.checkpoint_delta(base),
-            warm_mem: hier.warm_state_bytes(),
+            warm_mem: hier.warm_caches(),
             warm_bp: bp.state_bytes(),
         });
     }
@@ -291,8 +291,9 @@ where
 ///
 /// # Errors
 ///
-/// [`SampleError::Checkpoint`] if a warm-state image fails validation,
-/// otherwise the first detailed-interval failure.
+/// [`SampleError::Checkpoint`] if the warm caches were taken under another
+/// cache geometry than `hier_cfg`'s or the warm predictor image fails
+/// validation, otherwise the first detailed-interval failure.
 pub fn measure_period<F>(
     prog: &Program,
     base_mem: &SparseMemory,
@@ -310,9 +311,8 @@ where
 
     let mut mem = SparseMemory::restore_from(base_mem, &ck.mem);
     let cpu = Cpu::from_checkpoint(&ck.cpu);
-    let mut hier = MemoryHierarchy::from_warm_state(hier_cfg, &ck.warm_mem).map_err(|e| {
-        SampleError::Checkpoint(format!("period {}: invalid warm hierarchy image: {e}", ck.index))
-    })?;
+    let mut hier = MemoryHierarchy::from_warm_caches(hier_cfg, ck.warm_mem.clone())
+        .map_err(|e| SampleError::Checkpoint(format!("period {}: {e}", ck.index)))?;
     // Emit warms, and the detailed core runs, the default predictor geometry.
     let bp = TagePredictor::from_state_bytes(TageConfig::default(), &ck.warm_bp).map_err(|e| {
         SampleError::Checkpoint(format!("period {}: invalid warm predictor image: {e}", ck.index))
@@ -346,7 +346,6 @@ where
         res.mshr_integral = hier.mshr_busy_integral(core.stats().cycles) - integral_before;
         res.measured = true;
     }
-    hier.quiesce();
     hier.finalize();
     res.mem = hier.stats().clone();
     Ok(res)
@@ -577,7 +576,8 @@ mod tests {
             .rev()
             .map(|ck| {
                 let bytes = ck.to_bytes();
-                let back = PeriodCheckpoint::decode(&bytes).expect("checkpoint parses");
+                let back = PeriodCheckpoint::decode(HierarchyConfig::default(), &bytes)
+                    .expect("checkpoint parses");
                 assert_eq!(back.to_bytes(), bytes);
                 measure_period(
                     &prog,

@@ -30,8 +30,9 @@
 //!   ([`sim_isa::Cpu::run_warming`] streaming through a
 //!   [`sim_isa::WarmSink`]);
 //! * `sim-mem` — tag/LRU-only warming fills
-//!   ([`sim_mem::MemoryHierarchy::warm_touch`]) and the interval-boundary
-//!   drain ([`sim_mem::MemoryHierarchy::quiesce`]);
+//!   ([`sim_mem::MemoryHierarchy::warm_touch`]) and the typed warm tag
+//!   arrays each period's hierarchy is built around
+//!   ([`sim_mem::WarmCaches`]);
 //! * `sim-ooo` — cores seeded from carried architectural state
 //!   ([`sim_ooo::OooCore::with_state`]).
 //!

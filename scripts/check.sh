@@ -170,6 +170,17 @@ stray="$(in_src -e 'stream_checkpoints(' -e 'merge_periods(' \
 stray="$(in_src -e 'simulate_sampled(' -e 'simulate_sampled_threads(' | grep '^crates/bench/src/' || true)"
 [ -z "$stray" ] || { echo "bench samples cell by cell:"; echo "$stray"; exit 1; }
 
+echo "== one warm handoff: sampled periods take their warm caches typed =="
+# A period builds its hierarchy around a copy of its checkpoint's typed warm
+# caches (MemoryHierarchy::from_warm_caches); the warm-image codec runs only
+# where a checkpoint leaves the process. Outside test modules the encoder and
+# decoder appear only in sim-mem and in sim-sample's checkpoint.rs. Their
+# former names (warm_state_bytes, from_warm_state) count too.
+stray="$(in_src -e 'WarmCaches::decode(' -e 'warm[a-z_]*\(()\)\?\.to_bytes(' \
+    -e 'warm_state_bytes(' -e 'from_warm_state(' \
+    | grep -v -e '^crates/sim-mem/src/' -e '^crates/sim-sample/src/checkpoint\.rs:' || true)"
+[ -z "$stray" ] || { echo "warm cache image encoded or decoded in-process:"; echo "$stray"; exit 1; }
+
 echo "== one cell plumbing: one fan-out and one result-cache path for reports =="
 # Every entry point fans cells out through sim_sweep's parallel_map /
 # try_parallel_map, and reads and writes reports in the result cache through

@@ -13,11 +13,11 @@ use dvr_sim::sim_sweep::{
 };
 use dvr_sim::{
     decode_report, encode_report, measure_emitted, sample_emit, simulate, simulate_sampled,
-    MemoryHierarchy, MixSpec, PeriodCheckpoint, PeriodResult, SampleConfig, SimConfig, SweepCell,
-    Technique,
+    MixSpec, PeriodCheckpoint, PeriodResult, SampleConfig, SimConfig, SweepCell, Technique,
 };
 use proptest::prelude::*;
 use sim_isa::{parse_program, CpuCheckpoint, MemoryCheckpoint};
+use sim_mem::WarmCaches;
 use sim_ooo::{TageConfig, TagePredictor};
 use workloads::{Benchmark, GraphInput, SizeClass};
 
@@ -49,7 +49,7 @@ fn images() -> &'static [Image] {
                 ("period", ck.to_bytes()),
                 ("cpu", ck.cpu.to_bytes()),
                 ("mem", ck.mem.to_bytes()),
-                ("warm_mem", ck.warm_mem.clone()),
+                ("warm_mem", ck.warm_mem.to_bytes()),
                 ("warm_bp", ck.warm_bp.clone()),
             ] {
                 let name = if kind == "period" {
@@ -107,12 +107,10 @@ fn encoded_images_match_the_digest_golden() {
 /// Decodes `b` as a `kind` image and re-encodes it; `None` if rejected.
 fn reencode(kind: &str, b: &[u8]) -> Option<Vec<u8>> {
     match kind {
-        "period" => PeriodCheckpoint::decode(b).ok().map(|c| c.to_bytes()),
+        "period" => PeriodCheckpoint::decode(dvr_cfg().hierarchy, b).ok().map(|c| c.to_bytes()),
         "cpu" => CpuCheckpoint::from_bytes(b).ok().map(|c| c.to_bytes()),
         "mem" => MemoryCheckpoint::from_bytes(b).ok().map(|m| m.to_bytes()),
-        "warm_mem" => MemoryHierarchy::from_warm_state(dvr_cfg().hierarchy, b)
-            .ok()
-            .map(|h| h.warm_state_bytes()),
+        "warm_mem" => WarmCaches::decode(dvr_cfg().hierarchy, b).ok().map(|w| w.to_bytes()),
         "warm_bp" => {
             TagePredictor::from_state_bytes(TageConfig::default(), b).ok().map(|p| p.state_bytes())
         }

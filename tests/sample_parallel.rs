@@ -9,8 +9,8 @@ use std::sync::OnceLock;
 
 use dvr_sim::{
     measure_emitted, measure_periods_via_workers, sample_emit, sample_worker_args,
-    sampled_report_from, simulate_sampled, simulate_sampled_threads, Placement, SampleConfig,
-    SampleError, SimConfig, SimReport, SweepCell, Technique,
+    sampled_report_from, simulate_sampled, simulate_sampled_threads, PeriodCheckpoint, Placement,
+    SampleConfig, SampleError, SimConfig, SimReport, SweepCell, Technique,
 };
 use proptest::prelude::*;
 use sim_sample::merge_periods;
@@ -138,6 +138,29 @@ fn streamed_collected_and_worker_paths_agree_under_the_engines() {
             assert_eq!(streamed, collected, "{label}: collected path diverged from streamed");
             assert_eq!(streamed, procs, "{label}: worker processes diverged from streamed");
         }
+    }
+}
+
+/// In-process, a period's hierarchy is built around the typed warm caches
+/// of its checkpoint; a worker reads them back from the checkpoint file.
+/// Both must measure every period the same.
+#[test]
+fn typed_and_file_warm_caches_measure_every_period_the_same() {
+    let scfg = SampleConfig::default();
+    let cfg = SimConfig::new(Technique::Dvr).with_max_instructions(INSTRS);
+    for b in [Benchmark::NasIs, Benchmark::Camel, Benchmark::Bfs] {
+        let wl = b.build(b.is_gap().then_some(GraphInput::Kr), SizeClass::Test, 42);
+        let emit = sample_emit(&wl, &cfg, &scfg).expect("emit");
+        assert!(!emit.checkpoints.is_empty(), "{}", wl.name);
+        let read: Vec<PeriodCheckpoint> = emit
+            .checkpoints
+            .iter()
+            .map(|ck| PeriodCheckpoint::decode(cfg.hierarchy, &ck.to_bytes()).expect("decodes"))
+            .collect();
+        let typed = measure_emitted(&wl, &cfg, &scfg, &emit.checkpoints, 1).expect("measure");
+        let from_file = measure_emitted(&wl, &cfg, &scfg, &read, 1).expect("measure");
+        assert_eq!(typed.len(), emit.checkpoints.len(), "{}", wl.name);
+        assert_eq!(typed, from_file, "{}: the file's warm caches measured differently", wl.name);
     }
 }
 
