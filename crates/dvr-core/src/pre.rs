@@ -10,9 +10,7 @@
 
 use sim_isa::{Instr, NUM_REGS};
 use sim_mem::{AccessClass, PrefetchSource};
-use sim_ooo::{DynInst, EngineCtx, RunaheadEngine};
-
-use crate::discovery::ShadowRegs;
+use sim_ooo::{EngineCtx, RunaheadEngine};
 
 /// Instructions pre-executed per runahead cycle (the front-end width).
 const WIDTH: u64 = 5;
@@ -41,7 +39,6 @@ pub struct PreStats {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PreEngine {
     stats: PreStats,
-    shadow: ShadowRegs,
 }
 
 impl PreEngine {
@@ -56,16 +53,13 @@ impl RunaheadEngine for PreEngine {
         "pre"
     }
 
-    fn on_dispatch(&mut self, _ctx: &mut EngineCtx<'_>, di: &DynInst) {
-        self.shadow.update(di);
-    }
-
     fn on_full_rob_stall(&mut self, ctx: &mut EngineCtx<'_>, head_complete_at: u64) -> u64 {
         self.stats.episodes += 1;
         let interval_end = head_complete_at;
-        let mut regs = ctx.frontier.regs;
+        let frontier = ctx.frontier.expect("a full-ROB stall carries the frontier");
+        let mut regs = frontier.regs;
         let mut valid = [true; NUM_REGS];
-        let mut pc = ctx.frontier.pc;
+        let mut pc = frontier.pc;
         let mut count: u64 = 0;
 
         loop {

@@ -13,7 +13,6 @@ use sim_isa::Instr;
 use sim_ooo::{DynInst, EngineCtx, RunaheadEngine};
 
 use crate::detector::StrideDetector;
-use crate::discovery::ShadowRegs;
 use crate::walker::{stride_seeds, walk_vectorized, Termination, WalkPolicy, MAX_LANES};
 
 /// Instructions VR scans ahead of the stall for a striding load.
@@ -40,17 +39,12 @@ pub struct VrStats {
 #[derive(Clone, Debug)]
 pub struct VrEngine {
     detector: StrideDetector,
-    shadow: ShadowRegs,
     stats: VrStats,
 }
 
 impl Default for VrEngine {
     fn default() -> Self {
-        VrEngine {
-            detector: StrideDetector::new(32),
-            shadow: ShadowRegs::new(),
-            stats: VrStats::default(),
-        }
+        VrEngine { detector: StrideDetector::new(32), stats: VrStats::default() }
     }
 }
 
@@ -67,7 +61,6 @@ impl RunaheadEngine for VrEngine {
     }
 
     fn on_dispatch(&mut self, _ctx: &mut EngineCtx<'_>, di: &DynInst) {
-        self.shadow.update(di);
         if let (true, Some(m)) = (di.is_load(), di.mem) {
             self.detector.observe(di.pc, m.addr);
         }
@@ -76,13 +69,14 @@ impl RunaheadEngine for VrEngine {
     fn on_full_rob_stall(&mut self, ctx: &mut EngineCtx<'_>, head_complete_at: u64) -> u64 {
         // Scan the future stream (from the fetch frontier) for a confident
         // striding load to vectorize from.
-        let mut regs = ctx.frontier.regs;
+        let frontier = ctx.frontier.expect("a full-ROB stall carries the frontier");
+        let mut regs = frontier.regs;
         let detector = &self.detector;
         let found = crate::walker::walk_scalar_until(
             ctx.prog,
             ctx.mem,
             &mut regs,
-            ctx.frontier.pc,
+            frontier.pc,
             SCAN_BUDGET,
             None,
             |pc, instr, _| instr.is_load() && detector.lookup(pc).is_some_and(|e| e.is_confident()),

@@ -25,8 +25,8 @@ use std::time::Instant;
 use sim_isa::SparseMemory;
 use sim_ooo::{RunaheadEngine, SimError};
 use sim_sample::{
-    drive_sampled, emit_checkpoints, measure_period, shared_copy, EmitResult, PeriodCheckpoint,
-    PeriodResult, SampleConfig, SampleError, SampledRun,
+    drive_sampled, emit_checkpoints, measure_period, EmitResult, PeriodCheckpoint, PeriodResult,
+    SampleConfig, SampleError, SampledRun,
 };
 use sim_sweep::{resolve_threads, try_parallel_map, Supervisor, SweepOptions};
 use workloads::Workload;
@@ -89,7 +89,7 @@ pub fn measure_emitted(
     checkpoints: &[PeriodCheckpoint],
     threads: usize,
 ) -> Result<Vec<PeriodResult>, SampleError> {
-    measure_from(workload, cfg, scfg, &shared_copy(&workload.mem), checkpoints, threads)
+    measure_from(workload, cfg, scfg, &workload.mem.shared_clone(), checkpoints, threads)
 }
 
 /// Measures `checkpoints` on up to `threads` worker threads, restoring

@@ -72,6 +72,6 @@ pub use instr::{
     validate_regions, validate_secrets, AluOp, BranchCond, Instr, MemAddr, MemWidth, Program,
     RegionError, SecretRangeError,
 };
-pub use mem::{MemoryCheckpoint, SparseMemory};
+pub use mem::{FrozenPages, MemoryCheckpoint, RunningDelta, SparseMemory};
 pub use parse::{parse_program, ParseError};
 pub use reg::{Reg, NUM_REGS};

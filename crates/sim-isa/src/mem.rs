@@ -11,6 +11,12 @@ const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = (PAGE_SIZE - 1) as u64;
 
+/// What a page absent from an image reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
+/// Shared page payloads by page number.
+type PageList = Vec<(u64, Arc<[u8; PAGE_SIZE]>)>;
+
 /// Sentinel for "no page cached" in [`SparseMemory::last`]. Unreachable as
 /// a real entry: it would need page number `u32::MAX` *and* slot
 /// `u32::MAX`, and only pages below `u32::MAX` are ever cached.
@@ -36,31 +42,6 @@ impl Page {
         }
     }
 
-    /// The page for writing. An owned page costs one match; a shared page
-    /// is first copied, once, so the write path never touches a reference
-    /// count.
-    #[inline]
-    fn writable(&mut self) -> &mut [u8; PAGE_SIZE] {
-        if let Page::Shared(_) = self {
-            self.unshare();
-        }
-        match self {
-            Page::Owned(b) => b,
-            Page::Shared(_) => unreachable!("shared page was just copied"),
-        }
-    }
-
-    /// Replaces a shared page by an owned copy. Kept out of line so the
-    /// write path's frame stays small: a page is unshared at most once per
-    /// share.
-    #[cold]
-    #[inline(never)]
-    fn unshare(&mut self) {
-        if let Page::Shared(a) = self {
-            *self = Page::Owned(Box::new(**a));
-        }
-    }
-
     /// The page as a shared payload: a reference-count increment if it is
     /// already shared, otherwise one copy.
     fn to_shared(&self) -> Arc<[u8; PAGE_SIZE]> {
@@ -69,6 +50,21 @@ impl Page {
             Page::Shared(a) => Arc::clone(a),
         }
     }
+
+    /// Makes the page shared (one copy if it was owned) and returns its
+    /// payload.
+    fn freeze(&mut self) -> Arc<[u8; PAGE_SIZE]> {
+        let shared = self.to_shared();
+        *self = Page::Shared(Arc::clone(&shared));
+        shared
+    }
+}
+
+/// Copies the first `N` bytes of `src` into `dst`: a constant-size move,
+/// where a copy of a run-time length calls `memmove`.
+#[inline(always)]
+fn copy_n<const N: usize>(dst: &mut [u8], src: &[u8]) {
+    dst[..N].copy_from_slice(&src[..N]);
 }
 
 /// A flat 64-bit byte-addressed memory, allocated in 4 KiB pages on first
@@ -90,8 +86,11 @@ impl Page {
 /// [`SparseMemory::share`] freezes them; after that, `Clone` costs a
 /// reference-count increment per page instead of a 4 KiB copy, and each
 /// image copies a page back into an owned one on its first write to it.
-/// An image that never calls `share` behaves and costs exactly as a plain
-/// owned image: writes never touch an atomic.
+/// From its first share on, an image also lists the pages it turns owned
+/// (a shared page it writes, a page it first touches), so the next share
+/// visits those alone. An image that never calls `share` behaves and
+/// costs exactly as a plain owned image: writes never touch an atomic,
+/// and it keeps no list.
 ///
 /// # Example
 ///
@@ -110,6 +109,9 @@ pub struct SparseMemory {
     map: FxHashMap<u64, u32>,
     /// Last successful translation, packed `page << 32 | slot`.
     last: AtomicU64,
+    /// The pages turned owned since the last [`SparseMemory::share`], as
+    /// `(page, slot)`; `None` until the image is first shared.
+    written: Option<Vec<(u64, u32)>>,
 }
 
 impl Clone for SparseMemory {
@@ -121,6 +123,7 @@ impl Clone for SparseMemory {
             slots: self.slots.clone(),
             map: self.map.clone(),
             last: AtomicU64::new(self.last.load(Ordering::Relaxed)),
+            written: self.written.clone(),
         }
     }
 }
@@ -132,6 +135,7 @@ impl SparseMemory {
             slots: Vec::new(),
             map: FxHashMap::default(),
             last: AtomicU64::new(NO_CACHE),
+            written: None,
         }
     }
 
@@ -207,6 +211,9 @@ impl SparseMemory {
         if page < u32::MAX as u64 {
             *self.last.get_mut() = page << 32 | s as u64;
         }
+        if let Some(written) = &mut self.written {
+            written.push((page, s));
+        }
         s as usize
     }
 
@@ -217,18 +224,85 @@ impl SparseMemory {
     #[inline(never)]
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
         let slot = self.slot_index(addr >> PAGE_SHIFT);
-        self.slots[slot].writable()
+        if let Page::Shared(_) = self.slots[slot] {
+            return self.unshare(addr);
+        }
+        match &mut self.slots[slot] {
+            Page::Owned(b) => b,
+            Page::Shared(_) => unreachable!("a shared page takes the unshare path"),
+        }
+    }
+
+    /// The shared page holding `addr`, replaced by an owned copy and listed
+    /// as written once the image has shared. Kept out of line, taking only
+    /// the address, so that the write path keeps a small frame: a page is
+    /// unshared at most once per share.
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        let page = addr >> PAGE_SHIFT;
+        let slot = self.slot_index(page);
+        self.slots[slot] = Page::Owned(Box::new(*self.slots[slot].bytes()));
+        if let Some(written) = &mut self.written {
+            written.push((page, slot as u32));
+        }
+        match &mut self.slots[slot] {
+            Page::Owned(b) => b,
+            Page::Shared(_) => unreachable!("the page was just copied"),
+        }
     }
 
     /// Turns every owned page into a shared one, so that clones of this
     /// image, and checkpoints taken from it, share its pages instead of
-    /// copying them. Costs one copy per owned page; pages already shared
-    /// are left as they are. Contents are unchanged.
-    pub fn share(&mut self) {
-        for slot in &mut self.slots {
-            if let Page::Owned(b) = slot {
-                *slot = Page::Shared(Arc::new(**b));
+    /// copying them, and returns the pages it froze. Contents are
+    /// unchanged.
+    ///
+    /// Costs one copy per owned page. The first share of an image walks
+    /// and reports every page, shared ones included; after it, a share
+    /// visits and reports only the pages the image turned owned since the
+    /// last one (pages it wrote or first touched), so it never walks a
+    /// page left untouched. A [`RunningDelta`] folds the report into a
+    /// checkpoint against the image's base.
+    pub fn share(&mut self) -> FrozenPages {
+        let pages = match self.written.replace(Vec::new()) {
+            Some(written) => written
+                .into_iter()
+                .filter_map(|(page, slot)| match &mut self.slots[slot as usize] {
+                    p @ Page::Owned(_) => Some((page, p.freeze())),
+                    Page::Shared(_) => None,
+                })
+                .collect(),
+            None => {
+                // Freeze in slot order, the order the pages were allocated
+                // in, so that the owned pages freed on the way coalesce into
+                // room for the shared copies that follow; a walk in the
+                // map's hash order leaves them scattered and grows the heap
+                // by the size of the image.
+                let mut page_of = vec![0; self.slots.len()];
+                for (&page, &slot) in &self.map {
+                    page_of[slot as usize] = page;
+                }
+                page_of
+                    .into_iter()
+                    .zip(&mut self.slots)
+                    .map(|(page, p)| (page, p.freeze()))
+                    .collect()
             }
+        };
+        FrozenPages { pages }
+    }
+
+    /// A copy of this image whose pages are all shared, taken with one copy
+    /// per owned page (a shared page is shared, not copied); this image is
+    /// left as it is. Forking the copy, and restoring checkpoints from it,
+    /// then copy no page, and the copy's first [`SparseMemory::share`]
+    /// reports only the pages written after it was taken.
+    pub fn shared_clone(&self) -> SparseMemory {
+        SparseMemory {
+            slots: self.slots.iter().map(|p| Page::Shared(p.to_shared())).collect(),
+            map: self.map.clone(),
+            last: AtomicU64::new(self.last.load(Ordering::Relaxed)),
+            written: Some(Vec::new()),
         }
     }
 
@@ -257,8 +331,13 @@ impl SparseMemory {
             // Fast path: within one page.
             match self.page(addr) {
                 Some(p) => {
-                    let mut buf = [0u8; 8];
-                    buf[..width as usize].copy_from_slice(&p[off..off + width as usize]);
+                    let (mut buf, src) = ([0u8; 8], &p[off..]);
+                    match width {
+                        8 => copy_n::<8>(&mut buf, src),
+                        4 => copy_n::<4>(&mut buf, src),
+                        2 => copy_n::<2>(&mut buf, src),
+                        _ => copy_n::<1>(&mut buf, src),
+                    }
                     u64::from_le_bytes(buf)
                 }
                 None => 0,
@@ -281,9 +360,13 @@ impl SparseMemory {
         assert!(matches!(width, 1 | 2 | 4 | 8), "invalid access width {width}");
         let off = (addr & PAGE_MASK) as usize;
         if off + width as usize <= PAGE_SIZE {
-            let p = self.page_mut(addr);
-            let bytes = value.to_le_bytes();
-            p[off..off + width as usize].copy_from_slice(&bytes[..width as usize]);
+            let (dst, bytes) = (&mut self.page_mut(addr)[off..], value.to_le_bytes());
+            match width {
+                8 => copy_n::<8>(dst, &bytes),
+                4 => copy_n::<4>(dst, &bytes),
+                2 => copy_n::<2>(dst, &bytes),
+                _ => copy_n::<1>(dst, &bytes),
+            }
         } else {
             let mut v = value;
             for k in 0..width {
@@ -340,26 +423,30 @@ impl SparseMemory {
     /// A page that shares its payload with `base`'s page is skipped without
     /// a byte comparison; a changed page that is already shared is captured
     /// by reference, so after [`SparseMemory::share`] a checkpoint copies
-    /// nothing.
+    /// nothing. Every other page of the image is compared, at every call;
+    /// a [`RunningDelta`] gives the same checkpoint for the cost of the
+    /// pages written since the last one.
     pub fn checkpoint_delta(&self, base: &SparseMemory) -> MemoryCheckpoint {
-        let zero = [0u8; PAGE_SIZE];
-        let mut pages: Vec<(u64, Arc<[u8; PAGE_SIZE]>)> = Vec::new();
+        let mut pages = PageList::new();
         for (&page, &slot) in &self.map {
             let cur = &self.slots[slot as usize];
-            let was = base.map.get(&page).map(|&s| &base.slots[s as usize]);
-            if let (Page::Shared(a), Some(Page::Shared(b))) = (cur, was) {
-                if Arc::ptr_eq(a, b) {
-                    continue;
-                }
-            }
-            if cur.bytes()[..] != was.map_or(&zero, Page::bytes)[..] {
+            if base.differs(page, cur.bytes()) {
                 pages.push((page, cur.to_shared()));
             }
         }
         // Map iteration order is nondeterministic; sort so serialized
         // checkpoints are byte-identical across runs.
         pages.sort_unstable_by_key(|&(p, _)| p);
-        MemoryCheckpoint { pages }
+        MemoryCheckpoint { pages: Arc::new(pages) }
+    }
+
+    /// Whether `bytes`, the contents of `page` in an image derived from
+    /// this one, differ from that page here (from zeros if this image
+    /// lacks it). A payload this image holds itself is equal without a
+    /// byte comparison.
+    fn differs(&self, page: u64, bytes: &[u8; PAGE_SIZE]) -> bool {
+        let was = self.map.get(&page).map_or(&ZERO_PAGE, |&s| self.slots[s as usize].bytes());
+        !std::ptr::eq(bytes, was) && bytes[..] != was[..]
     }
 
     /// Reconstructs the checkpointed memory: a clone of `base` with the
@@ -371,11 +458,78 @@ impl SparseMemory {
     /// restored image writes to it.
     pub fn restore_from(base: &SparseMemory, delta: &MemoryCheckpoint) -> SparseMemory {
         let mut mem = base.clone();
-        for (page, bytes) in &delta.pages {
+        // Installing the delta is not the image writing: keep its pages off
+        // the list of pages written since the last share.
+        let written = mem.written.take();
+        for (page, bytes) in delta.pages.iter() {
             let slot = mem.slot_index(*page);
             mem.slots[slot] = Page::Shared(Arc::clone(bytes));
         }
+        mem.written = written;
         mem
+    }
+}
+
+/// The pages one [`SparseMemory::share`] froze, each with its now-shared
+/// payload, for a [`RunningDelta`] to fold in.
+pub struct FrozenPages {
+    pages: PageList,
+}
+
+impl FrozenPages {
+    /// Number of pages the share froze.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+}
+
+/// A [`MemoryCheckpoint`] of an image against its base, kept current from
+/// the pages each [`SparseMemory::share`] of the image reports.
+///
+/// Start it empty beside an image cloned from `base`, and fold in every
+/// share of that image. After each fold, [`RunningDelta::checkpoint`] is
+/// the image's [`SparseMemory::checkpoint_delta`] against `base`, byte for
+/// byte, but a fold compares only the pages the share reported: the pages
+/// written since the share before it.
+///
+/// The delta and the checkpoints it hands out share one page list. A fold
+/// rebuilds the list in place when no checkpoint holds it any more, and
+/// copies it (a reference-count increment per page) when one still does.
+#[derive(Default)]
+pub struct RunningDelta {
+    /// The pages that differ from the base, sorted by page number.
+    pages: Arc<PageList>,
+}
+
+impl RunningDelta {
+    /// An empty delta: the image is still its base.
+    pub fn new() -> Self {
+        RunningDelta::default()
+    }
+
+    /// Folds in the pages one share froze: each page that now differs
+    /// from its page in `base` (or from zeros, if `base` lacks it) enters
+    /// or replaces its entry, and each that equals it again leaves.
+    pub fn fold(&mut self, base: &SparseMemory, frozen: FrozenPages) {
+        let mut frozen = frozen.pages;
+        frozen.sort_unstable_by_key(|&(p, _)| p);
+        let mut was = Arc::unwrap_or_clone(std::mem::take(&mut self.pages)).into_iter().peekable();
+        let mut pages = PageList::with_capacity(was.len() + frozen.len());
+        for (page, bytes) in frozen {
+            pages.extend(std::iter::from_fn(|| was.next_if(|&(p, _)| p < page)));
+            // The page's previous version, if it differed, goes.
+            was.next_if(|&(p, _)| p == page);
+            if base.differs(page, &bytes) {
+                pages.push((page, bytes));
+            }
+        }
+        pages.extend(was);
+        self.pages = Arc::new(pages);
+    }
+
+    /// The delta as a checkpoint, sharing its page list.
+    pub fn checkpoint(&self) -> MemoryCheckpoint {
+        MemoryCheckpoint { pages: Arc::clone(&self.pages) }
     }
 }
 
@@ -387,8 +541,9 @@ impl SparseMemory {
 /// shared image, and restoring from one copy no page payload.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MemoryCheckpoint {
-    /// `(page_number, page_bytes)` pairs, sorted by page number.
-    pages: Vec<(u64, Arc<[u8; PAGE_SIZE]>)>,
+    /// `(page_number, page_bytes)` pairs, sorted by page number, shared
+    /// with the [`RunningDelta`] that handed the checkpoint out, if any.
+    pages: Arc<PageList>,
 }
 
 /// Version/magic tag prefixed to serialized memory checkpoints.
@@ -405,7 +560,7 @@ impl MemoryCheckpoint {
         let mut out = Vec::with_capacity(4 + 8 + self.pages.len() * (8 + PAGE_SIZE));
         out.extend_from_slice(&MEM_CKPT_MAGIC.to_le_bytes());
         out.extend_from_slice(&(self.pages.len() as u64).to_le_bytes());
-        for (page, bytes) in &self.pages {
+        for (page, bytes) in self.pages.iter() {
             out.extend_from_slice(&page.to_le_bytes());
             out.extend_from_slice(&bytes[..]);
         }
@@ -419,7 +574,7 @@ impl MemoryCheckpoint {
         r.magic(MEM_CKPT_MAGIC)?;
         // An untrusted count sizes no allocation: pages push as they parse.
         let n = r.u64("pages")?;
-        let mut pages: Vec<(u64, Arc<[u8; PAGE_SIZE]>)> = Vec::new();
+        let mut pages = PageList::new();
         for _ in 0..n {
             let page = r.u64("page")?;
             ensure(page <= u64::MAX >> PAGE_SHIFT, "page")?;
@@ -429,7 +584,7 @@ impl MemoryCheckpoint {
             pages.push((page, Arc::new(payload)));
         }
         r.finish()?;
-        Ok(MemoryCheckpoint { pages })
+        Ok(MemoryCheckpoint { pages: Arc::new(pages) })
     }
 }
 
@@ -703,6 +858,54 @@ mod tests {
         shared.write_u64(0x1000, 5678);
         assert_eq!(shared_base.read_u64(0x1000), 1);
         assert_eq!(SparseMemory::restore_from(&shared_base, &delta).read_u64(0x20_0000), 99);
+    }
+
+    #[test]
+    fn share_reports_the_pages_written_since_the_last_share() {
+        // An image that never shared keeps no list: its first share walks
+        // and reports every page.
+        let mut run = base_image();
+        assert!(run.written.is_none());
+        assert_eq!(run.share().page_count(), 4);
+        assert_eq!(run.share().page_count(), 0, "nothing written since");
+        run.write_u64(0x1008, 5); // a shared page, written twice
+        run.write_u64(0x1010, 6);
+        run.write_u64(0x9000, 0); // a page first touched
+        assert_eq!(run.share().page_count(), 2);
+
+        // A shared clone starts with nothing written, and installing a
+        // checkpoint's pages is not writing.
+        let base = base_image().shared_clone();
+        let mut fork = base.clone();
+        assert_eq!(fork.clone().share().page_count(), 0);
+        fork.write_u64(0x3000, 40);
+        let delta = fork.checkpoint_delta(&base);
+        let mut restored = SparseMemory::restore_from(&base, &delta);
+        assert_eq!(restored.share().page_count(), 0);
+        restored.write_u64(0x50_0000, 1);
+        assert_eq!(restored.share().page_count(), 1);
+    }
+
+    #[test]
+    fn running_delta_follows_every_share() {
+        for base in [base_image(), base_image().shared_clone()] {
+            let mut run = base.clone();
+            let mut delta = RunningDelta::new();
+            let mut check = |run: &mut SparseMemory| {
+                delta.fold(&base, run.share());
+                let (got, want) = (delta.checkpoint(), run.checkpoint_delta(&base));
+                assert_eq!(got.to_bytes(), want.to_bytes());
+                got.page_count()
+            };
+            assert_eq!(check(&mut run), 0);
+            run = evolve(run);
+            assert_eq!(check(&mut run), 4, "changed, new, and both straddled pages");
+            run.write_u64(0x20_0000, 2); // the changed page back to its base bytes
+            run.write_u64(0x50_0000, 0); // the new page back to zeros
+            assert_eq!(check(&mut run), 2, "both pages leave the delta");
+            run.write_u64(0x20_0000, 8);
+            assert_eq!(check(&mut run), 3, "and come back when changed again");
+        }
     }
 
     #[test]

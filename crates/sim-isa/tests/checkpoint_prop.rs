@@ -1,12 +1,13 @@
-//! Property test for architectural checkpoints: saving at a *random*
+//! Property tests for architectural checkpoints: saving at a *random*
 //! retirement point, round-tripping through bytes, restoring, and
 //! resuming must reproduce the uninterrupted run exactly — digest-for-
-//! digest — on every workload in the suite.
+//! digest — on every workload in the suite; and the memory delta, taken
+//! in full or kept running from each share, is the same delta.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use sim_isa::{Cpu, CpuCheckpoint, MemoryCheckpoint, SparseMemory};
+use sim_isa::{Cpu, CpuCheckpoint, MemoryCheckpoint, RunningDelta, SparseMemory};
 use workloads::{Benchmark, GraphInput, SizeClass, Workload};
 
 /// How far each run executes. Small enough to keep the property cheap,
@@ -93,7 +94,9 @@ proptest! {
         let mut forks = Vec::new();
         for (page, off, value, op) in steps {
             match op {
-                0 => shared.share(),
+                0 => {
+                    shared.share();
+                }
                 1 => {
                     shared.share();
                     forks.push((shared.clone(), plain.checksum()));
@@ -123,5 +126,62 @@ proptest! {
         for (fork, sum) in &forks {
             prop_assert_eq!(fork.checksum(), *sum);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A running delta, folded from what every share reports, is the full
+    /// delta against the base after every share, byte for byte.
+    ///
+    /// The base holds non-zero words on some of pages 0–5, and is shared
+    /// first or not. Each step is `(page, offset, value, op)` on pages
+    /// 0–7, so pages 6 and 7, and any page the base left out, are absent
+    /// from it: `op` 0 shares and folds, 1–4 write `value` with width 1,
+    /// 2, 4 or 8 at `page << 12 | offset` (a zero write to an absent page
+    /// makes a new page left all zero), and 5 writes the page's base bytes
+    /// back over all of it.
+    #[test]
+    fn running_delta_matches_the_full_delta_after_every_share(
+        base_writes in prop::collection::vec((0u64..6, 0u64..512, 1u64..4), 1..12),
+        share_base in any::<bool>(),
+        steps in prop::collection::vec((0u64..8, 0u64..4096, 0u64..3, 0usize..6), 1..64),
+    ) {
+        let mut base = SparseMemory::new();
+        for (page, word, value) in base_writes {
+            base.write_u64(page << 12 | word << 3, value);
+        }
+        if share_base {
+            base = base.shared_clone();
+        }
+        let mut mem = base.clone();
+        let mut delta = RunningDelta::new();
+        let mut shares = 0;
+        for (page, off, value, op) in steps.into_iter().chain([(0, 0, 0, 0)]) {
+            let addr = page << 12 | off;
+            match op {
+                0 => {
+                    delta.fold(&base, mem.share());
+                    shares += 1;
+                    let (got, want) = (delta.checkpoint(), mem.checkpoint_delta(&base));
+                    prop_assert!(
+                        got.to_bytes() == want.to_bytes(),
+                        "share {}: the running delta holds {} pages, the full delta {}",
+                        shares,
+                        got.page_count(),
+                        want.page_count()
+                    );
+                }
+                5 => {
+                    for word in (page << 12..(page + 1) << 12).step_by(8) {
+                        mem.write_u64(word, base.read_u64(word));
+                    }
+                }
+                _ => mem.write(addr, 1 << (op - 1), value),
+            }
+        }
+        let restored = SparseMemory::restore_from(&base, &delta.checkpoint());
+        prop_assert_eq!(restored.checksum(), mem.checksum());
     }
 }

@@ -48,8 +48,10 @@ pub(crate) struct Probe {
 /// zero stamp and a clear dirty bit.
 ///
 /// Functional warming completes every fill at once, so this is the whole
-/// warm state of a level ([`crate::WarmCaches`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// warm state of a level ([`crate::WarmCaches`]). The default array has no
+/// ways: it stands in for a level whose arrays are lent out
+/// ([`Cache::take_tags`]).
+#[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub(crate) struct TagArray {
     assoc: usize,
     tick: u64,
@@ -119,6 +121,11 @@ impl TagArray {
     }
 }
 
+/// Whether `tags` has `cfg`'s geometry.
+fn fits(cfg: CacheConfig, tags: &TagArray) -> bool {
+    tags.assoc == cfg.assoc && tags.tags.len() == cfg.sets() * cfg.assoc
+}
+
 /// A single cache level: a set-associative LRU tag array with per-line
 /// dirty and in-flight (fill completion) state.
 ///
@@ -158,7 +165,7 @@ impl Cache {
     /// if `tags` has another geometry.
     pub(crate) fn from_tags(cfg: CacheConfig, tags: TagArray) -> Option<Self> {
         let ways = tags.tags.len();
-        (tags.assoc == cfg.assoc && ways == cfg.sets() * cfg.assoc).then(|| Cache {
+        fits(cfg, &tags).then(|| Cache {
             cfg,
             set_mask: cfg.sets() - 1,
             tags,
@@ -169,6 +176,22 @@ impl Cache {
     /// The tag state, without in-flight fill times.
     pub(crate) fn tags(&self) -> &TagArray {
         &self.tags
+    }
+
+    /// Moves the tag state out, leaving a cache with no ways until
+    /// [`Cache::put_tags`] returns it; fill times stay.
+    pub(crate) fn take_tags(&mut self) -> TagArray {
+        std::mem::take(&mut self.tags)
+    }
+
+    /// Puts back tag state taken by [`Cache::take_tags`]; `false`, leaving
+    /// the cache as it is, if `tags` has another geometry.
+    pub(crate) fn put_tags(&mut self, tags: TagArray) -> bool {
+        let fit = fits(self.cfg, &tags);
+        if fit {
+            self.tags = tags;
+        }
+        fit
     }
 
     /// The cache's configuration.

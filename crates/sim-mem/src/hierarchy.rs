@@ -681,6 +681,31 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Lends the warm cache state of [`MemoryHierarchy::warm_caches`] to
+    /// `f` without copying it: the three tag arrays move out, and the
+    /// arrays `f` returns move back in. A sampling emitter puts them in an
+    /// `Arc` for its checkpoint and takes them back with
+    /// `Arc::unwrap_or_clone`, which copies them only if the checkpoint is
+    /// still held. Meaningful, as `warm_caches` is, on a hierarchy whose
+    /// state comes purely from functional warming, with a private L3.
+    ///
+    /// # Panics
+    ///
+    /// If `f` returns arrays of another cache geometry than this
+    /// hierarchy's.
+    pub fn lend_warm_caches(&mut self, f: impl FnOnce(WarmCaches) -> WarmCaches) {
+        let lent = WarmCaches {
+            l1: self.l1.take_tags(),
+            l2: self.l2.take_tags(),
+            l3: self.shared.borrow_mut().l3_mut().take_tags(),
+        };
+        let WarmCaches { l1, l2, l3 } = f(lent);
+        let back = self.l1.put_tags(l1)
+            && self.l2.put_tags(l2)
+            && self.shared.borrow_mut().l3_mut().put_tags(l3);
+        assert!(back, "lent warm caches came back in another cache geometry");
+    }
+
     /// Drains all in-flight timing state at a sampling interval boundary:
     /// cache fills settle ([`Cache::quiesce`]), outstanding MSHRs release
     /// ([`MshrFile::quiesce`]), and the DRAM calendar empties
@@ -1167,6 +1192,35 @@ mod tests {
         // period's own.
         let fewer_mshrs = HierarchyConfig { mshrs: 12, ..cfg };
         assert!(MemoryHierarchy::from_warm_caches(fewer_mshrs, m.warm_caches()).is_ok());
+    }
+
+    #[test]
+    fn lent_warm_caches_are_the_snapshot_and_come_back_whole() {
+        let mut m = hier();
+        for a in (0..64u64).map(|k| k * 0x1040) {
+            m.warm_touch(a, a % 3 == 0);
+        }
+        let snapshot = m.warm_caches();
+        let mut seen = None;
+        m.lend_warm_caches(|warm| {
+            seen = Some(warm.to_bytes());
+            warm
+        });
+        assert_eq!(seen, Some(snapshot.to_bytes()), "the lent arrays are the snapshot");
+        assert_eq!(m.warm_caches(), snapshot, "and come back as they left");
+        // Warming goes on in the arrays that came back.
+        m.warm_touch(0x9_0000, false);
+        assert!(m.l1().contains(crate::line_of(0x9_0000)));
+        assert!(m.l3().contains(crate::line_of(0x1040)));
+    }
+
+    #[test]
+    #[should_panic(expected = "another cache geometry")]
+    fn lent_warm_caches_must_come_back_in_their_geometry() {
+        let cfg = HierarchyConfig::default();
+        let other = HierarchyConfig { l2: CacheConfig { assoc: 4, ..cfg.l2 }, ..cfg };
+        let stranger = MemoryHierarchy::new(other).warm_caches();
+        hier().lend_warm_caches(|_| stranger);
     }
 
     #[test]

@@ -202,6 +202,11 @@ impl SharedLlc {
         &self.l3
     }
 
+    /// Write access to the L3 tag array.
+    pub(crate) fn l3_mut(&mut self) -> &mut Cache {
+        &mut self.l3
+    }
+
     /// Number of busy intervals in the shared DRAM slot calendar.
     pub fn dram_calendar_depth(&self) -> usize {
         self.dram.calendar_intervals()

@@ -1127,8 +1127,7 @@ impl OooCore {
                     self.stats.store_forwards += 1;
                     cycle + 1
                 } else {
-                    let mut ctx =
-                        EngineCtx { cycle, prog, frontier: ArchSnapshot::of(&self.cpu), mem, hier };
+                    let mut ctx = EngineCtx { cycle, prog, frontier: None, mem, hier };
                     match engine.override_load(&mut ctx, m.addr) {
                         Some(lat) => cycle + lat,
                         None => {
@@ -1250,13 +1249,7 @@ impl OooCore {
                 _ => {}
             }
 
-            let mut ctx = EngineCtx {
-                cycle: self.cycle,
-                prog,
-                frontier: ArchSnapshot::of(&self.cpu),
-                mem,
-                hier,
-            };
+            let mut ctx = EngineCtx { cycle: self.cycle, prog, frontier: None, mem, hier };
             engine.on_dispatch(&mut ctx, &self.ring[idx]);
 
             self.dispatch_seq += 1;
@@ -1330,7 +1323,7 @@ impl OooCore {
             let mut ctx = EngineCtx {
                 cycle: self.cycle,
                 prog,
-                frontier: ArchSnapshot::of(&self.cpu),
+                frontier: Some(ArchSnapshot::of(&self.cpu)),
                 mem,
                 hier,
             };

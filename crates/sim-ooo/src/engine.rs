@@ -12,7 +12,8 @@
 //!   here.
 //!
 //! Engines receive an [`EngineCtx`] giving them the static program, the
-//! frontier architectural state, the functional memory image (read-only:
+//! frontier architectural state (at a full-ROB stall, the one hook that
+//! reads it), the functional memory image (read-only:
 //! runahead is transient), and mutable access to the shared memory
 //! hierarchy — the same L1-D, MSHRs, and DRAM the main thread uses, which is
 //! what makes interference and contention structural rather than modelled.
@@ -44,8 +45,10 @@ pub struct EngineCtx<'a> {
     pub cycle: u64,
     /// The static program (engines walk instruction slices through it).
     pub prog: &'a Program,
-    /// Architectural state at the fetch frontier.
-    pub frontier: ArchSnapshot,
+    /// Architectural state at the fetch frontier: `Some` for
+    /// [`RunaheadEngine::on_full_rob_stall`], `None` for the per-instruction
+    /// hooks, which would otherwise copy the register file on every call.
+    pub frontier: Option<ArchSnapshot>,
     /// The live functional memory image (read-only: runahead must not
     /// perturb architectural state).
     pub mem: &'a SparseMemory,
@@ -70,7 +73,7 @@ pub trait RunaheadEngine {
 
     /// Called when dispatch is blocked by a full ROB whose head is a load
     /// still waiting on memory (`head_complete_at` is its fill time). Fired
-    /// once per stall episode.
+    /// once per stall episode, with `ctx.frontier` set.
     ///
     /// Returns the cycle until which *commit* must additionally stay
     /// blocked. Returning `ctx.cycle` means "no extra blocking"; VR's
@@ -124,7 +127,7 @@ mod tests {
         let mut ctx = EngineCtx {
             cycle: 7,
             prog: &prog,
-            frontier: ArchSnapshot::of(&cpu),
+            frontier: Some(ArchSnapshot::of(&cpu)),
             mem: &mem,
             hier: &mut hier,
         };

@@ -10,7 +10,8 @@
 //! * the architectural CPU state ([`sim_isa::CpuCheckpoint`]),
 //! * the dirty-page memory delta against the workload's pristine image
 //!   ([`sim_isa::MemoryCheckpoint`]),
-//! * the warm cache tag arrays, typed ([`sim_mem::WarmCaches`]), and
+//! * the warm cache tag arrays, typed and shared ([`sim_mem::WarmCaches`]
+//!   behind an `Arc`), and
 //! * the warm branch-predictor image
 //!   ([`sim_ooo::TagePredictor::state_bytes`]).
 //!
@@ -31,6 +32,8 @@
 //! changes fail loudly instead of misparsing.
 //!
 //! [`stream_checkpoints`]: crate::stream_checkpoints
+
+use std::sync::Arc;
 
 use sim_isa::bytes::{put_blob, DecodeError, Reader};
 use sim_isa::{CpuCheckpoint, MemoryCheckpoint};
@@ -65,8 +68,11 @@ pub struct PeriodCheckpoint {
     /// Dirty-page delta of the memory image against the workload's
     /// pristine base at the warmup start.
     pub mem: MemoryCheckpoint,
-    /// Warm cache tag arrays ([`sim_mem::MemoryHierarchy::warm_caches`]).
-    pub warm_mem: WarmCaches,
+    /// Warm cache tag arrays ([`sim_mem::MemoryHierarchy::warm_caches`]),
+    /// shared: the emitter lends its own arrays to a streamed checkpoint
+    /// and takes them back once the checkpoint is dropped, copying them
+    /// only if it is still held.
+    pub warm_mem: Arc<WarmCaches>,
     /// Warm branch-predictor image ([`sim_ooo::TagePredictor::state_bytes`]).
     pub warm_bp: Vec<u8>,
 }
@@ -102,6 +108,7 @@ impl PeriodCheckpoint {
         let mem = MemoryCheckpoint::from_bytes(r.blob("mem")?)
             .map_err(|_| DecodeError::BadEmbedded { field: "mem" })?;
         let warm_mem = WarmCaches::decode(hier, r.blob("warm_mem")?)
+            .map(Arc::new)
             .map_err(|_| DecodeError::BadEmbedded { field: "warm_mem" })?;
         let warm_bp = r.blob("warm_bp")?.to_vec();
         r.finish()?;
@@ -191,7 +198,7 @@ mod tests {
             measure_at: 12_345,
             cpu: cpu.checkpoint(),
             mem: mem.checkpoint_delta(&SparseMemory::new()),
-            warm_mem: hier.warm_caches(),
+            warm_mem: Arc::new(hier.warm_caches()),
             warm_bp: bp.state_bytes(),
         }
     }

@@ -24,11 +24,30 @@
 //! image forks from a shared copy of the workload image, a checkpoint
 //! shares the pages written in its own period, and a period restores from
 //! the shared base without copying it.
+//!
+//! The emitter's per-period work follows what the period wrote, not the
+//! size of the image or of the caches:
+//!
+//! * each share visits only the pages written since the last one, and a
+//!   [`RunningDelta`] folds them into the memory delta against the base,
+//!   so a checkpoint compares only those pages;
+//! * the warm tag arrays move into the checkpoint's `Arc` and back
+//!   ([`MemoryHierarchy::lend_warm_caches`]), so a checkpoint measured and
+//!   dropped before warming resumes costs no copy of them on the emit
+//!   side; its period makes the one copy, into its own hierarchy. A
+//!   checkpoint still held when warming resumes (a collected emit, a
+//!   batch of several) costs one emit-side copy.
+//!
+//! A period still pays, in time with the mapped image and the cache
+//! sizes, for cloning the base's page table and slot vector
+//! ([`SparseMemory::restore_from`]), for its copy of the tag arrays, and
+//! for dropping both.
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
-use sim_isa::{Cpu, ExecError, Program, SparseMemory};
+use sim_isa::{Cpu, ExecError, Program, RunningDelta, SparseMemory};
 use sim_mem::{HierarchyConfig, MemStats, MemoryHierarchy};
 use sim_ooo::{
     CoreConfig, CoreStats, OooCore, RunaheadEngine, SimError, TageConfig, TagePredictor,
@@ -158,20 +177,11 @@ pub fn emit_checkpoints(
     hier_cfg: HierarchyConfig,
     scfg: &SampleConfig,
 ) -> Result<EmitResult, SampleError> {
-    let base = shared_copy(base_mem);
+    let base = base_mem.shared_clone();
     let mut checkpoints = Vec::new();
     let (total_retired, halted) =
         stream_checkpoints(prog, &base, hier_cfg, scfg, |ck| checkpoints.push(ck))?;
     Ok(EmitResult { checkpoints, total_retired, halted })
-}
-
-/// A copy of `mem` whose pages are all shared, for use as the base image
-/// of [`stream_checkpoints`] and [`measure_period`]: forking from it and
-/// restoring from it then copy no page.
-pub fn shared_copy(mem: &SparseMemory) -> SparseMemory {
-    let mut base = mem.clone();
-    base.share();
-    base
 }
 
 /// Phase 1: one functional fast-forward pass over the region of interest
@@ -190,10 +200,14 @@ pub fn shared_copy(mem: &SparseMemory) -> SparseMemory {
 /// so checkpoint positions are deterministic.
 ///
 /// The live image forks from `base`, and every checkpoint is a delta
-/// against it. With a shared `base` ([`shared_copy`]) the fork copies no
-/// page and each checkpoint copies only the pages written in its own
+/// against it, kept as a [`RunningDelta`]. With a shared `base`
+/// ([`SparseMemory::shared_clone`]) the fork copies no page, and each
+/// checkpoint copies and compares only the pages written in its own
 /// period; any other `base` gives the same checkpoints, at the cost of
-/// copying.
+/// copying and comparing every page at the first. A checkpoint's warm
+/// caches are the pass's own tag arrays, lent
+/// ([`MemoryHierarchy::lend_warm_caches`]): they are copied back only if
+/// `on_checkpoint` still holds the checkpoint when it returns.
 ///
 /// # Errors
 ///
@@ -213,6 +227,7 @@ where
     scfg.validate().map_err(SampleError::Config)?;
 
     let mut mem = base.clone();
+    let mut delta = RunningDelta::new();
     let mut cpu = Cpu::new();
     let mut bp = TagePredictor::default();
     let mut hier = MemoryHierarchy::new(hier_cfg);
@@ -253,14 +268,18 @@ where
         }
         // Freeze this period's writes so the checkpoint shares them; the
         // live image copies a page again only when it next writes to it.
-        mem.share();
-        on_checkpoint(PeriodCheckpoint {
-            index: k,
-            measure_at,
-            cpu: cpu.checkpoint(),
-            mem: mem.checkpoint_delta(base),
-            warm_mem: hier.warm_caches(),
-            warm_bp: bp.state_bytes(),
+        delta.fold(base, mem.share());
+        hier.lend_warm_caches(|warm| {
+            let warm = Arc::new(warm);
+            on_checkpoint(PeriodCheckpoint {
+                index: k,
+                measure_at,
+                cpu: cpu.checkpoint(),
+                mem: delta.checkpoint(),
+                warm_mem: Arc::clone(&warm),
+                warm_bp: bp.state_bytes(),
+            });
+            Arc::unwrap_or_clone(warm)
         });
     }
 
@@ -279,11 +298,12 @@ where
 /// every other period.
 ///
 /// Restores the architectural state (`base_mem` with `ck`'s memory delta
-/// applied; with a shared base, see [`shared_copy`], no page is copied
-/// until the period writes it), warm hierarchy, and warm predictor
-/// from `ck`, runs the discarded detailed warmup and then the measured
-/// interval on one detailed core (via resumable segments, so measurement
-/// starts from the warm pipeline the warmup filled), and returns the
+/// applied; with a shared base, see [`SparseMemory::shared_clone`], no
+/// page is copied until the period writes it), warm hierarchy (around its
+/// own copy of `ck`'s tag arrays), and warm predictor from `ck`, runs the
+/// discarded detailed warmup and then the measured interval on one
+/// detailed core (via resumable segments, so measurement starts from the
+/// warm pipeline the warmup filled), and returns the
 /// integer-only [`PeriodResult`]. `make_engine` supplies this period's
 /// fresh runahead engine — engine state (including DVR's runahead
 /// subthread) dies with the period, which is how the engine "quiesces
@@ -311,7 +331,7 @@ where
 
     let mut mem = SparseMemory::restore_from(base_mem, &ck.mem);
     let cpu = Cpu::from_checkpoint(&ck.cpu);
-    let mut hier = MemoryHierarchy::from_warm_caches(hier_cfg, ck.warm_mem.clone())
+    let mut hier = MemoryHierarchy::from_warm_caches(hier_cfg, (*ck.warm_mem).clone())
         .map_err(|e| SampleError::Checkpoint(format!("period {}: {e}", ck.index)))?;
     // Emit warms, and the detailed core runs, the default predictor geometry.
     let bp = TagePredictor::from_state_bytes(TageConfig::default(), &ck.warm_bp).map_err(|e| {
@@ -392,8 +412,8 @@ pub fn merge_periods(
 }
 
 /// The one sampled driver: a single functional pass over the region of
-/// interest ([`stream_checkpoints`] from a [`shared_copy`] of `base_mem`)
-/// serves `runs` sampled runs at once.
+/// interest ([`stream_checkpoints`] from a [`SparseMemory::shared_clone`]
+/// of `base_mem`) serves `runs` sampled runs at once.
 ///
 /// The checkpoints are gathered into batches of `batch` (at least 1; the
 /// last may be shorter), and each batch goes to `measure(run, base,
@@ -417,7 +437,7 @@ pub fn drive_sampled<M>(
 where
     M: FnMut(usize, &SparseMemory, &[PeriodCheckpoint]) -> Result<Vec<PeriodResult>, SampleError>,
 {
-    let base = shared_copy(base_mem);
+    let base = base_mem.shared_clone();
     let batch = batch.max(1);
     let mut measured: Vec<Result<Vec<PeriodResult>, SampleError>> =
         (0..runs).map(|_| Ok(Vec::new())).collect();

@@ -21,7 +21,7 @@
 //! is byte-identical regardless of where the periods ran. One driver,
 //! [`drive_sampled`], composes the phases for every entry point, and
 //! images share memory pages with one copy of the workload image
-//! ([`shared_copy`]).
+//! ([`sim_isa::SparseMemory::shared_clone`]).
 //!
 //! The subsystem is built from cross-layer hooks added alongside it:
 //!
@@ -85,7 +85,7 @@ mod warm;
 pub use checkpoint::{PeriodCheckpoint, PERIOD_CKPT_MAGIC, PERIOD_CKPT_VERSION};
 pub use config::{Placement, SampleConfig};
 pub use driver::{
-    drive_sampled, emit_checkpoints, measure_period, merge_periods, run_sampled, shared_copy,
+    drive_sampled, emit_checkpoints, measure_period, merge_periods, run_sampled,
     stream_checkpoints, EmitResult, PeriodResult, SampleError, SampledRun,
 };
 pub use rng::SplitMix64;

@@ -172,14 +172,21 @@ stray="$(in_src -e 'simulate_sampled(' -e 'simulate_sampled_threads(' | grep '^c
 
 echo "== one warm handoff: sampled periods take their warm caches typed =="
 # A period builds its hierarchy around a copy of its checkpoint's typed warm
-# caches (MemoryHierarchy::from_warm_caches); the warm-image codec runs only
-# where a checkpoint leaves the process. Outside test modules the encoder and
-# decoder appear only in sim-mem and in sim-sample's checkpoint.rs. Their
-# former names (warm_state_bytes, from_warm_state) count too.
+# caches (MemoryHierarchy::from_warm_caches, from the checkpoint's shared
+# Arc<WarmCaches>); the warm-image codec runs only where a checkpoint leaves
+# the process. Outside test modules the encoder and decoder appear only in
+# sim-mem and in sim-sample's checkpoint.rs. Their former names
+# (warm_state_bytes, from_warm_state) count too.
 stray="$(in_src -e 'WarmCaches::decode(' -e 'warm[a-z_]*\(()\)\?\.to_bytes(' \
     -e 'warm_state_bytes(' -e 'from_warm_state(' \
     | grep -v -e '^crates/sim-mem/src/' -e '^crates/sim-sample/src/checkpoint\.rs:' || true)"
 [ -z "$stray" ] || { echo "warm cache image encoded or decoded in-process:"; echo "$stray"; exit 1; }
+# The emitter lends its own tag arrays to each checkpoint and takes them back
+# (MemoryHierarchy::lend_warm_caches), so a streamed period costs one copy of
+# them, the period's own. Outside test modules the copying snapshot
+# (MemoryHierarchy::warm_caches) appears only in sim-mem.
+stray="$(in_src -e '\.warm_caches()' | grep -v '^crates/sim-mem/src/' || true)"
+[ -z "$stray" ] || { echo "warm caches snapshotted outside sim-mem:"; echo "$stray"; exit 1; }
 
 echo "== one cell plumbing: one fan-out and one result-cache path for reports =="
 # Every entry point fans cells out through sim_sweep's parallel_map /
@@ -302,6 +309,17 @@ s1="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --all --no-exact --size tes
 s4="$(cargo run -q -p dvr-sim --bin dvrsim -- sample --all --no-exact --size test \
     --instrs 60000 --json --threads 4 | strip_clock)"
 [ "$s1" = "$s4" ] || { echo "sampled JSON diverged across thread counts"; exit 1; }
+
+echo "== sample golden: every technique's sampled report matches tests/golden/sample_test.txt =="
+# The stages around this one compare dispatch paths within one commit; this
+# one pins the sampled report bytes across commits. A change meant to move
+# them re-blesses the golden with this command and shows the diff.
+for combo in "--threads 1" "--threads 4" "--jobs 2"; do
+  # shellcheck disable=SC2086
+  diff -u tests/golden/sample_test.txt <(cargo run -q -p dvr-sim --bin dvrsim -- sample --all \
+      --technique all --size test --instrs 60000 --no-exact --json $combo | strip_clock) \
+      || { echo "sampled reports ($combo) drifted from tests/golden/sample_test.txt"; exit 1; }
+done
 
 echo "== sample-parallel: byte-identity across --threads 1/4 x --jobs 0/2 =="
 # The checkpoint-parallel dispatch grid: every combination of in-process

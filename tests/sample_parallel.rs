@@ -164,6 +164,41 @@ fn typed_and_file_warm_caches_measure_every_period_the_same() {
     }
 }
 
+/// The emitter lends its warm tag arrays to each checkpoint and takes
+/// them back before warming resumes, copying them only if the checkpoint
+/// is still held, and keeps its memory delta running from share to share.
+/// So each checkpoint is the same bytes whether the caller holds them all
+/// (`emit_checkpoints`), measures and drops each before the next
+/// (batches of one), or holds a batch of several (batches of four).
+#[test]
+fn held_and_streamed_checkpoints_are_the_same_bytes() {
+    let hier = SimConfig::new(Technique::Dvr).hierarchy;
+    let scfg = SampleConfig::default().with_max_instructions(INSTRS);
+    for b in [Benchmark::NasIs, Benchmark::Camel, Benchmark::Bfs] {
+        let wl = b.build(b.is_gap().then_some(GraphInput::Kr), SizeClass::Test, 42);
+        let emit = sim_sample::emit_checkpoints(&wl.prog, &wl.mem, hier, &scfg).expect("emit");
+        let held: Vec<Vec<u8>> = emit.checkpoints.iter().map(PeriodCheckpoint::to_bytes).collect();
+        assert_eq!(held.len(), 3, "{}: three periods in the region", wl.name);
+        for batch in [1, 4] {
+            let mut streamed = Vec::new();
+            let runs =
+                sim_sample::drive_sampled(&wl.prog, &wl.mem, hier, &scfg, 1, batch, |_, _, cks| {
+                    streamed.extend(cks.iter().map(PeriodCheckpoint::to_bytes));
+                    Ok(Vec::new())
+                });
+            assert!(runs[0].is_ok(), "{}: batch {batch}", wl.name);
+            assert_eq!(streamed.len(), held.len(), "{}: batch {batch}", wl.name);
+            for (k, (s, h)) in streamed.iter().zip(&held).enumerate() {
+                assert!(
+                    s == h,
+                    "{}: period {k} streamed at batch {batch} differs from held",
+                    wl.name
+                );
+            }
+        }
+    }
+}
+
 /// `json` without its three host-clock fields (`host_seconds` and the two
 /// rates derived from it), like `strip_clock` in `scripts/check.sh`.
 fn strip_clock(json: &str) -> String {
